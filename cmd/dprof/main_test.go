@@ -101,6 +101,12 @@ func TestRunErrors(t *testing.T) {
 			wantErrOut: []string{`workload "falseshare"`, "does not accept", "sockets"},
 		},
 		{
+			name:       "the removed -parallel-shards option is rejected",
+			args:       []string{"-workload", "memcached", "-parallel-shards", "2"},
+			wantCode:   2,
+			wantErrOut: []string{"parallel-shards"},
+		},
+		{
 			name:       "malformed sweep topology is rejected",
 			args:       []string{"-workload", "numaremote", "-sweep-topology", "4by4"},
 			wantCode:   2,

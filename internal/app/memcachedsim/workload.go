@@ -28,7 +28,7 @@ func (wl) Options() []workload.Option {
 			Usage: "outstanding requests per closed-loop client"},
 	}
 	opts = append(opts, workload.TopologyOptions(cache.SingleSocket(16), mem.FirstTouch)...)
-	return append(opts, workload.WindowOption(), workload.ShardOption())
+	return append(opts, workload.WindowOption())
 }
 
 func (wl) Windows(quick bool) workload.Windows {

@@ -148,7 +148,6 @@ func (conflictWL) Options() []workload.Option {
 			Usage: "ring buffers in the pool"},
 		workload.SeedOption(),
 		workload.WindowOption(),
-		workload.ShardOption(),
 	}
 }
 

@@ -171,7 +171,6 @@ func (falseShareWL) Options() []workload.Option {
 			Usage: "pad each counter to its own cache line (the fix)"},
 		workload.SeedOption(),
 		workload.WindowOption(),
-		workload.ShardOption(),
 	}
 }
 

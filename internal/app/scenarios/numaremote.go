@@ -294,7 +294,7 @@ func (numaRemoteWL) Options() []workload.Option {
 			Usage: "consumer threads per socket (0 = one per core)"},
 	}
 	opts = append(opts, workload.TopologyOptions(cache.PaperTopology(), mem.FirstTouch)...)
-	return append(opts, workload.WindowOption(), workload.ShardOption())
+	return append(opts, workload.WindowOption())
 }
 
 func (numaRemoteWL) Windows(quick bool) workload.Windows {

@@ -1,9 +1,7 @@
 package workload_test
 
 import (
-	"bytes"
-	"strconv"
-	"strings"
+	"sync"
 	"testing"
 
 	_ "dprof/internal/app/all" // register every workload
@@ -11,140 +9,18 @@ import (
 	"dprof/internal/core"
 )
 
-// buildSharded builds a workload at its defaults (quick fidelity) split into
-// k shards, or fails the test.
-func buildSharded(t *testing.T, name string, k int) *core.ShardSet {
-	t.Helper()
-	w, err := workload.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := workload.NewConfig(w, map[string]string{"parallel-shards": strconv.Itoa(k)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := workload.BuildInstance(w, cfg.WithQuick(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, ok := inst.(*core.ShardSet)
-	if !ok {
-		t.Fatalf("BuildInstance with parallel-shards=%d returned %T, want *core.ShardSet", k, inst)
-	}
-	return set
-}
-
-// feasibleShards picks the largest of {4, 2} the workload's default shape
-// splits into (0 when neither does), probing through the same validation
-// BuildInstance applies.
-func feasibleShards(t *testing.T, name string) int {
-	t.Helper()
-	w, err := workload.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{4, 2} {
-		cfg, err := workload.NewConfig(w, map[string]string{"parallel-shards": strconv.Itoa(k)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := workload.BuildInstance(w, cfg.WithQuick(true)); err == nil {
-			return k
-		}
-	}
-	return 0
-}
-
-// runShardedSession runs a sharded instance under a profiling session in the
-// given execution mode and returns the finished session.
-func runShardedSession(t *testing.T, name string, k int, sequential bool, windowCycles uint64) *core.Session {
-	t.Helper()
-	w, err := workload.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := buildSharded(t, name, k)
-	set.SetSequential(sequential)
-	win := w.Windows(true)
-	cfg := core.SessionConfig{
-		Profiler:     core.DefaultConfig(),
-		Views:        core.KnownViews,
-		TypeName:     w.DefaultTarget(),
-		Warmup:       win.Warmup,
-		Measure:      win.Measure,
-		WindowCycles: windowCycles,
-	}
-	s, err := core.NewSession(set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	return s
-}
-
-// compareSessions asserts two finished sessions expose byte-identical view
-// exports, equal run results, and (when windowed) identical snapshots.
-func compareSessions(t *testing.T, seq, par *core.Session) {
-	t.Helper()
-	seqViews := exportAllViews(t, "sequential", seq)
-	parViews := exportAllViews(t, "parallel", par)
-	for view, want := range seqViews {
-		got, ok := parViews[view]
-		if !ok {
-			t.Errorf("parallel run missing %s view", view)
-			continue
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s view differs between sequential and parallel shard execution:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				view, want, got)
-		}
-	}
-
-	sr, pr := seq.Result(), par.Result()
-	if sr.Summary != pr.Summary {
-		t.Errorf("run summaries differ:\nsequential: %s\nparallel:   %s", sr.Summary, pr.Summary)
-	}
-	for k, v := range sr.Values {
-		if pv := pr.Values[k]; pv != v {
-			t.Errorf("run value %q differs: sequential %v, parallel %v", k, v, pv)
-		}
-	}
-
-	ss, ps := seq.Windows(), par.Windows()
-	if len(ss) != len(ps) {
-		t.Fatalf("window counts differ: sequential %d, parallel %d", len(ss), len(ps))
-	}
-	for i := range ss {
-		a, b := ss[i], ps[i]
-		if a.Start != b.Start || a.End != b.End || a.Final != b.Final ||
-			a.Samples() != b.Samples() || a.Misses() != b.Misses() {
-			t.Errorf("window %d metadata differs: sequential [%d,%d) final=%v %d/%d, parallel [%d,%d) final=%v %d/%d",
-				i, a.Start, a.End, a.Final, a.Samples(), a.Misses(),
-				b.Start, b.End, b.Final, b.Samples(), b.Misses())
-		}
-		for view, want := range a.Views {
-			if got, ok := b.Views[view]; !ok || !bytes.Equal(want, got) {
-				t.Errorf("window %d %s view differs between sequential and parallel execution", i, view)
-			}
-		}
-	}
-}
-
-// TestParallelEquivalence is the sharded-run determinism gate for the whole
-// registry: for every workload whose default shape shards, running the K
-// parts concurrently must produce byte-identical profiles — every view,
-// every window snapshot, every run value — to running the same parts one at
-// a time. CI runs this under -race, which also makes it the proof that the
-// boundary rendezvous synchronizes every cross-shard read.
+// TestParallelEquivalence is the concurrent-run determinism gate for the
+// whole registry: independent instances of one workload simulated at the
+// same time on separate goroutines must produce byte-identical profiles —
+// every view, every window snapshot, every run value — to an instance run
+// alone. The experiment engine's parallel workers and dprofd's concurrent
+// requests both rely on instances sharing no mutable state; CI runs this
+// under -race, which turns any such sharing into a failure.
 func TestParallelEquivalence(t *testing.T) {
 	for _, name := range workload.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			k := feasibleShards(t, name)
-			if k == 0 {
-				t.Skipf("workload %s does not shard at its default shape", name)
-			}
 			w, err := workload.Lookup(name)
 			if err != nil {
 				t.Fatal(err)
@@ -152,65 +28,35 @@ func TestParallelEquivalence(t *testing.T) {
 			win := w.Windows(true)
 
 			t.Run("monolithic", func(t *testing.T) {
-				seq := runShardedSession(t, name, k, true, 0)
-				par := runShardedSession(t, name, k, false, 0)
-				compareSessions(t, seq, par)
+				compareConcurrent(t, name, 0)
 			})
 			t.Run("windowed", func(t *testing.T) {
-				length := (win.Warmup + win.Measure) / 4
-				seq := runShardedSession(t, name, k, true, length)
-				par := runShardedSession(t, name, k, false, length)
-				compareSessions(t, seq, par)
-				if len(par.Windows()) < 2 {
-					t.Errorf("windowed sharded run produced %d windows, want >= 2", len(par.Windows()))
-				}
+				compareConcurrent(t, name, (win.Warmup+win.Measure)/4)
 			})
 		})
 	}
 }
 
-// TestShardInfeasibleSplit locks the friendly error: a shape that does not
-// divide must fail at build validation, naming the problem, rather than
-// panicking inside a shard's Build.
-func TestShardInfeasibleSplit(t *testing.T) {
-	w, err := workload.Lookup("conflict") // single-core workload: nothing divides
-	if err != nil {
-		t.Fatal(err)
+// compareConcurrent runs one session alone, then two more concurrently, and
+// asserts both concurrent sessions match the lone one.
+func compareConcurrent(t *testing.T, name string, windowCycles uint64) {
+	t.Helper()
+	alone := runModeSession(t, name, windowCycles, false)
+	var together [2]*core.Session
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range together {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = modeSession(name, windowCycles, false)
+		}()
 	}
-	cfg, err := workload.NewConfig(w, map[string]string{"parallel-shards": "2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = workload.BuildInstance(w, cfg.WithQuick(true))
-	if err == nil {
-		t.Fatal("splitting a 1-core workload into 2 shards succeeded, want error")
-	}
-	if !strings.Contains(err.Error(), "does not split into 2 shards") {
-		t.Errorf("unhelpful split error: %v", err)
-	}
-}
-
-// TestShardOptionIsCanonical locks the cache-key behavior: parallel-shards
-// canonicalizes like any option, so sharded and unsharded sessions address
-// different cached profiles, while 0 and 1 (both "one machine") do not
-// collide with each other only through their distinct canonical strings.
-func TestShardOptionIsCanonical(t *testing.T) {
-	w, err := workload.Lookup("memcached")
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := workload.CanonicalOptions(w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := def["parallel-shards"]; !ok || got != "0" {
-		t.Errorf("default canonical parallel-shards = %q, %v; want \"0\", true", got, ok)
-	}
-	sharded, err := workload.CanonicalOptions(w, map[string]string{"parallel-shards": "0x4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sharded["parallel-shards"]; got != "4" {
-		t.Errorf("canonical parallel-shards for 0x4 = %q, want \"4\"", got)
+	wg.Wait()
+	for i, s := range together {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		compareSessions(t, "alone", "concurrent", alone, s)
 	}
 }

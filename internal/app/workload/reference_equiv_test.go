@@ -9,91 +9,87 @@ import (
 	"dprof/internal/core"
 )
 
-// runModeSession runs one workload at its defaults (quick fidelity) with the
-// engine's optimized hot paths or the retained reference paths. shards 0 is
-// the monolithic machine; > 0 builds a sharded instance and flips every
-// part's machine.
-func runModeSession(t *testing.T, name string, windowCycles uint64, shards int, reference bool) *core.Session {
-	t.Helper()
+// modeSession runs one workload at its defaults (quick fidelity) under a
+// full-view profiling session, with the engine's optimized hot paths or the
+// retained reference paths.
+func modeSession(name string, windowCycles uint64, reference bool) (*core.Session, error) {
 	w, err := workload.Lookup(name)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	var inst core.Runnable
-	if shards > 0 {
-		set := buildSharded(t, name, shards)
-		if reference {
-			for _, p := range set.Parts() {
-				p.Machine().SetReference(true)
-			}
-		}
-		inst = set
-	} else {
-		built, err := w.Build(workload.Defaults(w).WithQuick(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reference {
-			built.Machine().SetReference(true)
-		}
-		inst = built
+	inst, err := w.Build(workload.Defaults(w).WithQuick(true))
+	if err != nil {
+		return nil, err
+	}
+	if reference {
+		inst.Machine().SetReference(true)
 	}
 	win := w.Windows(true)
-	cfg := core.SessionConfig{
+	s, err := core.NewSession(inst, core.SessionConfig{
 		Profiler:     core.DefaultConfig(),
 		Views:        core.KnownViews,
 		TypeName:     w.DefaultTarget(),
 		Warmup:       win.Warmup,
 		Measure:      win.Measure,
 		WindowCycles: windowCycles,
+	})
+	if err != nil {
+		return nil, err
 	}
-	s, err := core.NewSession(inst, cfg)
+	s.Run()
+	return s, nil
+}
+
+// runModeSession is modeSession for the test goroutine: errors fail the test.
+func runModeSession(t *testing.T, name string, windowCycles uint64, reference bool) *core.Session {
+	t.Helper()
+	s, err := modeSession(name, windowCycles, reference)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
 	return s
 }
 
-// compareModeSessions asserts an optimized and a reference session exposed
-// byte-identical view exports, run results, and window snapshots.
-func compareModeSessions(t *testing.T, opt, ref *core.Session) {
+// compareSessions asserts two finished sessions exposed byte-identical view
+// exports, run results, and window snapshots; la and lb label a and b in
+// failure messages.
+func compareSessions(t *testing.T, la, lb string, a, b *core.Session) {
 	t.Helper()
-	optViews := exportAllViews(t, "optimized", opt)
-	refViews := exportAllViews(t, "reference", ref)
-	for view, want := range refViews {
-		got, ok := optViews[view]
+	aViews := exportAllViews(t, la, a)
+	bViews := exportAllViews(t, lb, b)
+	for view, want := range aViews {
+		got, ok := bViews[view]
 		if !ok {
-			t.Errorf("optimized run missing %s view", view)
+			t.Errorf("%s run missing %s view", lb, view)
 			continue
 		}
 		if !bytes.Equal(want, got) {
-			t.Errorf("%s view differs between reference and optimized paths:\n--- reference ---\n%s\n--- optimized ---\n%s",
-				view, want, got)
+			t.Errorf("%s view differs between %s and %s runs:\n--- %s ---\n%s\n--- %s ---\n%s",
+				view, la, lb, la, want, lb, got)
 		}
 	}
-	or, rr := opt.Result(), ref.Result()
-	if or.Summary != rr.Summary {
-		t.Errorf("run summaries differ:\nreference: %s\noptimized: %s", rr.Summary, or.Summary)
+	ar, br := a.Result(), b.Result()
+	if ar.Summary != br.Summary {
+		t.Errorf("run summaries differ:\n%s: %s\n%s: %s", la, ar.Summary, lb, br.Summary)
 	}
-	for k, v := range rr.Values {
-		if ov := or.Values[k]; ov != v {
-			t.Errorf("run value %q differs: reference %v, optimized %v", k, v, ov)
+	for k, v := range ar.Values {
+		if bv := br.Values[k]; bv != v {
+			t.Errorf("run value %q differs: %s %v, %s %v", k, la, v, lb, bv)
 		}
 	}
-	ow, rw := opt.Windows(), ref.Windows()
-	if len(ow) != len(rw) {
-		t.Fatalf("window counts differ: optimized %d, reference %d", len(ow), len(rw))
+	aw, bw := a.Windows(), b.Windows()
+	if len(aw) != len(bw) {
+		t.Fatalf("window counts differ: %s %d, %s %d", la, len(aw), lb, len(bw))
 	}
-	for i := range rw {
-		a, b := rw[i], ow[i]
-		if a.Start != b.Start || a.End != b.End || a.Final != b.Final ||
-			a.Samples() != b.Samples() || a.Misses() != b.Misses() {
-			t.Errorf("window %d metadata differs between reference and optimized paths", i)
+	for i := range aw {
+		x, y := aw[i], bw[i]
+		if x.Start != y.Start || x.End != y.End || x.Final != y.Final ||
+			x.Samples() != y.Samples() || x.Misses() != y.Misses() {
+			t.Errorf("window %d metadata differs between %s and %s runs", i, la, lb)
 		}
-		for view, want := range a.Views {
-			if got, ok := b.Views[view]; !ok || !bytes.Equal(want, got) {
-				t.Errorf("window %d %s view differs between reference and optimized paths", i, view)
+		for view, want := range x.Views {
+			if got, ok := y.Views[view]; !ok || !bytes.Equal(want, got) {
+				t.Errorf("window %d %s view differs between %s and %s runs", i, view, la, lb)
 			}
 		}
 	}
@@ -103,8 +99,8 @@ func compareModeSessions(t *testing.T, opt, ref *core.Session) {
 // optimizations (MRU fast path, armed hook dispatch, bypass-slot event
 // wheel): for every registered workload, the optimized engine must produce
 // byte-identical profiles — every view, every window snapshot, every run
-// value — to the retained reference paths, monolithic, windowed, and
-// sharded. CI runs this under -race.
+// value — to the retained reference paths, monolithic and windowed. CI runs
+// this under -race.
 func TestReferencePathEquivalence(t *testing.T) {
 	for _, name := range workload.Names() {
 		name := name
@@ -117,27 +113,18 @@ func TestReferencePathEquivalence(t *testing.T) {
 			win := w.Windows(true)
 
 			t.Run("monolithic", func(t *testing.T) {
-				opt := runModeSession(t, name, 0, 0, false)
-				ref := runModeSession(t, name, 0, 0, true)
-				compareModeSessions(t, opt, ref)
+				opt := runModeSession(t, name, 0, false)
+				ref := runModeSession(t, name, 0, true)
+				compareSessions(t, "reference", "optimized", ref, opt)
 			})
 			t.Run("windowed", func(t *testing.T) {
 				length := (win.Warmup + win.Measure) / 4
-				opt := runModeSession(t, name, length, 0, false)
-				ref := runModeSession(t, name, length, 0, true)
-				compareModeSessions(t, opt, ref)
+				opt := runModeSession(t, name, length, false)
+				ref := runModeSession(t, name, length, true)
+				compareSessions(t, "reference", "optimized", ref, opt)
 				if len(opt.Windows()) < 2 {
 					t.Errorf("windowed run produced %d windows, want >= 2", len(opt.Windows()))
 				}
-			})
-			t.Run("sharded", func(t *testing.T) {
-				k := feasibleShards(t, name)
-				if k == 0 {
-					t.Skipf("workload %s does not shard at its default shape", name)
-				}
-				opt := runModeSession(t, name, 0, k, false)
-				ref := runModeSession(t, name, 0, k, true)
-				compareModeSessions(t, opt, ref)
 			})
 		})
 	}

@@ -25,5 +25,4 @@ func ApplySeed(cfg Config, scfg *sim.Config) {
 	if s := cfg.Int("seed"); s != 0 {
 		scfg.Seed = int64(s)
 	}
-	applyShard(cfg, scfg)
 }

@@ -89,12 +89,6 @@ type Config struct {
 	quick bool
 	vals  map[string]string
 	decl  map[string]Option
-
-	// shardIndex/shardCount mark a config handed to one shard's Build by
-	// BuildInstance; applyShard slices the machine shape and seed from them.
-	// Zero values mean an ordinary unsharded build.
-	shardIndex int
-	shardCount int
 }
 
 // UnknownOptionError reports an option the selected workload does not
@@ -225,13 +219,6 @@ func (c Config) WithQuick(quick bool) Config {
 
 // Quick reports whether the build should trade precision for speed.
 func (c Config) Quick() bool { return c.quick }
-
-// withShard returns a copy marked as shard d of k, for BuildInstance's
-// per-part builds.
-func (c Config) withShard(d, k int) Config {
-	c.shardIndex, c.shardCount = d, k
-	return c
-}
 
 // Declared reports whether the workload declares an option, so shared
 // helpers can probe before reading (the typed getters panic on undeclared
@@ -401,6 +388,12 @@ func Build(name string, vals map[string]string) (core.Runnable, error) {
 		return nil, err
 	}
 	return BuildInstance(w, cfg)
+}
+
+// BuildInstance constructs a runnable instance of w from a validated config:
+// the one build path every consumer (Build, dprofd, replay tools) shares.
+func BuildInstance(w Workload, cfg Config) (core.Runnable, error) {
+	return w.Build(cfg)
 }
 
 // MustBuild is Build for callers whose workload names and options are

@@ -384,8 +384,8 @@ func BuildProfileDocument(s *Session, views []string, workloadName string, optio
 	return doc, nil
 }
 
-// BuildSourceDocument renders any profile source — a simulator profiler, a
-// merged shard profile, an ingested perf.data capture — as a profile
+// BuildSourceDocument renders any profile source — a simulator profiler or
+// an ingested perf.data capture — as a profile
 // document carrying the requested views. Session-only fields (summary,
 // result values, windows) stay zero; callers with a session use
 // BuildProfileDocument, which fills them on top.

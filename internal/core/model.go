@@ -11,8 +11,8 @@ import (
 // allocator pointers, which welded it to the in-process simulator. The model
 // layer replaces those keys with stable value descriptors (TypeDesc) and an
 // interface (ProfileSource) over the raw profile inputs, so the same views
-// run over a simulator session, a merged shard profile, or samples ingested
-// from a real machine's perf.data.
+// run over a simulator session or samples ingested from a real machine's
+// perf.data.
 
 // TypeDesc is the stable value descriptor of one data type: what the views
 // need to render and serialize, with no reference back to the allocator that
@@ -42,7 +42,7 @@ func NewTypeSet() *TypeSet {
 
 // Intern returns the canonical descriptor for name, creating it on first
 // use. Later calls with the same name return the first descriptor unchanged
-// (first writer wins), so shard merges and re-ingestion cannot flap metadata.
+// (first writer wins), so re-ingestion cannot flap metadata.
 func (ts *TypeSet) Intern(name, desc string, size, objSize uint64) *TypeDesc {
 	if d, ok := ts.byName[name]; ok {
 		return d

@@ -21,50 +21,75 @@ type WarmRunnable interface {
 	RunMeasured(warmup, measure uint64) RunResult
 }
 
-// Checkpoint is a machine checkpoint captured at a session's warmup
-// boundary. Fork resumes the measured phase from it — any number of times,
-// with any measured length — and each fork's profile is byte-identical to a
-// cold run of the same configuration.
+// Checkpoint is a machine checkpoint captured at a warmup boundary — of a
+// profiling session (Session.Warmup) or of a bare, unprofiled workload
+// (CaptureWarmup). Fork resumes the measured phase from it — any number of
+// times, with any measured length — and each fork's result (and, for a
+// session, its profile) is byte-identical to a cold run of the same
+// configuration.
 //
 // A checkpoint restores into the machine instance it was captured from
 // (wheel events close over live workload objects), so forks of one
 // checkpoint are strictly sequential; parallelism comes from forking
-// distinct sessions concurrently.
+// distinct checkpoints concurrently.
 type Checkpoint struct {
-	s      *Session
+	s      *Session // nil for a bare workload checkpoint
 	wr     WarmRunnable
 	snap   *sim.Snapshot
 	warmup uint64
 	forks  int
+
+	// last and result record the most recent fork, so ForkMemo can answer a
+	// repeat from the machine state that fork left behind.
+	last   uint64
+	result RunResult
+}
+
+// warmRunnable asserts the warm-start contract on a workload instance.
+func warmRunnable(w Runnable) (WarmRunnable, error) {
+	wr, ok := w.(WarmRunnable)
+	if !ok {
+		return nil, fmt.Errorf("core: workload %T does not support warm start", w)
+	}
+	return wr, nil
+}
+
+// newCheckpoint runs the warmup phase and snapshots the machine at the boundary.
+func newCheckpoint(wr WarmRunnable, warmup uint64) *Checkpoint {
+	wr.RunWarmup(warmup)
+	return &Checkpoint{wr: wr, snap: wr.Machine().Snapshot(), warmup: warmup}
+}
+
+// CaptureWarmup runs an unprofiled workload's warmup phase and captures a
+// checkpoint at the boundary: the bare-run counterpart of Session.Warmup.
+// The instance must not have run yet.
+func CaptureWarmup(w Runnable, warmup uint64) (*Checkpoint, error) {
+	wr, err := warmRunnable(w)
+	if err != nil {
+		return nil, err
+	}
+	return newCheckpoint(wr, warmup), nil
 }
 
 // Warmup runs the session's warmup phase and captures a checkpoint at the
 // boundary. It replaces Run: windowing starts before the warmup exactly as
 // the cold path does, and the session is consumed (Run after Warmup
-// panics). Sharded sessions and workloads that don't implement WarmRunnable
-// run cold.
+// panics). Workloads that don't implement WarmRunnable are an error.
 func (s *Session) Warmup() (*Checkpoint, error) {
 	if s.ran {
 		return nil, errors.New("core: Session.Warmup after the session already ran")
 	}
-	if s.sh != nil {
-		return nil, errors.New("core: warm start is not supported on sharded sessions")
-	}
-	wr, ok := s.w.(WarmRunnable)
-	if !ok {
-		return nil, fmt.Errorf("core: workload %T does not support warm start", s.w)
+	wr, err := warmRunnable(s.w)
+	if err != nil {
+		return nil, err
 	}
 	s.ran = true
 	if s.cfg.WindowCycles > 0 || s.cfg.OnWindow != nil {
 		s.p.StartWindows(s.cfg.WindowCycles, s.cfg.Views, s.p.Desc(s.target), s.cfg.OnWindow)
 	}
-	wr.RunWarmup(s.cfg.Warmup)
-	return &Checkpoint{
-		s:      s,
-		wr:     wr,
-		snap:   s.w.Machine().Snapshot(),
-		warmup: s.cfg.Warmup,
-	}, nil
+	cp := newCheckpoint(wr, s.cfg.Warmup)
+	cp.s = s
+	return cp, nil
 }
 
 // Fork runs one measured phase from the checkpoint. measure 0 uses the
@@ -74,15 +99,20 @@ func (s *Session) Warmup() (*Checkpoint, error) {
 // Fork returns, the session's views, result, and windows reflect this
 // fork's measured phase.
 func (cp *Checkpoint) Fork(measure uint64) RunResult {
-	if measure == 0 {
-		measure = cp.s.cfg.Measure
-	}
 	s := cp.s
+	if measure == 0 && s != nil {
+		measure = s.cfg.Measure
+	}
 	if cp.forks > 0 {
-		s.w.Machine().Restore(cp.snap)
+		cp.wr.Machine().Restore(cp.snap)
 	}
 	cp.forks++
-	s.result = cp.wr.RunMeasured(cp.warmup, measure)
+	cp.last = measure
+	cp.result = cp.wr.RunMeasured(cp.warmup, measure)
+	if s == nil {
+		return cp.result
+	}
+	s.result = cp.result
 	if s.cfg.WindowCycles > 0 || s.cfg.OnWindow != nil {
 		s.p.FinishWindows()
 	}
@@ -91,9 +121,25 @@ func (cp *Checkpoint) Fork(measure uint64) RunResult {
 	return s.result
 }
 
+// ForkMemo is Fork for callers that may repeat a measured length: when the
+// most recent fork already ran measure, the machine still embodies that
+// phase and its result returns without simulating again.
+func (cp *Checkpoint) ForkMemo(measure uint64) RunResult {
+	if measure == 0 && cp.s != nil {
+		measure = cp.s.cfg.Measure
+	}
+	if cp.forks > 0 && cp.last == measure {
+		return cp.result
+	}
+	return cp.Fork(measure)
+}
+
 // Session returns the session the checkpoint belongs to (its views and
-// report reflect the most recent Fork).
+// report reflect the most recent Fork); nil for a bare workload checkpoint.
 func (cp *Checkpoint) Session() *Session { return cp.s }
+
+// Runnable returns the workload instance the checkpoint forks.
+func (cp *Checkpoint) Runnable() Runnable { return cp.wr }
 
 // Forks reports how many measured phases have run from this checkpoint.
 func (cp *Checkpoint) Forks() int { return cp.forks }

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dprof/internal/core"
 )
 
 // Options configures an engine run.
@@ -172,7 +174,7 @@ func RunAll(ctx context.Context, names []string, opts Options) ([]Result, error)
 
 	rc := RunCfg{Quick: opts.Quick}
 	if opts.WarmStart {
-		rc.warm = newWarmPool()
+		rc.warm = core.NewCheckpointPool(enginePoolBytes)
 	}
 
 	runOne := func(i int) {

@@ -2,12 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"dprof/internal/core"
-	"dprof/internal/sim"
 )
 
 // RunCfg is what the engine hands each experiment body. Quick selects the
@@ -20,62 +19,17 @@ import (
 // options, profiler configuration, and warmup length) fork one checkpoint
 // instead of re-simulating the warmup, and runs with identical full
 // configurations are answered from the already-materialized state without
-// running at all. Either way the observable results are byte-identical to
-// cold runs — that is the warm-start correctness bar, enforced by the
-// equivalence tests.
+// running at all (Checkpoint.ForkMemo). Either way the observable results
+// are byte-identical to cold runs — that is the warm-start correctness bar,
+// enforced by the equivalence tests.
 type RunCfg struct {
 	Quick bool
-	warm  *warmPool
+	warm  *core.CheckpointPool
 }
 
-// warmPool shares warmup checkpoints across the experiments of one RunAll.
-// Entries are keyed by warm key — everything that shapes the simulation up
-// to the warmup boundary — and each entry serializes its forks and reads
-// under one mutex (forks of a checkpoint rewind the single live machine, so
-// state reads must not interleave with another experiment's fork).
-type warmPool struct {
-	mu      sync.Mutex
-	entries map[string]*warmEntry
-}
-
-func newWarmPool() *warmPool {
-	return &warmPool{entries: make(map[string]*warmEntry)}
-}
-
-func (p *warmPool) entry(warmKey string) *warmEntry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e := p.entries[warmKey]
-	if e == nil {
-		e = &warmEntry{}
-		p.entries[warmKey] = e
-	}
-	return e
-}
-
-// warmEntry is one warmed workload: the session or bare instance, its
-// checkpoint at the warmup boundary, and which full configuration the
-// machine currently embodies (the memo that lets identical runs share).
-type warmEntry struct {
-	mu sync.Mutex
-
-	init bool
-	cold bool // workload can't warm-start: fall back to per-call cold runs
-
-	// Session kind.
-	sess *core.Session
-	cp   *core.Checkpoint
-
-	// Bare kind (no profiler session).
-	inst  core.Runnable
-	wr    core.WarmRunnable
-	snap  *sim.Snapshot
-	forks int
-
-	warmup  uint64
-	current string // full key of the measured phase the state reflects
-	res     core.RunResult
-}
+// enginePoolBytes is the engine pool's budget: unbounded, so nothing is ever
+// evicted and every warm key is captured once for the whole RunAll.
+const enginePoolBytes = math.MaxInt64
 
 // optsKey canonicalizes a workload option map.
 func optsKey(opts map[string]string) string {
@@ -91,30 +45,38 @@ func optsKey(opts map[string]string) string {
 	return b.String()
 }
 
-// sessionKeys derives the warm key (everything shaping the run up to the
-// warmup boundary) and the full key (warm key plus the measured length) for
-// a profiled session. Measure is the only SessionConfig field a fork may
-// vary; every other field changes profiler behavior during warmup (sampling,
-// collection targeting, windowing) and so splits the warm key.
-func sessionKeys(name string, opts map[string]string, scfg core.SessionConfig) (warmKey, fullKey string) {
-	warmKey = fmt.Sprintf("session|%s|%s|rate=%v,addrs=%d,watch=%d|type=%s,sets=%d,range=%d,life=%d|ls=%t,op=%t|win=%d,views=%s|warm=%d",
+// sessionKey derives the warm key of a profiled session: everything shaping
+// the run up to the warmup boundary. Measure is the only SessionConfig field
+// a fork may vary; every other field changes profiler behavior during warmup
+// (sampling, collection targeting, windowing) and so splits the warm key.
+func sessionKey(name string, opts map[string]string, scfg core.SessionConfig) string {
+	return fmt.Sprintf("session|%s|%s|rate=%v,addrs=%d,watch=%d|type=%s,sets=%d,range=%d,life=%d|ls=%t,op=%t|win=%d,views=%s|warm=%d",
 		name, optsKey(opts),
 		scfg.Profiler.SampleRate, scfg.Profiler.MaxAddrRecords, scfg.Profiler.WatchLen,
 		scfg.TypeName, scfg.Sets, scfg.WatchRange, scfg.MaxLifetime,
 		scfg.LockStat, scfg.OProfile,
 		scfg.WindowCycles, strings.Join(scfg.Views, ";"),
 		scfg.Warmup)
-	fullKey = fmt.Sprintf("%s|measure=%d", warmKey, scfg.Measure)
-	return
+}
+
+// fork runs read on the pool checkpoint for warmKey, capturing it first on
+// the key's first use. Experiment configurations are constants, so a
+// failure is a programming error and panics (the engine reports it).
+func (rc RunCfg) fork(warmKey string, capture func() (*core.Checkpoint, error), read func(*core.Checkpoint)) {
+	err := rc.warm.Do(warmKey, capture, func(cp *core.Checkpoint) error {
+		read(cp)
+		return nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
+	}
 }
 
 // session runs a profiled session and hands it, still locked, to read.
 //
-// Cold (no pool): build, run, read. Warm: the pool entry for the session's
-// warm key is forked — the first caller pays the warmup and captures the
-// checkpoint; later callers with a different measured phase restore and
-// re-run only the measured phase; callers with an identical full
-// configuration read the already-materialized state directly. read must not
+// Cold (no pool, or a streamed session): build, run, read. Warm: the first
+// caller of the session's warm key pays the warmup and captures the
+// checkpoint; later callers fork only the measured phase. read must not
 // retain the session: it is shared, and another experiment's fork will
 // rewind it.
 func (rc RunCfg) session(name string, opts map[string]string, scfg core.SessionConfig, read func(*core.Session, core.RunResult)) {
@@ -123,33 +85,11 @@ func (rc RunCfg) session(name string, opts map[string]string, scfg core.SessionC
 		read(s, s.Run())
 		return
 	}
-	warmKey, fullKey := sessionKeys(name, opts, scfg)
-	e := rc.warm.entry(warmKey)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	if !e.init {
-		e.init = true
-		s := mustSession(build(name, opts), scfg)
-		cp, err := s.Warmup()
-		if err != nil {
-			// Workload can't split its run (or the session is sharded):
-			// remember that and serve every call cold.
-			e.cold = true
-		} else {
-			e.sess, e.cp = s, cp
-		}
-	}
-	if e.cold {
-		s := mustSession(build(name, opts), scfg)
-		read(s, s.Run())
-		return
-	}
-	if e.current != fullKey {
-		e.res = e.cp.Fork(scfg.Measure)
-		e.current = fullKey
-	}
-	read(e.sess, e.res)
+	rc.fork(sessionKey(name, opts, scfg), func() (*core.Checkpoint, error) {
+		return mustSession(build(name, opts), scfg).Warmup()
+	}, func(cp *core.Checkpoint) {
+		read(cp.Session(), cp.ForkMemo(scfg.Measure))
+	})
 }
 
 // bare runs an unprofiled workload instance (the paper's clean baseline
@@ -165,68 +105,11 @@ func (rc RunCfg) bare(name string, opts map[string]string, w window, read func(c
 		return
 	}
 	warmKey := fmt.Sprintf("bare|%s|%s|warm=%d", name, optsKey(opts), w.warmup)
-	fullKey := fmt.Sprintf("%s|measure=%d", warmKey, w.measure)
-	e := rc.warm.entry(warmKey)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	if !e.init {
-		e.init = true
+	rc.fork(warmKey, func() (*core.Checkpoint, error) {
 		inst := build(name, opts)
 		inst.Locks().Reset()
-		wr, ok := inst.(core.WarmRunnable)
-		if !ok {
-			e.cold = true
-		} else {
-			wr.RunWarmup(w.warmup)
-			e.inst, e.wr = inst, wr
-			e.snap = inst.Machine().Snapshot()
-			e.warmup = w.warmup
-		}
-	}
-	if e.cold {
-		inst := build(name, opts)
-		inst.Locks().Reset()
-		read(inst, inst.Run(w.warmup, w.measure))
-		return
-	}
-	if e.current != fullKey {
-		if e.forks > 0 {
-			e.inst.Machine().Restore(e.snap)
-		}
-		e.forks++
-		e.res = e.wr.RunMeasured(e.warmup, w.measure)
-		e.current = fullKey
-	}
-	read(e.inst, e.res)
-}
-
-// Stats reports the pool's lifetime counters (dprofd's /stats mirrors the
-// same shape for its checkpoint pool).
-type WarmStats struct {
-	Entries int
-	Forks   int
-	Bytes   uint64
-}
-
-func (p *warmPool) stats() WarmStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var st WarmStats
-	for _, e := range p.entries {
-		e.mu.Lock()
-		if !e.cold && e.init {
-			st.Entries++
-			switch {
-			case e.cp != nil:
-				st.Forks += e.cp.Forks()
-				st.Bytes += e.cp.Bytes()
-			case e.snap != nil:
-				st.Forks += e.forks
-				st.Bytes += e.snap.Bytes()
-			}
-		}
-		e.mu.Unlock()
-	}
-	return st
+		return core.CaptureWarmup(inst, w.warmup)
+	}, func(cp *core.Checkpoint) {
+		read(cp.Runnable(), cp.ForkMemo(w.measure))
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"dprof/internal/core"
 )
 
 // warmNames exercises every warm-pool sharing pattern: a memoized profiled
@@ -44,7 +46,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 // pairs warm must materialize fewer checkpoint entries than experiments, and
 // at least one checkpoint must serve more than one measured phase or read.
 func TestWarmPoolShares(t *testing.T) {
-	pool := newWarmPool()
+	pool := core.NewCheckpointPool(enginePoolBytes)
 	rc := RunCfg{Quick: true, warm: pool}
 	for _, name := range []string{"table6.1", "ext-oracle", "table6.2", "fix-memcached"} {
 		e, ok := lookup(name)
@@ -53,7 +55,7 @@ func TestWarmPoolShares(t *testing.T) {
 		}
 		e.run(rc)
 	}
-	st := pool.stats()
+	st := pool.Stats()
 	// table6.1+ext-oracle share one session entry; table6.2 and
 	// fix-memcached's default side share one bare entry; fix-memcached's
 	// fixed side is its own. Three warm entries for four experiments.

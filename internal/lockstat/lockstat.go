@@ -42,19 +42,19 @@ type siteCount struct {
 	n  uint64
 }
 
-// bumpSite adds n acquisitions from pc, keeping the hottest site in front.
-func (c *Class) bumpSite(pc sym.PC, n uint64) {
+// bumpSite counts one acquisition from pc, keeping the hottest site in front.
+func (c *Class) bumpSite(pc sym.PC) {
 	s := c.sites
 	for i := range s {
 		if s[i].pc == pc {
-			s[i].n += n
+			s[i].n++
 			if i > 0 {
 				s[0], s[i] = s[i], s[0]
 			}
 			return
 		}
 	}
-	c.sites = append(s, siteCount{pc, n})
+	c.sites = append(s, siteCount{pc, 1})
 }
 
 func (c *Class) siteCountOf(pc sym.PC) uint64 {
@@ -105,24 +105,6 @@ func (r *Registry) Class(name string) *Class {
 
 // Classes returns all classes in registration order.
 func (r *Registry) Classes() []*Class { return append([]*Class(nil), r.order...) }
-
-// Merge folds another registry's statistics into r, matching classes by
-// name (creating any r lacks, in o's registration order). Every statistic
-// is a sum, so merging the per-shard registries of a sharded run is
-// order-insensitive over totals while the class order stays that of shard 0
-// plus first-seen order of the rest — deterministic for a fixed shard order.
-func (r *Registry) Merge(o *Registry) {
-	for _, oc := range o.order {
-		c := r.Class(oc.Name)
-		c.Acquisitions += oc.Acquisitions
-		c.Contentions += oc.Contentions
-		c.WaitCycles += oc.WaitCycles
-		c.HoldCycles += oc.HoldCycles
-		for _, sc := range oc.sites {
-			c.bumpSite(sc.pc, sc.n)
-		}
-	}
-}
 
 // Reset zeroes all statistics but keeps the classes.
 func (r *Registry) Reset() {
@@ -190,7 +172,7 @@ func (l *Lock) Acquire(c *sim.Ctx) {
 	}
 	c.Write(l.addr, 8) // the winning atomic exchange
 	l.class.Acquisitions++
-	l.class.bumpSite(pc, 1)
+	l.class.bumpSite(pc)
 	l.held = true
 	l.holder = c.Core.ID
 	l.holdFrom = c.Now()

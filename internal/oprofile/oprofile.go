@@ -99,22 +99,6 @@ func (p *Profiler) onWork(c *sim.Ctx, pc sym.PC, cycles uint64) {
 	p.total.cycles += cycles
 }
 
-// Absorb folds another profiler's counters into p (used to combine the
-// per-shard baselines of a sharded run). Every counter is a sum, and the
-// report sorts by share then name, so the combined report is independent of
-// absorb order.
-func (p *Profiler) Absorb(o *Profiler) {
-	for pc, s := range o.fns {
-		d := p.statsFor(pc)
-		d.cycles += s.cycles
-		d.l2Misses += s.l2Misses
-		d.accesses += s.accesses
-	}
-	p.total.cycles += o.total.cycles
-	p.total.l2Misses += o.total.l2Misses
-	p.total.accesses += o.total.accesses
-}
-
 // Row is one function in the report.
 type Row struct {
 	Function string

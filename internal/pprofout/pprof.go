@@ -1,7 +1,7 @@
 // Package pprofout serializes DProf profiles as gzipped pprof protobufs
 // (the profile.proto format), so any profile the model can represent — a
-// simulator session, a merged shard run, an ingested perf.data capture, or
-// a saved ProfileDocument — opens in `go tool pprof`, flamegraph viewers,
+// simulator session, an ingested perf.data capture, or a saved
+// ProfileDocument — opens in `go tool pprof`, flamegraph viewers,
 // and speedscope.
 //
 // DProf is data-centric where pprof is code-centric, so the export leans on

@@ -102,33 +102,37 @@ func TestCheckpointPoolEviction(t *testing.T) {
 			t.Fatalf("status %d for %s", resp.StatusCode, req)
 		}
 	}
-	st := s.ckpts.statsMap()
-	if st["captures"].(uint64) != 2 || st["evictions"].(uint64) != 2 {
-		t.Errorf("captures/evictions = %v/%v, want 2/2 (every capture busts the 1-byte budget)",
-			st["captures"], st["evictions"])
+	st := s.ckpts.Stats()
+	if st.Captures != 2 || st.Forks != 2 || st.Evictions != 2 {
+		t.Errorf("captures/forks/evictions = %d/%d/%d, want 2/2/2 (every capture busts the 1-byte budget)",
+			st.Captures, st.Forks, st.Evictions)
 	}
-	if st["entries"].(int) != 0 || st["bytes"].(int64) != 0 {
-		t.Errorf("entries/bytes = %v/%v, want an empty pool", st["entries"], st["bytes"])
+	if st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("entries/bytes = %d/%d, want an empty pool", st.Entries, st.Bytes)
 	}
 }
 
-// TestProfileShardedRunsCold: sharded sessions cannot warm-start; the pool
-// remembers the refusal and every request takes the cold path untouched.
-func TestProfileShardedRunsCold(t *testing.T) {
+// TestProfileRejectsParallelShards: the removed parallel-shards option is an
+// unknown option like any other. The request fails validation with a 400
+// naming the workload's declared options, before it reaches a simulation or
+// the checkpoint pool.
+func TestProfileRejectsParallelShards(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	for _, req := range []string{
-		`{"workload":"falseshare","views":["dataprofile"],"options":{"parallel-shards":"2"},"measure_ms":1,"quick":true}`,
-		`{"workload":"falseshare","views":["dataprofile"],"options":{"parallel-shards":"2"},"measure_ms":2,"quick":true}`,
-	} {
-		if resp, body := postProfile(t, ts, req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d for %s: %s", resp.StatusCode, req, body)
+	before := s.ckpts.Stats()
+	resp, body := postProfile(t, ts,
+		`{"workload":"falseshare","views":["dataprofile"],"options":{"parallel-shards":"2"},"measure_ms":1,"quick":true}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	for _, want := range []string{"parallel-shards", "declared options: padded, seed, window-ms"} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("400 body does not contain %q: %s", want, body)
 		}
 	}
-	st := s.ckpts.statsMap()
-	if st["captures"].(uint64) != 0 || st["forks"].(uint64) != 0 {
-		t.Errorf("sharded requests touched the pool: captures=%v forks=%v", st["captures"], st["forks"])
+	if n := s.Simulations(); n != 0 {
+		t.Errorf("simulations = %d, want 0", n)
 	}
-	if st["entries"].(int) != 1 {
-		t.Errorf("entries = %v, want 1 (the remembered cold marker)", st["entries"])
+	if after := s.ckpts.Stats(); after != before {
+		t.Errorf("pool counters moved: before %+v, after %+v", before, after)
 	}
 }

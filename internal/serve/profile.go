@@ -244,9 +244,7 @@ func (s *Server) runProfile(k profileKey, onWindow func(*core.WindowSnapshot)) (
 	defer s.release()
 
 	if onWindow == nil && s.ckpts != nil {
-		if body, handled, err := s.runProfileWarm(k); handled {
-			return body, err
-		}
+		return s.runProfileWarm(k)
 	}
 
 	sess, err := s.buildSession(k, onWindow)

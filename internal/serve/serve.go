@@ -96,9 +96,9 @@ type Server struct {
 	cfg     Config
 	sem     chan struct{}
 	cache   *lru
-	store   *store.Store // nil = memory only
-	peers   *peerSet     // nil = single-replica mode
-	ckpts   *ckptPool    // nil = warm-start forking disabled
+	store   *store.Store         // nil = memory only
+	peers   *peerSet             // nil = single-replica mode
+	ckpts   *core.CheckpointPool // nil = warm-start forking disabled
 	flights flightGroup
 	mux     *http.ServeMux
 
@@ -144,7 +144,7 @@ func New(cfg Config) (*Server, error) {
 		cache: newLRU(cfg.CacheEntries),
 	}
 	if cfg.CheckpointPoolBytes > 0 {
-		s.ckpts = newCkptPool(cfg.CheckpointPoolBytes)
+		s.ckpts = core.NewCheckpointPool(cfg.CheckpointPoolBytes)
 	}
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir)
@@ -397,7 +397,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if s.ckpts != nil {
-		out["checkpoints"] = s.ckpts.statsMap()
+		out["checkpoints"] = s.ckpts.Stats()
 	}
 	if s.peers != nil {
 		out["peers"] = map[string]any{
