@@ -1,31 +1,27 @@
-// Package dprof_test is the benchmark harness: one testing.B benchmark per
-// table and figure in the paper's evaluation (quick configurations — run
-// cmd/dprof-bench for the full versions), plus microbenchmarks and the
-// ablation benchmarks DESIGN.md calls out (directory vs snoop coherence,
-// time-merge vs pairwise path construction, alien caches on the free path).
+// Package dprof_test holds the `go test -bench` micro and ablation
+// benchmarks: one testing.B benchmark per table and figure in the paper's
+// evaluation (quick configurations — run cmd/dprof-bench for the full
+// versions), simulator and serving microbenchmarks, and ablations (directory
+// vs snoop coherence, time-merge vs pairwise path construction, alien caches
+// on the free path). The repo's end-to-end benchmark is perfbench
+// (perfbench/README.md, `bash perfbench/run.sh`).
 package dprof_test
 
 import (
 	"context"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"os/exec"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"dprof/internal/app/memcachedsim"
 	"dprof/internal/app/workload"
-	"dprof/internal/benchmeta"
 	"dprof/internal/cache"
 	"dprof/internal/core"
 	"dprof/internal/exp"
-	"dprof/internal/loadgen"
 	"dprof/internal/lockstat"
 	"dprof/internal/mem"
 	"dprof/internal/serve"
@@ -115,7 +111,7 @@ func BenchmarkTrueshareRun(b *testing.B) { benchScenarioRun(b, "trueshare", nil)
 func BenchmarkAlienPingRun(b *testing.B) { benchScenarioRun(b, "alienping", nil) }
 
 // --- NUMA topology: the same workload on a flat 1x16 machine vs the
-// paper's 4x4 multi-socket layout, so BENCH_*.json tracks the socket-aware
+// paper's 4x4 multi-socket layout, so the benchmarks track the socket-aware
 // coherence hot path. The numaremote experiment bench tracks the fix.
 
 func topo(sockets, cps int) map[string]string {
@@ -410,449 +406,5 @@ func BenchmarkMemcachedSteadyState(b *testing.B) {
 		bench := memcachedsim.New(cfg)
 		st := bench.Run(500_000, 2_000_000)
 		b.ReportMetric(float64(st.Completed), "requests")
-	}
-}
-
-// --- machine-readable bench results ---
-
-// warmstartArtifact is the BENCH_warmstart.json schema: wall clock cold vs
-// warm-start fork mode for two shapes. The engine suite measures the paper
-// experiments as they ship (fork savings bounded by each experiment's
-// warmup share); the measure family measures dprofd's serving pattern — one
-// warmup, many requests differing only in measured length — where the
-// warmup amortizes across every fork.
-type warmstartArtifact struct {
-	Benchmark string `json:"benchmark"`
-	benchmeta.Provenance
-	Iterations          int                `json:"iterations"`
-	EngineExperiments   []string           `json:"engine_experiments"`
-	FamilyWarmupCycles  uint64             `json:"family_warmup_cycles"`
-	FamilyMeasureCycles uint64             `json:"family_measure_cycles"`
-	FamilyForks         int                `json:"family_forks"`
-	WallSeconds         map[string]float64 `json:"wall_seconds"`
-	Speedups            map[string]float64 `json:"speedups"`
-}
-
-// TestWriteWarmstartBenchArtifact times the engine suite cold and in
-// warm-start fork mode (byte-identical output, proven by the equivalence
-// suites) and writes BENCH_warmstart.json at the repo root. Like the other
-// artifact writers it is a bench-harness entry point; ordinary test runs
-// skip it. Enable with:
-//
-//	DPROF_BENCH_JSON=1 go test -run TestWriteWarmstartBenchArtifact -count=1 .
-func TestWriteWarmstartBenchArtifact(t *testing.T) {
-	if os.Getenv("DPROF_BENCH_JSON") == "" {
-		t.Skip("set DPROF_BENCH_JSON=1 to measure and write BENCH_warmstart.json")
-	}
-	const iters = 5
-	// Experiments with warm-key overlap: table6.1/figure6.1/ext-oracle share
-	// one memcached warmup, table6.2 shares with fix-memcached's default
-	// side, and the scenario diffs fork each broken/fixed warmup once per
-	// side. Workers=1 keeps the measurement a serial wall clock.
-	names := []string{"table6.1", "figure6.1", "ext-oracle", "table6.2", "fix-memcached", "diff-falseshare"}
-	runSuite := func(warm bool) {
-		if _, err := exp.RunAll(context.Background(), names, exp.Options{Quick: true, Workers: 1, WarmStart: warm}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The measure family: one long warmup, then forks of short measured
-	// phases — a dprofd checkpoint-pool hit pattern, where cold serving
-	// would replay the warmup for every request.
-	const (
-		famWarmup  = 1_000_000
-		famMeasure = 250_000
-		famForks   = 8
-	)
-	famSession := func() *core.Session {
-		s, err := core.NewSession(workload.MustBuild("memcached", nil), core.SessionConfig{
-			Profiler: core.DefaultConfig(),
-			Views:    []string{"dataprofile"},
-			Warmup:   famWarmup,
-			Measure:  famMeasure,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	famCold := func() {
-		for i := 0; i < famForks; i++ {
-			famSession().Run()
-		}
-	}
-	famFork := func() {
-		cp, err := famSession().Warmup()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < famForks; i++ {
-			cp.Fork(famMeasure)
-		}
-	}
-
-	// Interleave the cold and fork runs so both minimums share machine
-	// state: a background load shift hits both sides alike.
-	wall := map[string]float64{}
-	timed := func(key string, f func()) {
-		start := time.Now()
-		f()
-		if s := time.Since(start).Seconds(); wall[key] == 0 || s < wall[key] {
-			wall[key] = s
-		}
-	}
-	for i := 0; i < iters; i++ {
-		timed("cold", func() { runSuite(false) })
-		timed("warm_fork", func() { runSuite(true) })
-		timed("family_cold", famCold)
-		timed("family_fork", famFork)
-	}
-	art := warmstartArtifact{
-		Benchmark:           "warmstart-fork",
-		Provenance:          benchmeta.Collect(),
-		Iterations:          iters,
-		EngineExperiments:   names,
-		FamilyWarmupCycles:  famWarmup,
-		FamilyMeasureCycles: famMeasure,
-		FamilyForks:         famForks,
-		WallSeconds:         wall,
-		Speedups: map[string]float64{
-			"engine_suite":   wall["cold"] / wall["warm_fork"],
-			"measure_family": wall["family_cold"] / wall["family_fork"],
-		},
-	}
-	if err := benchmeta.Write("BENCH_warmstart.json", art); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("engine suite warm-start fork speedup: %.2fx (%.2fs -> %.2fs)",
-		art.Speedups["engine_suite"], wall["cold"], wall["warm_fork"])
-	t.Logf("measure family (%d forks) speedup: %.2fx (%.2fs -> %.2fs)",
-		famForks, art.Speedups["measure_family"], wall["family_cold"], wall["family_fork"])
-}
-
-// TestWriteDprofdLoadBenchArtifact drives the Zipf load harness through the
-// three serving regimes — cold single replica (every distinct key simulates
-// once), warm restart (same store directory, zero simulation work), and a
-// three-replica consistent-hash fleet — and writes BENCH_dprofd_load.json at
-// the repo root. Like TestWriteWarmstartBenchArtifact, it is the bench-harness
-// entry point; ordinary test runs skip it. Enable with:
-//
-//	DPROF_BENCH_JSON=1 go test -run TestWriteDprofdLoadBenchArtifact -count=1 .
-func TestWriteDprofdLoadBenchArtifact(t *testing.T) {
-	if os.Getenv("DPROF_BENCH_JSON") == "" {
-		t.Skip("set DPROF_BENCH_JSON=1 to measure and write BENCH_dprofd_load.json")
-	}
-	cfg := loadgen.Config{
-		Requests:    120,
-		Concurrency: 8,
-		Keys:        24,
-		ZipfS:       1.2,
-		ZipfV:       1,
-		Seed:        7,
-	}
-	storeDir := t.TempDir()
-	ctx := context.Background()
-	art := loadgen.NewArtifact(cfg)
-
-	// Phase 1: cold — empty LRU, empty store; the Zipf head warms fast but
-	// every distinct key pays one simulation.
-	{
-		s, err := serve.New(serve.Config{Workers: 2, Quick: true, StoreDir: storeDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		cfg.Targets = []string{ts.URL}
-		res, err := loadgen.Run(ctx, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		art.Phases["cold"] = res
-		t.Logf("cold: %.1f req/s, %d simulations", res.Throughput, s.Simulations())
-		// Backfill the deck tail: Zipf draws may skip a few cold keys, so
-		// touch every entry once to make the store fully resident before
-		// the warm phase asserts zero simulation work.
-		for _, req := range loadgen.Deck(cfg.Keys, cfg.Seed) {
-			resp, err := http.Post(ts.URL+"/profile", "application/json", strings.NewReader(string(req.Body)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		ts.Close()
-		s.Shutdown()
-	}
-
-	// Phase 2: warm restart — a fresh process on the same store directory.
-	// Every document is already on disk, so the whole run must complete
-	// with zero simulation work (the acceptance criterion for the store).
-	{
-		s, err := serve.New(serve.Config{Workers: 2, Quick: true, StoreDir: storeDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		cfg.Targets = []string{ts.URL}
-		res, err := loadgen.Run(ctx, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := s.Simulations(); n != 0 {
-			t.Fatalf("warm phase ran %d simulations; want 0 (store misses)", n)
-		}
-		art.Phases["warm"] = res
-		t.Logf("warm: %.1f req/s, 0 simulations", res.Throughput)
-		ts.Close()
-		s.Shutdown()
-	}
-
-	// Phase 3: multi_replica — three fresh replicas in a consistent-hash
-	// ring, empty stores; routing concentrates each key on its owner, so
-	// fleet-wide simulations stay at one per distinct key.
-	{
-		const n = 3
-		servers := make([]*serve.Server, n)
-		tss := make([]*httptest.Server, n)
-		urls := make([]string, n)
-		for i := range servers {
-			s, err := serve.New(serve.Config{Workers: 2, Quick: true, StoreDir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			servers[i] = s
-			tss[i] = httptest.NewServer(s.Handler())
-			urls[i] = tss[i].URL
-		}
-		for i, s := range servers {
-			if err := s.SetPeers(urls[i], urls); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cfg.Targets = urls
-		res, err := loadgen.Run(ctx, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sims int64
-		for _, s := range servers {
-			sims += s.Simulations()
-		}
-		art.Phases["multi_replica"] = res
-		t.Logf("multi_replica: %.1f req/s, %d fleet simulations", res.Throughput, sims)
-		for i := range servers {
-			tss[i].Close()
-			servers[i].Shutdown()
-		}
-	}
-
-	if err := art.Write("BENCH_dprofd_load.json"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// hotpathScenario is one row of the hot-path artifact: how many simulated
-// memory accesses the scenario retired and the wall cost per access.
-type hotpathScenario struct {
-	Accesses       uint64  `json:"accesses"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	NsPerAccess    float64 `json:"ns_per_access"`
-	AccessesPerSec float64 `json:"accesses_per_sec"`
-}
-
-// hotpathArtifact is the BENCH_hotpath.json schema: the engine-benchmark
-// wall clock optimized vs the retained reference paths (access counts are
-// invariant between the modes — the equivalence suite proves byte identity
-// — so the wall ratio IS the accesses/sec speedup), per-scenario ns/access
-// rows, and the serving layer's cold-phase load throughput.
-//
-// The reference mode retains only the pre-PR *dispatch* semantics; the
-// cache-internal structural work (packed ways, fused directory probes, the
-// L3 presence table) applies in both modes, so engine_speedup understates
-// the gain over the pre-PR tree. engine_pre_pr_speedup is the honest
-// headline: the same engine subset, same flags, same Go toolchain, run
-// through a binary built from the pre-PR commit on the same host. The
-// harness points DPROF_PRE_PR_BIN at that binary (and names its commit in
-// DPROF_PRE_PR_COMMIT); the test interleaves its runs with the optimized
-// in-process runs so both minimums share machine state.
-type hotpathArtifact struct {
-	Benchmark string `json:"benchmark"`
-	benchmeta.Provenance
-	Iterations         int                        `json:"iterations"`
-	EngineExperiments  []string                   `json:"engine_experiments"`
-	EngineWallSeconds  map[string]float64         `json:"engine_wall_seconds"`
-	EngineSpeedup      float64                    `json:"engine_speedup"`
-	EnginePrePRSpeedup float64                    `json:"engine_pre_pr_speedup,omitempty"`
-	Scenarios          map[string]hotpathScenario `json:"scenarios"`
-	LoadgenColdRPS     float64                    `json:"loadgen_cold_throughput_rps"`
-}
-
-// TestWriteHotpathBenchArtifact measures the simulator hot paths (MRU fast
-// path, armed hook dispatch, bypass-slot event wheel) against the retained
-// reference paths and writes BENCH_hotpath.json at the repo root. Like the
-// other artifact writers it is a bench-harness entry point; ordinary test
-// runs skip it. Enable with:
-//
-//	DPROF_BENCH_JSON=1 go test -run TestWriteHotpathBenchArtifact -count=1 .
-//
-// It must not run in parallel with other tests: the reference half flips
-// the package-global default mode for machines built inside the engine.
-func TestWriteHotpathBenchArtifact(t *testing.T) {
-	if os.Getenv("DPROF_BENCH_JSON") == "" {
-		t.Skip("set DPROF_BENCH_JSON=1 to measure and write BENCH_hotpath.json")
-	}
-	const iters = 5
-	minOf := func(run func()) float64 {
-		best := math.Inf(1) // min-of-N: the least-disturbed measurement
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			run()
-			if s := time.Since(start).Seconds(); s < best {
-				best = s
-			}
-		}
-		return best
-	}
-
-	// Engine benchmarks, both modes. Workers=1 keeps the measurement a
-	// serial wall clock rather than a scheduling artifact.
-	engineNames := []string{"table6.1", "figure6.1", "table6.2", "table6.3"}
-	runEngine := func() {
-		if _, err := exp.RunAll(context.Background(), engineNames, exp.Options{Quick: true, Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Pre-PR comparison: DPROF_PRE_PR_BIN names a dprof binary built from
-	// the pre-PR commit with the same toolchain. Its runs are interleaved
-	// with the optimized in-process runs so both sides see the same machine
-	// state — background load shifts hit both mins alike, which a number
-	// measured minutes apart would not guarantee.
-	var wallOpt, wallPre float64
-	if bin := os.Getenv("DPROF_PRE_PR_BIN"); bin != "" {
-		wallOpt, wallPre = math.Inf(1), math.Inf(1)
-		preArgs := []string{"-experiment", strings.Join(engineNames, ","), "-quick", "-parallel", "1"}
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			cmd := exec.Command(bin, preArgs...)
-			cmd.Stdout, cmd.Stderr = io.Discard, io.Discard
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("pre-PR binary %s: %v", bin, err)
-			}
-			if s := time.Since(start).Seconds(); s < wallPre {
-				wallPre = s
-			}
-			start = time.Now()
-			runEngine()
-			if s := time.Since(start).Seconds(); s < wallOpt {
-				wallOpt = s
-			}
-		}
-	} else {
-		wallOpt = minOf(runEngine)
-	}
-	sim.SetDefaultReference(true)
-	wallRef := minOf(runEngine)
-	sim.SetDefaultReference(false)
-
-	// Per-scenario ns/access: retired accesses over the whole run (warmup
-	// included — both phases exercise the same hot path) divided into the
-	// run's wall clock.
-	countAccesses := func(inst core.Runnable) uint64 {
-		m := inst.Machine()
-		var n uint64
-		for i := 0; i < m.NumCores(); i++ {
-			n += m.Core(i).Retired()
-		}
-		return n
-	}
-	const warmup, measure = 250_000, 1_500_000
-	scenario := func(build func() core.Runnable, profiled bool) hotpathScenario {
-		var accesses uint64
-		wall := minOf(func() {
-			inst := build()
-			if profiled {
-				s, err := core.NewSession(inst, core.SessionConfig{
-					Profiler: core.DefaultConfig(),
-					Views:    []string{"dataprofile"},
-					Warmup:   warmup,
-					Measure:  measure,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.Run()
-			} else {
-				inst.Run(warmup, measure)
-			}
-			accesses = countAccesses(inst)
-		})
-		if accesses == 0 {
-			t.Fatal("scenario retired no accesses")
-		}
-		return hotpathScenario{
-			Accesses:       accesses,
-			WallSeconds:    wall,
-			NsPerAccess:    wall * 1e9 / float64(accesses),
-			AccessesPerSec: float64(accesses) / wall,
-		}
-	}
-	scenarios := map[string]hotpathScenario{
-		"memcached_4x4_monolithic": scenario(func() core.Runnable {
-			return workload.MustBuild("memcached", topo(4, 4))
-		}, false),
-		"memcached_4x4_profiled": scenario(func() core.Runnable {
-			return workload.MustBuild("memcached", topo(4, 4))
-		}, true),
-	}
-
-	// Cold-phase loadgen throughput: a fresh server, every distinct key
-	// simulating once — the serving regime the hot paths speed up most.
-	var coldRPS float64
-	{
-		s, err := serve.New(serve.Config{Workers: 2, Quick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		res, err := loadgen.Run(context.Background(), loadgen.Config{
-			Targets:     []string{ts.URL},
-			Requests:    60,
-			Concurrency: 4,
-			Keys:        12,
-			Seed:        7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldRPS = res.Throughput
-		ts.Close()
-		s.Shutdown()
-	}
-
-	engineWall := map[string]float64{"optimized": wallOpt, "reference": wallRef}
-	art := hotpathArtifact{
-		Benchmark:         "simulator-hotpath",
-		Provenance:        benchmeta.Collect(),
-		Iterations:        iters,
-		EngineExperiments: engineNames,
-		EngineWallSeconds: engineWall,
-		EngineSpeedup:     wallRef / wallOpt,
-		Scenarios:         scenarios,
-		LoadgenColdRPS:    coldRPS,
-	}
-	if wallPre != 0 && !math.IsInf(wallPre, 1) {
-		engineWall["pre_pr"] = wallPre
-		art.EnginePrePRSpeedup = wallPre / wallOpt
-	}
-	if err := benchmeta.Write("BENCH_hotpath.json", art); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("engine speedup optimized vs reference: %.2fx (%.2fs -> %.2fs)",
-		art.EngineSpeedup, wallRef, wallOpt)
-	if art.EnginePrePRSpeedup != 0 {
-		t.Logf("engine speedup vs pre-PR binary %s: %.2fx (%.2fs -> %.2fs)",
-			art.PrePRCommit, art.EnginePrePRSpeedup, engineWall["pre_pr"], wallOpt)
-	}
-	for name, sc := range scenarios {
-		t.Logf("%s: %.1f ns/access (%.2fM accesses/s)", name, sc.NsPerAccess, sc.AccessesPerSec/1e6)
 	}
 }

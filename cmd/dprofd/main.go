@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -110,11 +111,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dprofd: %v\n", err)
 		return 1
 	}
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	// Bind before announcing, so the printed address is the bound one (an
+	// ephemeral ":0" port resolves here) and a bind error fails at startup.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "dprofd: %v\n", err)
+		return 1
+	}
+	hs := &http.Server{Handler: s.Handler()}
 
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(stdout, "dprofd: listening on %s\n", *addr)
+	go func() { errc <- hs.Serve(ln) }()
+	fmt.Fprintf(stdout, "dprofd: listening on %s\n", ln.Addr())
 
 	select {
 	case err := <-errc:

@@ -1,47 +1,32 @@
-// Package benchmeta is the shared provenance block for the repo's
-// BENCH_*.json artifacts: which commit produced a checked-in measurement,
-// when, and on what host shape. Every artifact writer embeds Provenance so
-// the fields stay spelled identically across files, and a reader comparing
-// artifacts across commits can always find the same keys.
+// Package benchmeta is the provenance block perfbench stamps on every
+// benchmark report: which commit produced a measurement, when, and on what
+// host shape, so a reader comparing reports across commits always finds the
+// same keys.
 package benchmeta
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 )
 
-// Provenance ties a benchmark artifact to the commit and host that produced
-// it. GitCommit, PrePRCommit, and WrittenAt come from the DPROF_GIT_COMMIT,
-// DPROF_PRE_PR_COMMIT, and DPROF_WRITTEN_AT environment variables the bench
-// harness (CI) injects; the host fields come from the runtime, because a
-// 1-CPU runner honestly reporting ~1x parallel speedup is context a reader
-// needs to interpret any ratio.
+// Provenance ties a benchmark report to the commit and host that produced
+// it. GitCommit and WrittenAt come from the DPROF_GIT_COMMIT and
+// DPROF_WRITTEN_AT environment variables a harness (CI) may inject; the host
+// fields come from the runtime, because a 1-CPU runner honestly reporting
+// ~1x parallel speedup is context a reader needs to interpret any ratio.
 type Provenance struct {
-	GitCommit   string `json:"git_commit,omitempty"`
-	PrePRCommit string `json:"pre_pr_commit,omitempty"`
-	WrittenAt   string `json:"written_at,omitempty"`
-	GoMaxProcs  int    `json:"gomaxprocs"`
-	HostCPUs    int    `json:"host_cpus"`
+	GitCommit  string `json:"git_commit,omitempty"`
+	WrittenAt  string `json:"written_at,omitempty"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	HostCPUs   int    `json:"host_cpus"`
 }
 
 // Collect stamps a Provenance from the harness environment and the runtime.
 func Collect() Provenance {
 	return Provenance{
-		GitCommit:   os.Getenv("DPROF_GIT_COMMIT"),
-		PrePRCommit: os.Getenv("DPROF_PRE_PR_COMMIT"),
-		WrittenAt:   os.Getenv("DPROF_WRITTEN_AT"),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		HostCPUs:    runtime.NumCPU(),
+		GitCommit:  os.Getenv("DPROF_GIT_COMMIT"),
+		WrittenAt:  os.Getenv("DPROF_WRITTEN_AT"),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		HostCPUs:   runtime.NumCPU(),
 	}
-}
-
-// Write lands an artifact as indented JSON with a trailing newline — the
-// repo's BENCH_*.json convention.
-func Write(path string, v any) error {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

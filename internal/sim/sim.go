@@ -17,7 +17,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"dprof/internal/cache"
 	"dprof/internal/sym"
@@ -357,16 +356,6 @@ type Machine struct {
 	snapshotters []Snapshotter
 }
 
-// defaultReference, when set, makes every subsequently built Machine start in
-// reference mode (see SetReference). It exists so harnesses that build
-// machines deep inside other packages (the experiment engine) can select the
-// reference path without threading a flag through every constructor.
-var defaultReference atomic.Bool
-
-// SetDefaultReference selects the dispatch mode of machines built after the
-// call. It does not affect already-built machines.
-func SetDefaultReference(on bool) { defaultReference.Store(on) }
-
 // New builds a machine.
 func New(cfg Config) *Machine {
 	topo := cfg.Topology
@@ -394,17 +383,14 @@ func New(cfg Config) *Machine {
 		m.cores[i] = &Core{ID: i, Socket: topo.SocketOf(i), hookArm: ArmNever, seed: seed, src: src, rng: rand.New(src)}
 		m.ctxs[i] = Ctx{M: m, Core: m.cores[i]}
 	}
-	if defaultReference.Load() {
-		m.SetReference(true)
-	}
 	return m
 }
 
 // SetReference switches the machine (and its hierarchy and event wheel)
 // between the optimized hot paths and the retained reference paths. Both
-// produce byte-identical simulations; reference mode exists so the
-// equivalence suite and benchmarks can prove and measure that. It is runtime
-// state, not configuration: it must never influence results.
+// produce byte-identical simulations; reference mode exists so
+// TestReferencePathEquivalence and the hot-path tests can prove that. It is
+// runtime state, not configuration: it must never influence results.
 func (m *Machine) SetReference(on bool) {
 	m.reference = on
 	m.wheel.setReference(on)
