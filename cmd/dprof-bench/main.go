@@ -42,7 +42,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		list       = fs.Bool("list", false, "list available experiments")
 		values     = fs.Bool("values", false, "also print machine-readable values")
 		parallel   = fs.Int("parallel", 1, "experiments to run concurrently (0 = all cores)")
-		warmStart  = fs.Bool("warm-start", true, "checkpoint shared warmups once and fork measured phases from them (identical output, less simulation)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -66,7 +65,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	results, err := exp.RunAll(ctx, names, exp.Options{
 		Quick:     *quick,
 		Workers:   *parallel,
-		WarmStart: *warmStart,
+		WarmStart: true,
 		Progress: func(ev exp.Event) {
 			switch ev.Kind {
 			case exp.EventStarted:

@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		experiment   = fs.String("experiment", "", "run paper experiments instead of a workload (name, comma list, or 'all')")
 		quick        = fs.Bool("quick", false, "experiment mode: smaller workloads")
 		parallel     = fs.Int("parallel", 1, "experiment mode: experiments to run concurrently (0 = all cores)")
-		warmStart    = fs.Bool("warm-start", true, "experiment mode: checkpoint shared warmups once and fork measured phases (identical output, less simulation)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of this run to the given file (go tool pprof)")
 		memProfile   = fs.String("memprofile", "", "write a heap profile at exit to the given file (go tool pprof)")
 		inputPath    = fs.String("input", "", "ingest a perf.data file (perf mem record) instead of running a workload; views, -type, -json, -diff, and -pprof apply to the ingested profile")
@@ -149,7 +148,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "dprof: no experiment names in %q\n", *experiment)
 			return 2
 		}
-		results, err := exp.RunAll(ctx, names, exp.Options{Quick: *quick, Workers: *parallel, WarmStart: *warmStart})
+		results, err := exp.RunAll(ctx, names, exp.Options{Quick: *quick, Workers: *parallel, WarmStart: true})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1

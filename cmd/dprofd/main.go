@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		peers    = fs.String("peers", "", "comma-separated replica URLs forming the consistent-hash ring")
 		ckptMax  = fs.Int64("checkpoint-pool-bytes", 0, "warm-start checkpoint pool byte budget (0 = 256 MiB default, negative = disable warm-start forking)")
 	)
-	fs.IntVar(entries, "cache", 256, "deprecated alias for -cache-entries")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

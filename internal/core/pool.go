@@ -39,7 +39,7 @@ type poolEntry struct {
 	mu    sync.Mutex
 	key   string
 	cp    *Checkpoint // nil until captured
-	dead  bool        // capture failed and the slot left the pool: callers retry on a fresh one
+	dead  bool        // a capture failed or a run panicked and the slot left the pool: callers retry on a fresh one
 	bytes int64
 	el    *list.Element // LRU position; nil once evicted or dropped
 }
@@ -64,20 +64,27 @@ func NewCheckpointPool(maxBytes int64) *CheckpointPool {
 
 // Do runs fn with key's checkpoint under the entry lock, first calling
 // capture when the pool holds none for key. A capture error is returned and
-// leaves no entry behind; fn's error is returned as is. fn forks from the
-// checkpoint and reads the resulting state; it must not retain either past
-// its return, because the next caller's fork rewinds them. capture and fn
-// run under the entry lock, so neither may call Do for the same key.
+// leaves no entry behind; fn's error is returned as is. A capture or fn that
+// panics drops the entry, because its machine stopped mid-run, and the panic
+// goes on to the caller. fn forks from the checkpoint and reads the
+// resulting state; it must not retain either past its return, because the
+// next caller's fork rewinds them. capture and fn run under the entry lock,
+// so neither may call Do for the same key.
 func (p *CheckpointPool) Do(key string, capture func() (*Checkpoint, error), fn func(*Checkpoint) error) error {
 	e := p.lock(key)
 	defer e.mu.Unlock()
-	if e.cp == nil {
-		cp, err := capture()
-		if err != nil {
+	kept := false
+	defer func() {
+		if !kept {
 			e.dead = true
 			p.mu.Lock()
 			p.unlink(e)
 			p.mu.Unlock()
+		}
+	}()
+	if e.cp == nil {
+		cp, err := capture()
+		if err != nil {
 			return err
 		}
 		e.cp = cp
@@ -88,6 +95,7 @@ func (p *CheckpointPool) Do(key string, capture func() (*Checkpoint, error), fn 
 	p.mu.Lock()
 	p.forks += uint64(e.cp.Forks() - before)
 	p.mu.Unlock()
+	kept = true
 	return err
 }
 

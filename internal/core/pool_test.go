@@ -257,3 +257,46 @@ func TestCaptureWarmupRequiresWarmRunnable(t *testing.T) {
 		t.Error("CaptureWarmup of a plain Runnable succeeded, want an error")
 	}
 }
+
+// TestCheckpointPoolPanicDropsEntry: a capture or fork that panics leaves
+// its machine mid-run, so the pool drops the entry and lets the panic
+// through. The next call on the key captures afresh, and other keys keep
+// their checkpoints.
+func TestCheckpointPoolPanicDropsEntry(t *testing.T) {
+	p := core.NewCheckpointPool(1 << 30)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Do returned instead of panicking", name)
+			}
+		}()
+		f()
+	}
+
+	calls := 0
+	forkTick(t, p, "keep", 1_000, &calls)
+	mustPanic("fork", func() {
+		p.Do("k", captureTick(&calls), func(*core.Checkpoint) error { panic("fork") })
+	})
+	if st := p.Stats(); st.Entries != 1 || st.Bytes != tickBytes(t) {
+		t.Errorf("stats after a panicking fork = %+v, want only the other key's entry", st)
+	}
+	forkTick(t, p, "k", 1_000, &calls)
+	if calls != 3 {
+		t.Errorf("captures = %d, want 3 (the panicked entry recaptures)", calls)
+	}
+
+	mustPanic("capture", func() {
+		p.Do("c", func() (*core.Checkpoint, error) { panic("capture") },
+			func(*core.Checkpoint) error { t.Error("fn ran without a checkpoint"); return nil })
+	})
+	if st := p.Stats(); st.Entries != 2 {
+		t.Errorf("entries after a panicking capture = %d, want 2", st.Entries)
+	}
+	forkTick(t, p, "c", 2_000, &calls)
+	forkTick(t, p, "keep", 3_000, &calls)
+	if calls != 4 {
+		t.Errorf("captures = %d, want 4", calls)
+	}
+}

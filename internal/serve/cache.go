@@ -3,7 +3,11 @@ package serve
 import (
 	"container/list"
 	"context"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // lru is the profile store: finished response bodies keyed by content
@@ -82,8 +86,9 @@ type flight struct {
 // identical requests arriving together trigger exactly one simulation and
 // share its bytes.
 type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flight
+	mu     sync.Mutex
+	m      map[string]*flight
+	panics atomic.Int64 // runs that panicked (GET /stats "panics")
 }
 
 // do returns the result for key, computing it at most once no matter how
@@ -91,8 +96,10 @@ type flightGroup struct {
 // own goroutine — its lifetime is whatever context run itself honors (the
 // server's, not any one request's), so a caller disconnecting mid-run
 // neither cancels the work other callers share nor loses the result for
-// the cache. Each caller waits under its own ctx. leader reports whether
-// this call launched the computation (false = deduplicated).
+// the cache. A run that panics is contained: the panic becomes every
+// caller's error and the key is cleared, so the next call runs afresh.
+// Each caller waits under its own ctx. leader reports whether this call
+// launched the computation (false = deduplicated).
 func (g *flightGroup) do(ctx context.Context, key string, run func() ([]byte, error)) (body []byte, err error, leader bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -103,11 +110,18 @@ func (g *flightGroup) do(ctx context.Context, key string, run func() ([]byte, er
 		f = &flight{done: make(chan struct{})}
 		g.m[key] = f
 		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					g.panics.Add(1)
+					log.Printf("serve: run for %s panicked: %v\n%s", key, p, debug.Stack())
+					f.body, f.err = nil, fmt.Errorf("internal error: run for %s panicked: %v", key, p)
+				}
+				g.mu.Lock()
+				delete(g.m, key)
+				g.mu.Unlock()
+				close(f.done)
+			}()
 			f.body, f.err = run()
-			g.mu.Lock()
-			delete(g.m, key)
-			g.mu.Unlock()
-			close(f.done)
 		}()
 	}
 	g.mu.Unlock()

@@ -12,123 +12,72 @@ import (
 // DiffRequest is the POST /diff body: two profile requests whose data
 // profiles are compared A (baseline) against B (suspect). Each side is a
 // full ProfileRequest — same validation, same defaults, same option
-// canonicalization as POST /profile — and each side's session is computed
-// through the same content-addressed cache and singleflight layer, so a
-// side that was already profiled is never simulated again.
+// canonicalization as POST /profile — and each side's document is fetched
+// through the same request path, routed to its owner, so a side that was
+// already profiled anywhere in the fleet is never simulated again.
 type DiffRequest struct {
 	A ProfileRequest `json:"a"`
 	B ProfileRequest `json:"b"`
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req DiffRequest
-	if err := dec.Decode(&req); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]string{"error": "bad request body: " + err.Error()})
+	if _, ok := readBody(w, r, 1<<20, &req); !ok {
 		return
 	}
-	ka, err := s.normalize(&req.A)
-	if err != nil {
-		writeError(w, fmt.Errorf("profile a: %w", err))
-		return
+	var keys [2]profileKey
+	for i, side := range [2]*ProfileRequest{&req.A, &req.B} {
+		var err error
+		if keys[i], err = s.normalize(side); err != nil {
+			writeError(w, fmt.Errorf("profile %c: %w", 'a'+i, err))
+			return
+		}
+		// The diff runs on the data profile view; make sure both sides
+		// render it (in canonical view order, so the side addresses stay
+		// canonical).
+		ensureDataProfile(&keys[i])
 	}
-	kb, err := s.normalize(&req.B)
-	if err != nil {
-		writeError(w, fmt.Errorf("profile b: %w", err))
-		return
-	}
-	// The diff runs on the data profile view; make sure both sides render
-	// it (in canonical view order, so the side addresses stay canonical).
-	ensureDataProfile(&ka)
-	ensureDataProfile(&kb)
-
-	addr := "diff/" + ka.address() + "/" + kb.address()
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		writeBody(w, body, "hit")
-		return
-	}
-	body, disposition, err := s.compute(r, addr, func() ([]byte, error) { return s.runDiff(ka, kb) })
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeBody(w, body, disposition)
+	s.answer(w, r, job{
+		addr: "diff/" + keys[0].address() + "/" + keys[1].address(),
+		run:  func(func(string, any)) ([]byte, error) { return s.runDiff(keys) },
+	})
 }
 
 // ensureDataProfile adds the dataprofile view to a normalized key that
 // excluded it, preserving canonical (KnownViews) order.
 func ensureDataProfile(k *profileKey) {
-	if slices.Contains(k.Views, "dataprofile") {
-		return
-	}
-	views := make([]string, 0, len(k.Views)+1)
-	for _, v := range core.KnownViews {
-		if v == "dataprofile" || slices.Contains(k.Views, v) {
-			views = append(views, v)
-		}
-	}
-	k.Views = views
+	// Cannot fail: the key's views are already validated.
+	k.Views, _ = canonicalViews(append(slices.Clone(k.Views), "dataprofile"))
 }
 
-// runDiff computes both sides (each through its own profile flight, sharing
-// any concurrent or cached identical session) and diffs their exported data
-// profiles. It runs inside the diff's own flight, so N identical diff
-// requests cost at most two simulations total.
-func (s *Server) runDiff(ka, kb profileKey) ([]byte, error) {
-	bodyA, err := s.profileBody(ka)
-	if err != nil {
-		return nil, fmt.Errorf("profile a: %w", err)
+// runDiff diffs the exported data profiles of both sides. Each side's
+// document comes through the request path exactly as a POST /profile of
+// it would: the LRU, the owning replica, or a local flight. It runs inside
+// the diff's own flight, so N identical diff requests cost at most two
+// simulations total.
+func (s *Server) runDiff(keys [2]profileKey) ([]byte, error) {
+	var sides [2]core.DiffSide
+	var exports [2]json.RawMessage
+	for i, k := range keys {
+		body, _, _, err := s.fetch(s.ctx, false, s.profileJob(k))
+		var doc *core.ProfileDocument
+		if err == nil {
+			// ParseDocument validates the schema version, so a document
+			// persisted by a newer build fails clearly instead of being
+			// misread.
+			doc, err = core.ParseDocument(body)
+		}
+		if err == nil {
+			exports[i], err = doc.DataProfileExport()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("profile %c: %w", 'a'+i, err)
+		}
+		sides[i] = core.DiffSide{Workload: k.Workload, Address: k.address(), Summary: doc.Summary}
 	}
-	bodyB, err := s.profileBody(kb)
-	if err != nil {
-		return nil, fmt.Errorf("profile b: %w", err)
-	}
-	// ParseDocument validates the schema version, so a document persisted by
-	// a newer build fails clearly instead of being misread.
-	docA, err := core.ParseDocument(bodyA)
-	if err != nil {
-		return nil, fmt.Errorf("profile a: %w", err)
-	}
-	docB, err := core.ParseDocument(bodyB)
-	if err != nil {
-		return nil, fmt.Errorf("profile b: %w", err)
-	}
-	rawA, err := docA.DataProfileExport()
-	if err != nil {
-		return nil, fmt.Errorf("profile a: %w", err)
-	}
-	rawB, err := docB.DataProfileExport()
-	if err != nil {
-		return nil, fmt.Errorf("profile b: %w", err)
-	}
-	d, err := core.DiffExports(rawA, rawB)
+	d, err := core.DiffExports(exports[0], exports[1])
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(core.NewDiffDocument(
-		core.DiffSide{Workload: ka.Workload, Address: ka.address(), Summary: docA.Summary},
-		core.DiffSide{Workload: kb.Workload, Address: kb.address(), Summary: docB.Summary},
-		d,
-	))
-}
-
-// profileBody returns the canonical document bytes for a normalized profile
-// key, through the same cache + singleflight path POST /profile uses.
-func (s *Server) profileBody(k profileKey) ([]byte, error) {
-	addr := k.address()
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		return body, nil
-	}
-	body, err, leader := s.flights.do(s.ctx, addr, s.cachedRun(addr, nil, func() ([]byte, error) {
-		return s.runProfile(k, nil)
-	}))
-	if !leader {
-		s.dedups.Add(1)
-	}
-	return body, err
+	return json.Marshal(core.NewDiffDocument(sides[0], sides[1], d))
 }

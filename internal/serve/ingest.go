@@ -5,8 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"strings"
 	"time"
@@ -30,30 +30,20 @@ type ingestKey struct {
 	Type    string   `json:"type"`
 }
 
-func (k ingestKey) address() string {
-	raw, err := json.Marshal(k)
-	if err != nil {
-		panic(fmt.Sprintf("serve: ingest key not marshalable: %v", err)) // plain data; cannot happen
-	}
-	sum := sha256.Sum256(raw)
-	return "ingest/" + hex.EncodeToString(sum[:])
-}
+func (k ingestKey) address() string { return contentAddress("ingest/", k) }
 
 // handleIngest is POST /ingest: the body is a raw perf.data capture
 // (perf mem record), the optional ?views= and ?type= query parameters mirror
 // the ProfileRequest fields, and the response is the same canonical
 // core.ProfileDocument bytes POST /profile produces — content-addressed,
-// cached, persisted, and replica-routed through the identical layered path,
-// so the ingested document round-trips via GET /object/{addr} and diffs
+// cached, persisted, and replica-routed through the same request path, so
+// the ingested document round-trips via GET /object/{addr} and diffs
 // against simulated sessions. Like /profile, the response converts to a
 // gzipped pprof protobuf when the client negotiates it (?format=pprof or
 // Accept: application/octet-stream).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
-	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]string{"error": "bad request body: " + err.Error()})
+	raw, ok := readBody(w, r, maxIngestBytes, nil)
+	if !ok {
 		return
 	}
 	k, err := normalizeIngest(r, raw)
@@ -61,34 +51,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	addr := k.address()
-
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		s.writeNegotiated(w, r, body, "hit")
-		return
-	}
-	if owner, ok := s.routeOwner(r, addr); ok {
-		// Forward the capture verbatim: normalization is deterministic, so
+	s.answer(w, r, job{
+		addr: k.address(),
+		// The capture goes verbatim: normalization is deterministic, so
 		// the owner derives the identical content address from it.
-		uri := "/ingest"
-		if r.URL.RawQuery != "" {
-			uri += "?" + r.URL.RawQuery
-		}
-		body, disposition, err := s.proxyCompute(r.Context(), owner, addr, http.MethodPost, uri, raw)
-		if err == nil {
-			w.Header().Set(replicaHeader, owner)
-			s.writeNegotiated(w, r, body, disposition)
-			return
-		}
-		s.peerFallbacks.Add(1)
+		request: func() (string, string, []byte) { return http.MethodPost, k.uri(), raw },
+		doc:     true,
+		run:     func(func(string, any)) ([]byte, error) { return s.runIngest(raw, k) },
+	})
+}
+
+// uri is the /ingest URI a non-owner forwards: only the fields that shape
+// the key, so the owner answers with the canonical JSON document whatever
+// format the client negotiated here.
+func (k ingestKey) uri() string {
+	views := strings.Join(k.Views, ",")
+	if views == "" {
+		views = "," // an explicitly empty selection, not the default one
 	}
-	body, disposition, err := s.compute(r, addr, func() ([]byte, error) { return s.runIngest(raw, k) })
-	if err != nil {
-		writeError(w, err)
-		return
+	q := url.Values{"views": {views}}
+	if k.Type != "" {
+		q.Set("type", k.Type)
 	}
-	s.writeNegotiated(w, r, body, disposition)
+	return "/ingest?" + q.Encode()
 }
 
 // normalizeIngest resolves the query parameters against the capture bytes.
@@ -105,19 +90,13 @@ func normalizeIngest(r *http.Request, raw []byte) (ingestKey, error) {
 	}
 	var requested []string
 	for _, v := range strings.Split(views, ",") {
-		if v = strings.TrimSpace(v); v == "" {
-			continue
-		} else if !slices.Contains(core.KnownViews, v) {
-			return ingestKey{}, &core.UnknownViewError{Name: v}
+		if v = strings.TrimSpace(v); v != "" {
+			requested = append(requested, v)
 		}
-		requested = append(requested, v)
 	}
-	// Canonical order and deduplication, same as profile normalization: the
-	// view set, not its spelling, addresses the document.
-	for _, v := range core.KnownViews {
-		if slices.Contains(requested, v) {
-			k.Views = append(k.Views, v)
-		}
+	var err error
+	if k.Views, err = canonicalViews(requested); err != nil {
+		return ingestKey{}, err
 	}
 	return k, nil
 }
@@ -178,22 +157,22 @@ func (e *ExportError) Error() string { return fmt.Sprintf("pprof export: %v", e.
 
 func (e *ExportError) Unwrap() error { return e.Err }
 
-// writeNegotiated writes a finished profile-document body, converting it to
-// a gzipped pprof protobuf when the client negotiated that. The conversion
-// reads the canonical JSON bytes — the cache, store, and peers keep serving
-// one representation; pprof is derived at the edge.
-func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, body []byte, disposition string) {
-	if !wantsPprof(r) {
+// writeNegotiated writes a finished body, converting a profile document
+// (doc) to a gzipped pprof protobuf when the client negotiated that. The
+// conversion reads the canonical JSON bytes — the cache, store, and peers
+// keep serving one representation; pprof is derived at the edge.
+func writeNegotiated(w http.ResponseWriter, r *http.Request, doc bool, body []byte, disposition string) {
+	if !doc || !wantsPprof(r) {
 		writeBody(w, body, disposition)
 		return
 	}
-	doc, err := core.ParseDocument(body)
+	d, err := core.ParseDocument(body)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	gz, err := pprofout.EncodeDocument(doc, pprofout.Meta{
-		Comments: []string{"dprofd: " + doc.Workload},
+	gz, err := pprofout.EncodeDocument(d, pprofout.Meta{
+		Comments: []string{"dprofd: " + d.Workload},
 	})
 	if err != nil {
 		writeError(w, &ExportError{Err: err})

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -15,18 +14,14 @@ import (
 	"time"
 )
 
-// Multi-replica mode: a fleet of dprofd replicas shares the work of
-// producing profiles by consistent-hashing every content address onto one
-// owning replica. Non-owners forward plain requests to the owner (the
-// routed header stops a misconfigured ring from bouncing a request twice),
-// so the owner's in-process singleflight becomes a fleet-wide one: N
-// identical concurrent requests anywhere in the fleet collapse onto one
-// simulation. On a cold miss the owner also peer-fetches the stored
-// document from the other replicas' disks (GET /object/{addr}) before
-// simulating — a replica that joined or changed ring position can adopt
-// objects produced under an older ownership map instead of re-running
+// Multi-replica mode: a fleet of dprofd replicas consistent-hashes every
+// content address onto one owning replica, so the owner's in-process
+// singleflight becomes a fleet-wide one (the package comment has the
+// request path). On a cold miss the owner first adopts the stored document
+// from another replica's store (GET /object/{addr}), so a replica that
+// joined or moved on the ring re-homes old objects instead of re-running
 // them. Every peer interaction fails soft: a dead or draining peer means
-// the local replica simulates itself, trading strict exactly-once for
+// the local replica runs the job itself, trading strict exactly-once for
 // availability.
 
 const (
@@ -141,81 +136,75 @@ func (s *Server) SetPeers(self string, replicas []string) error {
 	return nil
 }
 
-// routeOwner decides whether a request must be forwarded: multi-replica
-// mode is on, the request did not already arrive routed, and the content
-// address hashes to another replica.
-func (s *Server) routeOwner(r *http.Request, addr string) (string, bool) {
-	if s.peers == nil || r.Header.Get(routedHeader) != "" {
+// routeOwner decides whether a job must be forwarded: multi-replica mode
+// is on, the job can be forwarded, the request did not already arrive
+// routed, and the content address hashes to another replica.
+func (s *Server) routeOwner(routed bool, j job) (string, bool) {
+	if s.peers == nil || routed || j.request == nil {
 		return "", false
 	}
-	owner := s.peers.owner(addr)
+	owner := s.peers.owner(j.addr)
 	if owner == s.peers.self {
 		return "", false
 	}
 	return owner, true
 }
 
-// proxyCompute forwards a computable request to the owning replica,
-// deduplicated through the same in-process flight group as local
-// computations — a burst of identical requests on a non-owner costs one
-// upstream call, and that call collapses with any concurrent local
-// compute for the same address. The upstream request runs under the
-// server's lifetime, detached from any one client; the response body
-// lands in the local LRU so repeats on this replica never leave the
-// process. Any upstream failure (network error, non-200) is returned for
-// the caller to fall back on local simulation.
-func (s *Server) proxyCompute(ctx context.Context, owner, addr, method, uri string, rawBody []byte) (body []byte, disposition string, err error) {
-	var src string
-	body, err, leader := s.flights.do(ctx, addr, func() ([]byte, error) {
-		if b, ok := s.cache.get(addr); ok {
-			s.hits.Add(1)
-			src = "hit"
+// proxy is the flight body that forwards a job to its owning replica, so a
+// burst of identical requests on a non-owner costs one upstream call,
+// detached from any one client. The owner's bytes land in the local LRU:
+// repeats on this replica never leave the process. Any upstream failure is
+// returned for the caller to fall back on running the job locally.
+func (s *Server) proxy(owner string, j job) func(src *string) ([]byte, error) {
+	return func(src *string) ([]byte, error) {
+		if b, ok := s.lookup(j.addr); ok {
+			*src = "hit"
 			return b, nil
 		}
-		var rd io.Reader
-		if rawBody != nil {
-			rd = bytes.NewReader(rawBody)
-		}
-		req, err := http.NewRequestWithContext(s.ctx, method, owner+uri, rd)
+		method, uri, body := j.request()
+		b, hdr, err := s.peerDo(s.ctx, method, owner+uri, body)
 		if err != nil {
 			return nil, fmt.Errorf("peer %s: %w", owner, err)
 		}
-		req.Header.Set(routedHeader, "1")
-		if rawBody != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := s.peers.client.Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("peer %s: %w", owner, err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
-		if err != nil {
-			return nil, fmt.Errorf("peer %s: %w", owner, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("peer %s: status %d: %s", owner, resp.StatusCode, bytes.TrimSpace(b))
-		}
-		b = bytes.TrimSuffix(b, []byte("\n"))
 		s.peerProxied.Add(1)
-		s.cache.put(addr, b)
-		if d := resp.Header.Get("X-DProf-Cache"); d != "" {
-			src = "proxy:" + d
-		} else {
-			src = "proxy"
+		s.cache.put(j.addr, b)
+		*src = "proxy"
+		if d := hdr.Get("X-DProf-Cache"); d != "" {
+			*src = "proxy:" + d
 		}
 		return b, nil
-	})
-	switch {
-	case err != nil:
-		return nil, "", err
-	case !leader:
-		s.dedups.Add(1)
-		return body, "dedup", nil
-	case src != "":
-		return body, src, nil
 	}
-	return body, "proxy", nil
+}
+
+// peerDo sends one routed request to a peer and returns the response body,
+// without its trailing newline, and headers. Any status but 200 is an
+// error.
+func (s *Server) peerDo(ctx context.Context, method, url string, body []byte) ([]byte, http.Header, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	req.Header.Set(routedHeader, "1")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := s.peers.client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+	}
+	return bytes.TrimSuffix(b, []byte("\n")), resp.Header, nil
 }
 
 // peerObject asks the other replicas for an already-stored document —
@@ -228,39 +217,16 @@ func (s *Server) peerObject(addr string) ([]byte, bool) {
 		return nil, false
 	}
 	for _, peer := range s.peers.others {
-		body, ok := s.fetchObject(peer, addr)
-		if !ok {
-			continue
+		ctx, cancel := context.WithTimeout(s.ctx, peerObjectTimeout)
+		body, _, err := s.peerDo(ctx, http.MethodGet, peer+"/object/"+addr, nil)
+		cancel()
+		if err == nil && len(body) > 0 {
+			s.peerFetches.Add(1)
+			s.adopt(addr, body)
+			return body, true
 		}
-		s.peerFetches.Add(1)
-		s.cache.put(addr, body)
-		s.persist(addr, body)
-		return body, true
 	}
 	return nil, false
-}
-
-func (s *Server) fetchObject(peer, addr string) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(s.ctx, peerObjectTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/object/"+addr, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := s.peers.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	body = bytes.TrimSuffix(body, []byte("\n"))
-	if len(body) == 0 {
-		return nil, false
-	}
-	return body, true
 }
 
 // handleObject serves GET /object/{addr...}: the stored document for a
@@ -269,20 +235,11 @@ func (s *Server) fetchObject(peer, addr string) ([]byte, bool) {
 // cannot recurse or deadlock across the fleet.
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("addr")
-	if body, ok := s.cache.get(addr); ok {
-		s.objectsServed.Add(1)
-		writeBody(w, body, "hit")
+	body, from, ok := s.stored(addr)
+	if !ok {
+		writeStatus(w, http.StatusNotFound, "object not stored: "+addr)
 		return
 	}
-	if s.store != nil {
-		if body, ok := s.store.Get(addr); ok {
-			s.cache.put(addr, body)
-			s.objectsServed.Add(1)
-			writeBody(w, body, "disk")
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusNotFound)
-	json.NewEncoder(w).Encode(map[string]string{"error": "object not stored: " + addr})
+	s.objectsServed.Add(1)
+	writeBody(w, body, from)
 }

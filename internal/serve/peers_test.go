@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +11,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dprof/internal/app/workload"
+	"dprof/internal/core"
+	"dprof/internal/perfin"
 )
 
 // replica is one fleet member under test: the Server plus its listener.
@@ -348,6 +354,162 @@ func TestSetPeersRejectsBadReplicas(t *testing.T) {
 		}
 		if err := s.SetPeers(bad, []string{"http://a:1"}); err == nil {
 			t.Errorf("SetPeers accepted self %q", bad)
+		}
+	}
+}
+
+// TestIngestPprofOnNonOwner: a non-owner forwards only the query fields
+// that shape the ingest key, caches the owner's canonical JSON document, and
+// converts to pprof at its own edge. A pprof request through the non-owner
+// succeeds, and a later JSON request there gets the JSON document back.
+func TestIngestPprofOnNonOwner(t *testing.T) {
+	reps := newRing(t, 2, false)
+	capture := perfin.FixtureBytes()
+	const q = "views=dataprofile,missclass"
+	k, err := normalizeIngest(httptest.NewRequest(http.MethodPost, "/ingest?"+q, nil), capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonOwner, owner := reps[0], reps[1]
+	if reps[0].s.peers.owner(k.address()) == reps[0].ts.URL {
+		nonOwner, owner = reps[1], reps[0]
+	}
+
+	resp, body := postIngest(t, nonOwner.ts, "/ingest?format=pprof&"+q, capture, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pprof via non-owner: status %d: %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("pprof content type = %q", ct)
+	}
+	if _, err := gzip.NewReader(bytes.NewReader(body)); err != nil {
+		t.Errorf("pprof body is not gzip: %v", err)
+	}
+	if got := resp.Header.Get(replicaHeader); got != owner.ts.URL {
+		t.Errorf("replica header = %q, want the owner %q", got, owner.ts.URL)
+	}
+
+	resp2, doc := postIngest(t, nonOwner.ts, "/ingest?"+q, capture, nil)
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("JSON via non-owner: status %d: %s", resp2.StatusCode, doc)
+	}
+	if d := resp2.Header.Get("X-DProf-Cache"); d != "hit" {
+		t.Errorf("JSON repeat disposition = %q, want hit", d)
+	}
+	if ct := resp2.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("JSON repeat content type = %q", ct)
+	}
+	if _, err := core.ParseDocument(doc); err != nil {
+		t.Fatalf("non-owner cached a non-document: %v", err)
+	}
+	_, direct := postIngest(t, owner.ts, "/ingest?"+q, capture, nil)
+	if !bytes.Equal(doc, direct) {
+		t.Error("non-owner document differs from the owner's")
+	}
+}
+
+// TestDiffSidesRouteToOwner: each /diff side is a profile request like any
+// other, so it runs on the replica that owns its address. The side request
+// forwarded to the owner carries the dataprofile view the diff added.
+func TestDiffSidesRouteToOwner(t *testing.T) {
+	reps := newRing(t, 3, false)
+	side := func(seed int) string {
+		return fmt.Sprintf(`{"workload":"falseshare","options":{"seed":"%d"},"views":["workingset"],"measure_ms":1,"quick":true}`, seed)
+	}
+	seed := 0
+	for s := 1; seed == 0 && s < 200; s++ {
+		var req ProfileRequest
+		if err := json.Unmarshal([]byte(side(s)), &req); err != nil {
+			t.Fatal(err)
+		}
+		k, err := reps[0].s.normalize(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ensureDataProfile(&k)
+		if reps[0].s.peers.owner(k.address()) == reps[2].ts.URL {
+			seed = s
+		}
+	}
+	if seed == 0 {
+		t.Fatal("no seed found owned by replica 2")
+	}
+	owner, nonOwner := reps[2], reps[0]
+	diff := fmt.Sprintf(`{"a":%s,"b":%s}`, side(seed), side(seed))
+
+	resp, routed := postDiff(t, nonOwner.ts.URL, diff)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("diff via non-owner: status %d: %s", resp.StatusCode, routed)
+	}
+	if owner.s.Simulations() != 1 || nonOwner.s.Simulations() != 0 || reps[1].s.Simulations() != 0 {
+		t.Errorf("simulations owner=%d nonOwner=%d other=%d, want 1/0/0",
+			owner.s.Simulations(), nonOwner.s.Simulations(), reps[1].s.Simulations())
+	}
+	if n := nonOwner.s.peerProxied.Load(); n != 1 {
+		t.Errorf("non-owner proxied %d side requests, want 1", n)
+	}
+
+	withDataProfile := fmt.Sprintf(`{"workload":"falseshare","options":{"seed":"%d"},"views":["dataprofile","workingset"],"measure_ms":1,"quick":true}`, seed)
+	presp, _ := postProfile(t, owner.ts, withDataProfile)
+	if d := presp.Header.Get("X-DProf-Cache"); d != "hit" {
+		t.Errorf("owner's /profile of the side: disposition %q, want hit", d)
+	}
+
+	resp2, direct := postDiff(t, owner.ts.URL, diff)
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("diff on owner: status %d: %s", resp2.StatusCode, direct)
+	}
+	if !bytes.Equal(routed, direct) {
+		t.Error("diff via a non-owner differs from the same diff on the owner")
+	}
+	if n := fleetSimulations(reps); n != 1 {
+		t.Errorf("fleet simulations = %d, want 1", n)
+	}
+}
+
+// TestForwardedRequestsNormalizeToSameKey: the request a non-owner rebuilds
+// from a normalized key normalizes back to that key on the owner, so both
+// replicas agree on the content address.
+func TestForwardedRequestsNormalizeToSameKey(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, name := range workload.Names() {
+		quick := true
+		for _, req := range []ProfileRequest{
+			{Workload: name},
+			{Workload: name, Quick: &quick, MeasureMs: 2, Sets: 3, Rate: 12000},
+			{Workload: name, Views: []string{"workingset", "missclass"}, Options: map[string]string{"window-ms": "1"}},
+		} {
+			k, err := s.normalize(&req)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ensureDataProfile(&k)
+			fwd := k.request()
+			back, err := s.normalize(&fwd)
+			if err != nil {
+				t.Fatalf("%s: forwarded request rejected: %v", name, err)
+			}
+			if back.address() != k.address() {
+				t.Errorf("%s: forwarded key %+v, want %+v", name, back, k)
+			}
+		}
+	}
+
+	capture := perfin.FixtureBytes()
+	for _, q := range []string{"", "views=dataprofile", "views=missclass,dataprofile&type=ring_buffer", "views=,", "format=pprof&views=workingset,workingset"} {
+		k, err := normalizeIngest(httptest.NewRequest(http.MethodPost, "/ingest?"+q, nil), capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := normalizeIngest(httptest.NewRequest(http.MethodPost, k.uri(), nil), capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.address() != k.address() {
+			t.Errorf("?%s: forwarded as %s, key %+v, want %+v", q, k.uri(), back, k)
+		}
+		if strings.Contains(k.uri(), "format") {
+			t.Errorf("?%s: forwarded URI %s carries the client's format", q, k.uri())
 		}
 	}
 }

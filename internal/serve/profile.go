@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"slices"
 	"strconv"
 	"time"
@@ -55,13 +56,72 @@ type profileKey struct {
 }
 
 // address returns the content address: a SHA-256 over the canonical key.
-func (k profileKey) address() string {
-	raw, err := json.Marshal(k)
+func (k profileKey) address() string { return contentAddress("profile/", k) }
+
+// warmAddress returns the warm-start checkpoint address for a normalized
+// key: the key with the measured length zeroed. Everything that shapes
+// machine state at the warmup boundary addresses the checkpoint; the
+// measure does not, because the checkpoint is taken with the measured
+// window still unarmed.
+func (k profileKey) warmAddress() string {
+	k.MeasureCycles = 0
+	return contentAddress("warm/", k)
+}
+
+// contentAddress is prefix plus the hex SHA-256 of key's JSON encoding.
+func contentAddress(prefix string, key any) string {
+	raw, err := json.Marshal(key)
 	if err != nil {
-		panic(fmt.Sprintf("serve: profile key not marshalable: %v", err)) // plain data; cannot happen
+		panic(fmt.Sprintf("serve: key not marshalable: %v", err)) // plain data; cannot happen
 	}
 	sum := sha256.Sum256(raw)
-	return "profile/" + hex.EncodeToString(sum[:])
+	return prefix + hex.EncodeToString(sum[:])
+}
+
+// request rebuilds a ProfileRequest that normalizes back to k on any
+// replica: the body a non-owner forwards to the owner. The measured window
+// is spelled out only when it is not the workload's default, which need
+// not be a whole number of milliseconds.
+func (k profileKey) request() ProfileRequest {
+	req := ProfileRequest{
+		Workload: k.Workload,
+		Options:  k.Options,
+		Views:    k.Views,
+		Type:     k.Type,
+		Sets:     k.Sets,
+		Rate:     k.Rate,
+		Quick:    &k.Quick,
+	}
+	if w, err := workload.Lookup(k.Workload); err != nil || w.Windows(k.Quick).Measure != k.MeasureCycles {
+		req.MeasureMs = k.MeasureCycles / 1_000_000
+	}
+	return req
+}
+
+// profileJob is the request-path job for a normalized profile key. A
+// streamed run opens with an "accepted" event and relays every window
+// snapshot as a live "window" event.
+func (s *Server) profileJob(k profileKey) job {
+	return job{
+		addr: k.address(),
+		request: func() (string, string, []byte) {
+			body, _ := json.Marshal(k.request()) // plain data; cannot fail
+			return http.MethodPost, "/profile", body
+		},
+		doc:      true,
+		streams:  true,
+		workload: k.Workload,
+		run: func(emit func(string, any)) ([]byte, error) {
+			if emit == nil {
+				return s.runProfile(k, nil)
+			}
+			return s.runProfile(k, func(ws *core.WindowSnapshot) {
+				if raw, err := json.Marshal(ws); err == nil {
+					emit("window", json.RawMessage(raw))
+				}
+			})
+		},
+	}
 }
 
 // normalize validates a request against the workload registry and resolves
@@ -109,19 +169,8 @@ func (s *Server) normalize(req *ProfileRequest) (profileKey, error) {
 			// than failing the whole request.
 			k.Views = []string{"dataprofile", "workingset", "missclass"}
 		}
-	} else {
-		for _, v := range req.Views {
-			if !slices.Contains(core.KnownViews, v) {
-				return profileKey{}, &core.UnknownViewError{Name: v}
-			}
-		}
-		// Canonical order and deduplication: the view set, not its spelling,
-		// addresses the session.
-		for _, v := range core.KnownViews {
-			if slices.Contains(req.Views, v) {
-				k.Views = append(k.Views, v)
-			}
-		}
+	} else if k.Views, err = canonicalViews(req.Views); err != nil {
+		return profileKey{}, err
 	}
 	needTarget := k.Type != "" || slices.Contains(k.Views, "dataflow") || slices.Contains(k.Views, "pathtrace")
 	if needTarget && k.Type == "" {
@@ -146,6 +195,24 @@ func (s *Server) normalize(req *ProfileRequest) (profileKey, error) {
 		}
 	}
 	return k, nil
+}
+
+// canonicalViews validates a view selection and returns it deduplicated in
+// core.KnownViews order: the view set, not its spelling, addresses a
+// document.
+func canonicalViews(requested []string) ([]string, error) {
+	for _, v := range requested {
+		if !slices.Contains(core.KnownViews, v) {
+			return nil, &core.UnknownViewError{Name: v}
+		}
+	}
+	var views []string
+	for _, v := range core.KnownViews {
+		if slices.Contains(requested, v) {
+			views = append(views, v)
+		}
+	}
+	return views, nil
 }
 
 // Hard ceilings on the per-request knobs that scale simulation cost, so a
@@ -232,19 +299,37 @@ func renderProfile(sess *core.Session, k profileKey) ([]byte, error) {
 
 // runProfile executes one normalized profiling session end to end: bounded
 // by the worker pool, built through the registry's shared option path, run
-// under a core.Session (or forked from a pooled warmup checkpoint), and
-// rendered as canonical document bytes. It is only ever called inside a
-// flight, under the server's lifetime context. Streamed (windowed) sessions
-// always run cold: a checkpoint fork replays only the measured phase, but a
-// live window stream owns the whole run.
-func (s *Server) runProfile(k profileKey, onWindow func(*core.WindowSnapshot)) ([]byte, error) {
+// under a core.Session, and rendered as canonical document bytes. It is
+// only ever called inside a flight, under the server's lifetime context.
+//
+// With the warm-start checkpoint pool on, the session's warmup runs once
+// per warm address and is captured; every request forks its measured phase
+// from that checkpoint, so requests that differ only in measured length
+// skip the warmup simulation. Forks are byte-identical to cold runs (the
+// core warm-start contract), so the body cache and the replica ring never
+// observe the difference. Streamed (windowed) sessions always run cold: a
+// fork replays only the measured phase, but a live window stream owns the
+// whole run.
+func (s *Server) runProfile(k profileKey, onWindow func(*core.WindowSnapshot)) (body []byte, err error) {
 	if err := s.acquire(); err != nil {
 		return nil, err
 	}
 	defer s.release()
 
 	if onWindow == nil && s.ckpts != nil {
-		return s.runProfileWarm(k)
+		err = s.ckpts.Do(k.warmAddress(), func() (*core.Checkpoint, error) {
+			sess, err := s.buildSession(k, nil)
+			if err != nil {
+				return nil, err
+			}
+			return sess.Warmup()
+		}, func(cp *core.Checkpoint) error {
+			s.simulations.Add(1)
+			cp.Fork(k.MeasureCycles)
+			body, err = renderProfile(cp.Session(), k)
+			return err
+		})
+		return body, err
 	}
 
 	sess, err := s.buildSession(k, onWindow)

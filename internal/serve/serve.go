@@ -14,24 +14,35 @@
 //	GET  /healthz            liveness plus cache/worker counters
 //
 // Profiling is deterministic — same workload, same canonical options, same
-// seed, same views: same bytes — so results are content-addressed: an LRU
-// cache serves repeats without simulating, and a singleflight layer makes N
-// identical concurrent requests share one simulation and byte-identical
-// responses. Simulations run detached from any one request on a bounded
-// worker pool, so a client disconnecting neither cancels work other clients
-// share nor loses the result for the cache. Progress streams to clients as
-// NDJSON or SSE (?stream=ndjson|sse): experiment runs bridge the engine's
-// events, and windowed profiling sessions (the shared window-ms option)
-// stream every window snapshot as its boundary closes, so a watching client
-// sees the profile converge live instead of waiting for the whole run.
+// seed, same views: same bytes — so results are content-addressed, and
+// every cacheable endpoint answers through one request path (answer). The
+// handler decodes and normalizes its request into a job: the content
+// address, how a non-owner forwards it, and how to run it. Then, in order:
 //
-// Two scaling layers stack on top (see the README's "Scaling dprofd"):
+//  1. The LRU. A hit answers at once, with no goroutine and no flight.
+//  2. A streamed request (?stream=ndjson|sse) runs locally and relays the
+//     run's live events: engine progress for experiments, window snapshots
+//     for windowed profiles. Streams are never forwarded.
+//  3. In a replica fleet, a request whose address another replica owns is
+//     forwarded to that owner, unless it arrived routed. A failed owner
+//     falls back to step 4.
+//  4. A local flight: one run per address however many requests wait on
+//     it, detached from every client on a bounded worker pool. It reads
+//     through the LRU, the disk store and the peers' stores before it runs,
+//     and the body it produces lands in the LRU and the store.
+//
+// The X-DProf-Cache header names where the body came from: "hit" (the
+// LRU), "disk" (the local store), "peer" (another replica's store), "miss"
+// (this request ran it), "dedup" (it joined another request's flight), or
+// "proxy:<d>" (the owner answered with disposition d). /diff sides and
+// /ingest route exactly like /profile; a /diff itself runs where it lands.
+//
 // Config.StoreDir backs the LRU with a disk content-addressed store
 // (internal/store) so finished documents survive restarts, and
-// Config.Self/Peers (or SetPeers) joins a replica fleet — a
-// consistent-hash ring routes every content address to one owning
-// replica, turning the owner's in-process singleflight into a fleet-wide
-// guarantee that each distinct profile simulates exactly once.
+// Config.Self/Peers (or SetPeers) joins a replica fleet whose
+// consistent-hash ring turns the owner's singleflight into a fleet-wide
+// guarantee that each distinct profile simulates exactly once (see the
+// README's "Scaling dprofd").
 package serve
 
 import (
@@ -47,7 +58,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	_ "dprof/internal/app/all" // register every workload
 	"dprof/internal/app/workload"
@@ -246,9 +256,31 @@ func statusFor(err error) int {
 }
 
 func writeError(w http.ResponseWriter, err error) {
+	writeStatus(w, statusFor(err), err.Error())
+}
+
+// writeStatus writes a JSON error body under an explicit status.
+func writeStatus(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(statusFor(err))
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// readBody reads a request body of at most limit bytes and, when v is
+// non-nil, decodes it into v as JSON that names no unknown field. A failure
+// answers 400 and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil && v != nil {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	}
+	if err != nil {
+		writeStatus(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return nil, false
+	}
+	return raw, true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -338,13 +370,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStats exposes every layer's operational counters — LRU
-// hits/misses/evictions, the disk store's hit/miss/bytes counters, the
-// replica ring's proxy/fetch/fallback counters, and how many requests the
-// singleflight layer deduplicated onto a shared simulation — the
-// observability surface for tuning CacheEntries, sizing the fleet, and
-// verifying the dedup contract in production. The combined schema is
-// documented in the README's "Scaling dprofd" section.
+// handleStats serves every layer's counters: the LRU, singleflight,
+// ingestion, the disk store, the checkpoint pool and the replica ring. The
+// README's "Scaling dprofd" section documents the schema.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
 		"cache": map[string]any{
@@ -359,6 +387,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		"simulations": s.simulations.Load(),
 		"workers":     s.cfg.Workers,
+		"panics":      s.flights.panics.Load(),
 	}
 	s.ingestMu.Lock()
 	ing := s.ingestStats
@@ -378,23 +407,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"parse_failures":   s.ingestFailures.Load(),
 	}
 	if s.store != nil {
-		st := s.store.Stats()
-		out["store"] = map[string]any{
-			"dir":                 st.Dir,
-			"entries":             st.Entries,
-			"hits":                st.Hits,
-			"misses":              st.Misses,
-			"puts":                st.Puts,
-			"write_once_rejected": st.Rejected,
-			"corrupt_dropped":     st.Corrupt,
-			"bytes_written":       st.BytesWritten,
-			"bytes_read":          st.BytesRead,
-			"max_bytes":           st.MaxBytes,
-			"bytes_resident":      st.BytesResident,
-			"sweeps":              st.Sweeps,
-			"swept_objects":       st.SweptObjects,
-			"swept_bytes":         st.SweptBytes,
-		}
+		out["store"] = s.store.Stats()
 	}
 	if s.ckpts != nil {
 		out["checkpoints"] = s.ckpts.Stats()
@@ -415,23 +428,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // --- profiling sessions ---
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	// The raw body is kept around so a non-owning replica can forward the
-	// request verbatim: normalization is deterministic, so the owner derives
-	// the identical content address from the identical bytes.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]string{"error": "bad request body: " + err.Error()})
-		return
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
 	var req ProfileRequest
-	if err := dec.Decode(&req); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]string{"error": "bad request body: " + err.Error()})
+	if _, ok := readBody(w, r, 1<<20, &req); !ok {
 		return
 	}
 	k, err := s.normalize(&req)
@@ -439,182 +437,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	addr := k.address()
-
-	st := newStreamer(w, r)
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		if st != nil {
-			st.event("result", json.RawMessage(body))
-			return
-		}
-		s.writeNegotiated(w, r, body, "hit")
-		return
-	}
-	if st != nil {
-		// Streamed sessions always run where they land: live window events
-		// cannot cross a proxy hop. The flight body still reads through the
-		// disk store and the peers' stores before simulating.
-		s.streamProfile(st, r, k, addr)
-		return
-	}
-
-	if owner, ok := s.routeOwner(r, addr); ok {
-		body, disposition, err := s.proxyCompute(r.Context(), owner, addr, http.MethodPost, "/profile", raw)
-		if err == nil {
-			w.Header().Set(replicaHeader, owner)
-			s.writeNegotiated(w, r, body, disposition)
-			return
-		}
-		// The owner is dead or draining: availability beats strict
-		// ownership, so this replica simulates locally.
-		s.peerFallbacks.Add(1)
-	}
-
-	body, disposition, err := s.compute(r, addr, func() ([]byte, error) { return s.runProfile(k, nil) })
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.writeNegotiated(w, r, body, disposition)
-}
-
-// streamProfile runs a profiling session through the singleflight layer,
-// bridging window snapshots to the client as live "window" events and
-// emitting the result (or error) as the final event. Only the flight
-// leader gets live snapshots — a streaming client joining someone else's
-// in-progress run receives keep-alives and then the shared result — and
-// the simulation runs detached under the server's lifetime, so the
-// cache/dedup/disconnect semantics are identical to a plain POST /profile.
-func (s *Server) streamProfile(st *streamer, r *http.Request, k profileKey, addr string) {
-	st.event("accepted", map[string]any{"address": addr, "workload": k.Workload})
-	snaps := make(chan json.RawMessage, 8)
-	type outcome struct {
-		body []byte
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		body, err, leader := s.flights.do(r.Context(), addr, s.cachedRun(addr, nil, func() ([]byte, error) {
-			return s.runProfile(k, func(ws *core.WindowSnapshot) {
-				raw, err := json.Marshal(ws)
-				if err != nil {
-					return
-				}
-				select {
-				case snaps <- raw:
-				default: // this handler may be gone; never block the simulation
-				}
-			})
-		}))
-		if !leader {
-			s.dedups.Add(1)
-		}
-		done <- outcome{body, err}
-	}()
-	for {
-		select {
-		case raw := <-snaps:
-			st.event("window", raw)
-		case out := <-done:
-			// Drain snapshots emitted before the run finished, so the
-			// stream always shows the final window before the result.
-			for {
-				select {
-				case raw := <-snaps:
-					st.event("window", raw)
-					continue
-				default:
-				}
-				break
-			}
-			if out.err != nil {
-				st.event("error", map[string]any{"error": out.err.Error(), "status": statusFor(out.err)})
-				return
-			}
-			st.event("result", json.RawMessage(out.body))
-			return
-		case <-time.After(15 * time.Second):
-			st.comment("running")
-		}
-	}
-}
-
-// compute runs a cacheable computation through the singleflight layer:
-// exactly one concurrent execution per address, the result cached inside
-// the flight (so it survives every waiter disconnecting), and a re-check of
-// the cache inside the flight closing the get→do window (a request that
-// lost the race to a just-finished flight must not relaunch the
-// simulation). The returned disposition reports what actually happened —
-// "miss" (this request launched the computation), "hit" (the in-flight
-// re-check found a just-cached body), "disk" (the body came off the local
-// store), "peer" (a peer's store had it), or "dedup" (joined another
-// request's flight). Streaming requests go through
-// streamProfile/streamExperiment instead, which add live events and
-// keep-alives on the same flight path.
-func (s *Server) compute(r *http.Request, addr string, run func() ([]byte, error)) (body []byte, disposition string, err error) {
-	var src string
-	wrapped := s.cachedRun(addr, &src, run)
-	body, err, leader := s.flights.do(r.Context(), addr, wrapped)
-	switch {
-	case err != nil:
-		return nil, "", err
-	case !leader:
-		s.dedups.Add(1)
-		return body, "dedup", nil
-	case src != "":
-		return body, src, nil
-	}
-	return body, "miss", nil
-}
-
-// cachedRun wraps a flight body with the layered read path — LRU, then the
-// disk store (promoting a hit into the LRU), then the peers' stores, then
-// the computation — and the miss/hit accounting: a miss counts a launched
-// computation, never a joined or just-missed one. A computed body lands in
-// both the LRU and the store, so it survives a restart. source (optional)
-// reports where the body came from ("hit", "disk", "peer", "" = computed);
-// the flight-completion channel orders the write before any waiter reads it.
-func (s *Server) cachedRun(addr string, source *string, run func() ([]byte, error)) func() ([]byte, error) {
-	setSrc := func(v string) {
-		if source != nil {
-			*source = v
-		}
-	}
-	return func() ([]byte, error) {
-		if body, ok := s.cache.get(addr); ok {
-			s.hits.Add(1)
-			setSrc("hit")
-			return body, nil
-		}
-		if s.store != nil {
-			if body, ok := s.store.Get(addr); ok {
-				s.cache.put(addr, body)
-				setSrc("disk")
-				return body, nil
-			}
-		}
-		if body, ok := s.peerObject(addr); ok {
-			setSrc("peer")
-			return body, nil
-		}
-		s.misses.Add(1)
-		body, err := run()
-		if err == nil {
-			s.cache.put(addr, body)
-			s.persist(addr, body)
-		}
-		return body, err
-	}
-}
-
-// persist writes a finished body through to the disk store, best-effort:
-// persistence failing must not fail the request the body answers.
-func (s *Server) persist(addr string, body []byte) {
-	if s.store == nil {
-		return
-	}
-	s.store.Put(addr, body)
+	s.answer(w, r, s.profileJob(k))
 }
 
 // --- experiments ---
@@ -646,54 +469,32 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		// typo must not silently launch a full-fidelity run.
 		b, err := strconv.ParseBool(q)
 		if err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf("bad quick value %q: want a bool", q)})
+			writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad quick value %q: want a bool", q))
 			return
 		}
 		quick = b
 	}
-	addr := fmt.Sprintf("experiment/%s/quick=%t", name, quick)
-
-	st := newStreamer(w, r)
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		if st != nil {
-			st.event("result", json.RawMessage(body))
-			return
-		}
-		writeBody(w, body, "hit")
-		return
-	}
-
-	if st != nil {
-		s.streamExperiment(st, r, name, quick, addr)
-		return
-	}
-	if owner, ok := s.routeOwner(r, addr); ok {
-		uri := fmt.Sprintf("/experiments/%s?quick=%t", name, quick)
-		body, disposition, err := s.proxyCompute(r.Context(), owner, addr, http.MethodGet, uri, nil)
-		if err == nil {
-			w.Header().Set(replicaHeader, owner)
-			writeBody(w, body, disposition)
-			return
-		}
-		s.peerFallbacks.Add(1)
-	}
-	body, disposition, err := s.compute(r, addr, func() ([]byte, error) {
-		return s.runExperiment(s.ctx, name, quick, nil)
+	s.answer(w, r, job{
+		addr: fmt.Sprintf("experiment/%s/quick=%t", name, quick),
+		request: func() (string, string, []byte) {
+			return http.MethodGet, fmt.Sprintf("/experiments/%s?quick=%t", name, quick), nil
+		},
+		streams: true,
+		run: func(emit func(string, any)) ([]byte, error) {
+			var progress func(exp.Event)
+			if emit != nil {
+				progress = func(ev exp.Event) { emit(kindName(ev.Kind), eventPayload(ev)) }
+			}
+			return s.runExperiment(name, quick, progress)
+		},
 	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeBody(w, body, disposition)
 }
 
 // runExperiment executes one experiment on the engine, under the worker
-// pool. progress, if non-nil, receives the engine's events (delivery is the
-// engine's non-blocking bounded-buffer path).
-func (s *Server) runExperiment(ctx context.Context, name string, quick bool, progress func(exp.Event)) ([]byte, error) {
+// pool and the server's lifetime. progress, if non-nil, receives the
+// engine's events (delivery is the engine's non-blocking bounded-buffer
+// path).
+func (s *Server) runExperiment(name string, quick bool, progress func(exp.Event)) ([]byte, error) {
 	if err := s.acquire(); err != nil {
 		return nil, err
 	}
@@ -701,68 +502,11 @@ func (s *Server) runExperiment(ctx context.Context, name string, quick bool, pro
 	s.simulations.Add(1)
 	// WarmStart shares warmup checkpoints across the experiment's internal
 	// runs; the output is byte-identical to a cold engine run.
-	res, err := exp.Run(ctx, name, exp.Options{Quick: quick, Workers: 1, Progress: progress, WarmStart: true})
+	res, err := exp.Run(s.ctx, name, exp.Options{Quick: quick, Workers: 1, Progress: progress, WarmStart: true})
 	if err != nil {
 		return nil, err
 	}
 	return marshalExperiment(res, quick)
-}
-
-// streamExperiment runs an experiment through the same singleflight layer
-// as plain requests, bridging engine events to the client as NDJSON/SSE and
-// emitting the result (or error) as the final event. Only the flight leader
-// gets live progress events — a streaming client that joins someone else's
-// in-progress run receives keep-alives and then the shared result — and the
-// simulation itself runs detached under the server's lifetime, so the
-// cache/dedup/disconnect semantics are identical to POST /profile.
-func (s *Server) streamExperiment(st *streamer, r *http.Request, name string, quick bool, addr string) {
-	events := make(chan exp.Event, 8)
-	type outcome struct {
-		body []byte
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		body, err, leader := s.flights.do(r.Context(), addr, s.cachedRun(addr, nil, func() ([]byte, error) {
-			return s.runExperiment(s.ctx, name, quick, func(ev exp.Event) {
-				select {
-				case events <- ev:
-				default: // this handler may be gone; never block the engine
-				}
-			})
-		}))
-		if !leader {
-			s.dedups.Add(1)
-		}
-		done <- outcome{body, err}
-	}()
-	for {
-		select {
-		case ev := <-events:
-			st.event(kindName(ev.Kind), eventPayload(ev))
-		case out := <-done:
-			// Drain events the engine emitted before finishing, so the
-			// stream always shows the terminal event before the result.
-			for {
-				select {
-				case ev := <-events:
-					st.event(kindName(ev.Kind), eventPayload(ev))
-					continue
-				default:
-				}
-				break
-			}
-			if out.err != nil {
-				st.event("error", map[string]any{"error": out.err.Error(), "status": statusFor(out.err)})
-				return
-			}
-			st.event("result", json.RawMessage(out.body))
-			return
-		case <-time.After(15 * time.Second):
-			// Keep-alive for proxies while a long experiment runs.
-			st.comment("running")
-		}
-	}
 }
 
 // eventPayload projects an engine event into its wire form.

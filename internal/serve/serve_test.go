@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -790,5 +791,87 @@ func TestFlightGroupDedup(t *testing.T) {
 	}
 	if nLeaders != 1 {
 		t.Errorf("%d leaders, want 1", nLeaders)
+	}
+}
+
+// TestFlightGroupPanicContained: a panicking run becomes the flight's
+// error, is counted in /stats, and clears its key, so the next call runs
+// fresh instead of joining a flight that never finishes.
+func TestFlightGroupPanicContained(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	_, err, leader := s.flights.do(t.Context(), "k", func() ([]byte, error) { panic("boom") })
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking run: err = %v, want an error naming the panic", err)
+	}
+	if !leader {
+		t.Error("panicking run was not its own flight's leader")
+	}
+	if got := statusFor(err); got != http.StatusInternalServerError {
+		t.Errorf("status for a panic = %d, want 500", got)
+	}
+	body, err, leader := s.flights.do(t.Context(), "k", func() ([]byte, error) { return []byte("fresh"), nil })
+	if err != nil || string(body) != "fresh" || !leader {
+		t.Errorf("next do on the key = %q, %v, leader=%v; want a fresh run", body, err, leader)
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Panics int64 `json:"panics"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Panics != 1 {
+		t.Errorf("/stats panics = %d, want 1", out.Panics)
+	}
+}
+
+// TestStatsKeySet pins the key set of every /stats block on a server with
+// every layer enabled: the LRU, singleflight, ingest counters, the disk
+// store, the checkpoint pool and the replica ring.
+func TestStatsKeySet(t *testing.T) {
+	reps := newRing(t, 2, true)
+	resp, err := http.Get(reps[0].ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(m map[string]json.RawMessage) string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		slices.Sort(ks)
+		return strings.Join(ks, " ")
+	}
+	if got, want := keys(out), "cache checkpoints ingest panics peers simulations singleflight store workers"; got != want {
+		t.Errorf("top-level keys = %q, want %q", got, want)
+	}
+	blocks := map[string]string{
+		"cache":        "capacity entries evictions hits misses",
+		"singleflight": "deduplicated",
+		"ingest":       "drop_reasons files_parsed mappings other_records parse_failures samples_accepted samples_dropped samples_total",
+		"store": "bytes_read bytes_resident bytes_written corrupt_dropped dir entries hits max_bytes misses puts" +
+			" sweeps swept_bytes swept_objects write_once_rejected",
+		"checkpoints": "bytes captures entries evictions forks max_bytes",
+		"peers":       "fallbacks objects_served peer_fetches proxied replicas self",
+	}
+	for name, want := range blocks {
+		var block map[string]json.RawMessage
+		if err := json.Unmarshal(out[name], &block); err != nil {
+			t.Errorf("block %q: %v", name, err)
+			continue
+		}
+		if got := keys(block); got != want {
+			t.Errorf("block %q keys = %q, want %q", name, got, want)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"time"
 )
 
 // streamer writes progress events to a client as either NDJSON (one JSON
@@ -67,5 +69,64 @@ func (st *streamer) comment(text string) {
 func (st *streamer) flush() {
 	if st.fl != nil {
 		st.fl.Flush()
+	}
+}
+
+// stream is the one streaming bridge: the result alone on an LRU hit;
+// otherwise the accepted event (profiles), the run's events live from a
+// local flight (live events cannot cross a proxy hop), then the result or
+// error. Only the flight leader's run emits: a client that joins someone
+// else's flight receives keep-alives and then the shared result.
+func (s *Server) stream(st *streamer, ctx context.Context, j job) {
+	if body, ok := s.lookup(j.addr); ok {
+		st.event("result", json.RawMessage(body))
+		return
+	}
+	if j.workload != "" {
+		st.event("accepted", map[string]any{"address": j.addr, "workload": j.workload})
+	}
+	type event struct {
+		name string
+		data any
+	}
+	// A few events of slack let the run outpace a slow client write;
+	// past it emit drops events rather than stall the run.
+	events := make(chan event, 8)
+	emit := func(name string, data any) {
+		select {
+		case events <- event{name, data}:
+		default: // this handler may be gone; never block the run
+		}
+	}
+	type outcome struct {
+		body []byte
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		body, _, err := s.flight(ctx, j.addr, s.readThrough(j, emit))
+		done <- outcome{body, err}
+	}()
+	for {
+		select {
+		case ev := <-events:
+			st.event(ev.name, ev.data)
+		case out := <-done:
+			// Relay events the run emitted before it finished, so the
+			// stream always shows the last one before the result.
+			for len(events) > 0 {
+				ev := <-events
+				st.event(ev.name, ev.data)
+			}
+			if out.err != nil {
+				st.event("error", map[string]any{"error": out.err.Error(), "status": statusFor(out.err)})
+				return
+			}
+			st.event("result", json.RawMessage(out.body))
+			return
+		case <-time.After(15 * time.Second):
+			// Keep-alive for proxies while a long run goes on.
+			st.comment("running")
+		}
 	}
 }
