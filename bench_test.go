@@ -356,6 +356,87 @@ func benchPathTraces(b *testing.B, pairwise bool) {
 func BenchmarkPathTracesTimeMerge(b *testing.B) { benchPathTraces(b, false) }
 func BenchmarkPathTracesPairwise(b *testing.B)  { benchPathTraces(b, true) }
 
+// --- the §4.2 replay views: the working-set render on every cold
+// all-views request ---
+
+// replayAddressSet builds a synthetic address set of ~50k objects, 64–2048
+// bytes, in slab-like arenas whose freed slots are reused, with allocations
+// and frees interleaved, plus two path traces per type whose steps repeat
+// and overlap the way real traces do.
+func replayAddressSet() (*core.StaticProfile, map[*core.TypeDesc][]*core.PathTrace) {
+	rng := rand.New(rand.NewSource(1))
+	ts := core.NewTypeSet()
+	as := core.NewAddressSet()
+	traces := make(map[*core.TypeDesc][]*core.PathTrace)
+	type arena struct {
+		t    *core.TypeDesc
+		next uint64
+		free []uint64
+	}
+	var arenas []*arena
+	for i, size := range []uint64{64, 128, 192, 256, 512, 1024, 2048} {
+		t := ts.Intern("obj-"+strconv.Itoa(int(size)), "", size, size)
+		arenas = append(arenas, &arena{t: t, next: uint64(i+1) << 32})
+		for p := 0; p < 2; p++ {
+			tr := &core.PathTrace{Type: t, Count: 1, Frequency: 0.5}
+			for st := 0; st < 8; st++ {
+				lo := uint32(rng.Intn(int(size)))
+				tr.Steps = append(tr.Steps, core.PathStep{PC: sym.Intern("step"), OffLo: lo, OffHi: lo + 8 + uint32(rng.Intn(64))})
+			}
+			traces[t] = append(traces[t], tr)
+		}
+	}
+	type liveObj struct {
+		a    *arena
+		addr uint64
+	}
+	var live []liveObj
+	now := uint64(1)
+	for allocs := 0; allocs < 50_000; now += uint64(1 + rng.Intn(50)) {
+		if len(live) > 0 && rng.Intn(2) == 0 {
+			k := rng.Intn(len(live))
+			o := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			as.RecordFree(now, o.a.t, o.addr)
+			o.a.free = append(o.a.free, o.addr)
+			continue
+		}
+		a := arenas[rng.Intn(len(arenas))]
+		var addr uint64
+		if n := len(a.free); n > 0 && rng.Intn(4) != 0 {
+			addr, a.free = a.free[n-1], a.free[:n-1]
+		} else {
+			addr = a.next
+			a.next += a.t.ObjSize
+		}
+		as.RecordAlloc(now, 0, a.t, addr)
+		live = append(live, liveObj{a, addr})
+		allocs++
+	}
+	return core.NewStaticProfile(ts, nil, as, nil, cache.DefaultConfig(), cache.SingleSocket(16)), traces
+}
+
+// BenchmarkCacheResidency times the §4.2 LRU replay over ~50k objects.
+func BenchmarkCacheResidency(b *testing.B) {
+	src, _ := replayAddressSet()
+	b.ReportAllocs()
+	for b.Loop() {
+		core.CacheResidencyOf(src, core.DefaultReplayObjects)
+	}
+}
+
+// BenchmarkBuildWorkingSet times the §4.2 associativity-set histogram over
+// the same address set, offsets taken from the path traces.
+func BenchmarkBuildWorkingSet(b *testing.B) {
+	src, traces := replayAddressSet()
+	geo := core.GeometryFromCache(src.CacheConfig())
+	b.ReportAllocs()
+	for b.Loop() {
+		core.BuildWorkingSet(src.AddressSet(), traces, geo, core.DefaultReplayObjects)
+	}
+}
+
 // --- microbenchmarks of the substrate hot paths ---
 
 func BenchmarkSimAccess(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dprof/internal/cache"
 	"dprof/internal/sim"
 )
 
@@ -55,21 +56,57 @@ func TestCacheResidencyFreeRemovesLines(t *testing.T) {
 }
 
 func TestCacheResidencyEvictsAtCapacity(t *testing.T) {
-	c := newLRUCache(2)
-	c.insert(1, "a")
-	c.insert(2, "a")
-	c.insert(3, "b") // evicts line 1 (LRU)
+	const a, b = 0, 1 // type ids
+	c := newLRUCache(2, 2)
+	c.insert(1, 1, a)
+	c.insert(2, 2, a)
+	c.insert(3, 3, b) // evicts line 1 (LRU)
 	if c.evictions != 1 {
 		t.Fatalf("evictions = %d", c.evictions)
 	}
-	if c.byType["a"] != 1 || c.byType["b"] != 1 {
+	if c.byType[a] != 1 || c.byType[b] != 1 {
 		t.Fatalf("byType = %v", c.byType)
 	}
 	// Touch line 2 then insert: line 3 is now LRU.
-	c.insert(2, "a")
-	c.insert(4, "b")
-	if _, ok := c.entries[3]; ok {
+	c.insert(2, 2, a)
+	c.insert(4, 4, b)
+	if resident(c, 3) {
 		t.Fatal("LRU order not respected")
+	}
+	if !resident(c, 2) || !resident(c, 4) || c.resident != 2 {
+		t.Fatalf("resident lines wrong: 2=%v 4=%v n=%d", resident(c, 2), resident(c, 4), c.resident)
+	}
+	// A freed line leaves a slot the next insert reuses without evicting.
+	c.remove(2, 2)
+	c.insert(5, 5, a)
+	if c.evictions != 2 || len(c.slots) != 2 {
+		t.Fatalf("evictions = %d, slots = %d", c.evictions, len(c.slots))
+	}
+}
+
+// resident reports whether a line is in the replay cache.
+func resident(c *lruCache, line uint64) bool {
+	base, ok := c.lines.page(line>>6, false)
+	return ok && c.lines.cells[base+int32(line&63)] != 0
+}
+
+// TestCacheResidencyUsesConfiguredLineSize: the replay maps objects to lines
+// of the configured size, so a 256-byte object is 2 lines of 128 bytes.
+func TestCacheResidencyUsesConfiguredLineSize(t *testing.T) {
+	cfg := cache.DefaultConfig()
+	cfg.LineSize = 128
+	ts := NewTypeSet()
+	typ := ts.Intern("wide", "", 256, 256)
+	as := NewAddressSet()
+	as.AddStatic(typ, 0x10000)
+	// A type gets a row at the next event's accrual, so one more object.
+	as.AddStatic(ts.Intern("other", "", 64, 64), 0x20000)
+	v := CacheResidencyOf(NewStaticProfile(ts, nil, as, nil, cfg, cache.SingleSocket(1)), 0)
+	if len(v.Rows) != 1 || v.Rows[0].Type != "wide" || v.Rows[0].MaxLines != 2 || v.Rows[0].AvgLines != 2 {
+		t.Fatalf("rows = %+v, want one row of 2 lines", v.Rows)
+	}
+	if want := int((cfg.L2Size + cfg.L3Size) / 128); v.CapacityLines != want {
+		t.Fatalf("capacity = %d lines, want %d", v.CapacityLines, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -185,30 +186,46 @@ func BuildWorkingSet(addrs *AddressSet, traces map[*TypeDesc][]*PathTrace, geo G
 		})
 	}
 
-	// Per-type accessed-offset ranges, from path traces when available.
-	type offRange struct{ lo, hi uint64 }
-	rangesFor := func(t *TypeDesc) []offRange {
-		trs := traces[t]
-		if len(trs) == 0 {
-			return []offRange{{0, t.ObjSize}}
+	// Each type's accessed lines, reduced once to the sorted distinct
+	// line-aligned offsets its path-trace steps cover (its whole extent
+	// without traces). Distinct offsets land on distinct lines of any object.
+	type wsType struct {
+		offs []uint64
+		id   int32
+	}
+	byDesc := make(map[*TypeDesc]*wsType)
+	var types typeIDs
+	typeOf := func(t *TypeDesc) *wsType {
+		if wt, ok := byDesc[t]; ok {
+			return wt
 		}
-		var rs []offRange
-		for _, tr := range trs {
-			for _, st := range tr.Steps {
-				if st.Synthetic {
-					continue
-				}
-				rs = append(rs, offRange{uint64(st.OffLo), uint64(st.OffHi)})
+		wt := &wsType{id: types.id(t.Name)}
+		addRange := func(lo, hi uint64) {
+			for off := lo &^ (geo.LineSize - 1); off < hi; off += geo.LineSize {
+				wt.offs = append(wt.offs, off)
 			}
 		}
-		if len(rs) == 0 {
-			return []offRange{{0, t.ObjSize}}
+		traced := false
+		for _, tr := range traces[t] {
+			for _, st := range tr.Steps {
+				if !st.Synthetic {
+					traced = true
+					addRange(uint64(st.OffLo), uint64(st.OffHi))
+				}
+			}
 		}
-		return rs
+		if !traced {
+			addRange(0, t.ObjSize)
+		}
+		slices.Sort(wt.offs)
+		wt.offs = slices.Compact(wt.offs)
+		byDesc[t] = wt
+		return wt
 	}
-	rangeCache := make(map[*TypeDesc][]offRange)
 
-	perSet := make([]map[uint64]string, geo.Sets)
+	// Every distinct line any sampled object touches, named by the first
+	// object (in record order) to claim it: line -> type id+1.
+	lines := newLineTable()
 	objs := addrs.Objects()
 	step := 1
 	if maxObjects > 0 && len(objs) > maxObjects {
@@ -217,39 +234,47 @@ func BuildWorkingSet(addrs *AddressSet, traces map[*TypeDesc][]*PathTrace, geo G
 	for i := 0; i < len(objs); i += step {
 		rec := &objs[i]
 		v.SampledObjects++
-		rs, ok := rangeCache[rec.Type]
-		if !ok {
-			rs = rangesFor(rec.Type)
-			rangeCache[rec.Type] = rs
-		}
-		for _, r := range rs {
-			for off := r.lo &^ (geo.LineSize - 1); off < r.hi; off += geo.LineSize {
-				line := (rec.Addr + off) / geo.LineSize
-				set := int(line) & (geo.Sets - 1)
-				if perSet[set] == nil {
-					perSet[set] = make(map[uint64]string)
-				}
-				if _, dup := perSet[set][line]; !dup {
-					perSet[set][line] = rec.Type.Name
-				}
+		wt := typeOf(rec.Type)
+		base, page := int32(0), ^uint64(0)
+		for _, off := range wt.offs {
+			line := (rec.Addr + off) / geo.LineSize
+			if line>>6 != page {
+				page = line >> 6
+				base, _ = lines.page(page, true)
+			}
+			if cell := &lines.cells[base+int32(line&63)]; *cell == 0 {
+				*cell = wt.id + 1
+				v.LinesPerSet[int(line)&(geo.Sets-1)]++
 			}
 		}
 	}
 	var total int
-	for i, m := range perSet {
-		v.LinesPerSet[i] = len(m)
-		total += len(m)
+	for _, n := range v.LinesPerSet {
+		total += n
 	}
 	v.MeanLines = float64(total) / float64(geo.Sets)
 
 	threshold := 2 * v.MeanLines
-	for i, m := range perSet {
-		if float64(len(m)) > threshold && len(m) > geo.Ways {
-			st := AssocSetStat{Index: i, DistinctLines: len(m), ByType: make(map[string]int)}
-			for _, name := range m {
-				st.ByType[name]++
+	for i, n := range v.LinesPerSet {
+		if float64(n) > threshold && n > geo.Ways {
+			v.Overloaded = append(v.Overloaded, AssocSetStat{Index: i, DistinctLines: n, ByType: make(map[string]int)})
+		}
+	}
+	if len(v.Overloaded) > 0 {
+		// One pass over the claimed lines attributes the overloaded sets.
+		bySet := make([]*AssocSetStat, geo.Sets)
+		for i := range v.Overloaded {
+			bySet[v.Overloaded[i].Index] = &v.Overloaded[i]
+		}
+		for pi, page := range lines.pages {
+			for j, id := range lines.cells[pi*64 : pi*64+64] {
+				if id == 0 {
+					continue
+				}
+				if st := bySet[int(page<<6|uint64(j))&(geo.Sets-1)]; st != nil {
+					st.ByType[types.names[id-1]]++
+				}
 			}
-			v.Overloaded = append(v.Overloaded, st)
 		}
 	}
 	sort.Slice(v.Overloaded, func(i, j int) bool {
@@ -301,7 +326,7 @@ func (v *WorkingSetView) conflictShare(t *TypeDesc) float64 {
 	var total float64
 	for _, row := range v.Rows {
 		if row.Type == t {
-			total = float64(row.PeakBytes) / 64
+			total = float64(row.PeakBytes) / float64(v.Geometry.LineSize)
 			break
 		}
 	}

@@ -36,7 +36,7 @@ func runExtOracle(rc RunCfg) Result {
 		p := s.Profiler()
 		oracle = p.OracleWorkingSet()
 		est = p.WorkingSet()
-		replay = p.CacheResidency(200_000) // the §4.2 replay simulation
+		replay = p.CacheResidency(core.DefaultReplayObjects) // the §4.2 replay simulation
 		lineSize = float64(p.M.Hier.Config().LineSize)
 	})
 
