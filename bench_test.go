@@ -267,12 +267,13 @@ func BenchmarkServeDiskWarmProfile(b *testing.B) {
 	}
 }
 
-// --- ablation: directory vs snoop coherence lookup ---
+// --- directory coherence lookup ---
 
-func benchCoherence(b *testing.B, snoop bool) {
-	cfg := cache.DefaultConfig()
-	cfg.Snoop = snoop
-	h := cache.New(cfg, 16)
+// BenchmarkCoherenceDirectory measures the directory MESI hierarchy under a
+// 16-core random stream over 4 MB: the O(1) holder lookup is what keeps
+// 16-core simulations fast.
+func BenchmarkCoherenceDirectory(b *testing.B) {
+	h := cache.New(cache.DefaultConfig(), 16)
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]uint64, 4096)
 	for i := range addrs {
@@ -283,14 +284,6 @@ func benchCoherence(b *testing.B, snoop bool) {
 		h.Access(i%16, addrs[i%len(addrs)], i%3 == 0)
 	}
 }
-
-// BenchmarkCoherenceDirectory measures the default O(1) directory MESI.
-func BenchmarkCoherenceDirectory(b *testing.B) { benchCoherence(b, false) }
-
-// BenchmarkCoherenceSnoop measures the scan-all-caches alternative; the
-// results are identical (tested by TestQuickSnoopEquivalence) but the
-// directory is what keeps 16-core simulations fast.
-func BenchmarkCoherenceSnoop(b *testing.B) { benchCoherence(b, true) }
 
 // --- ablation: alien caches on the remote-free path ---
 

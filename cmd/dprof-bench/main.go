@@ -12,8 +12,9 @@
 //
 // Output is printed in the shape of the corresponding paper table/figure, in
 // request order regardless of -parallel; per-experiment progress streams to
-// stderr as experiments start and finish. EXPERIMENTS.md records a captured
-// run next to the paper's numbers.
+// stderr as experiments start and finish. -values adds each experiment's
+// measured values in machine-readable form, for comparison with the paper's
+// numbers.
 package main
 
 import (

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +23,7 @@ func writeFixture(t *testing.T) string {
 
 func TestIngestTextReport(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run(context.Background(), []string{
+	code := run([]string{
 		"-input", writeFixture(t), "-views", "dataprofile,missclass,dataflow",
 	}, &out, &errOut)
 	if code != 0 {
@@ -43,7 +42,7 @@ func TestIngestTextReport(t *testing.T) {
 func TestIngestJSONAndDiff(t *testing.T) {
 	fixture := writeFixture(t)
 	var out, errOut bytes.Buffer
-	if code := run(context.Background(), []string{"-input", fixture, "-json"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-input", fixture, "-json"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	doc, err := core.ParseDocument(out.Bytes())
@@ -61,7 +60,7 @@ func TestIngestJSONAndDiff(t *testing.T) {
 	// Self-diff of the saved document: all-zero deltas, exit 0.
 	out.Reset()
 	errOut.Reset()
-	if code := run(context.Background(), []string{"-input", fixture, "-diff", saved}, &out, &errOut); code != 0 {
+	if code := run([]string{"-input", fixture, "-diff", saved}, &out, &errOut); code != 0 {
 		t.Fatalf("diff exit %d: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "ring_buffer") {
@@ -71,7 +70,7 @@ func TestIngestJSONAndDiff(t *testing.T) {
 	// Sim-vs-ingested: the simulated run diffs against the saved real profile.
 	out.Reset()
 	errOut.Reset()
-	code := run(context.Background(), []string{
+	code := run([]string{
 		"-workload", "falseshare", "-measure-ms", "1", "-diff", saved,
 	}, &out, &errOut)
 	if code != 0 {
@@ -85,7 +84,7 @@ func TestIngestJSONAndDiff(t *testing.T) {
 func TestIngestPprofExport(t *testing.T) {
 	pb := filepath.Join(t.TempDir(), "out.pb.gz")
 	var out, errOut bytes.Buffer
-	code := run(context.Background(), []string{"-input", writeFixture(t), "-pprof", pb}, &out, &errOut)
+	code := run([]string{"-input", writeFixture(t), "-pprof", pb}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -132,7 +131,7 @@ func TestIngestErrors(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			var out, errOut bytes.Buffer
-			if code := run(context.Background(), tt.args, &out, &errOut); code != 2 {
+			if code := run(tt.args, &out, &errOut); code != 2 {
 				t.Fatalf("exit %d, want 2 (stderr: %s)", code, errOut.String())
 			}
 			for _, want := range tt.wantErrOut {

@@ -23,7 +23,8 @@
 //	dprof -workload falseshare -json > broken.json             # stable JSON (dprofd format)
 //	dprof -workload falseshare -padded -diff broken.json       # rank what the fix changed
 //	dprof -workload falseshare -cpuprofile cpu.pprof -memprofile heap.pprof
-//	dprof -experiment table6.1,table6.2 -parallel 2   # paper tables, via the engine
+//
+// Paper experiments run through cmd/dprof-bench.
 //
 // Real-hardware profiles ingest through -input and export through -pprof:
 //
@@ -35,13 +36,11 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -54,18 +53,15 @@ import (
 	"dprof/internal/app/workload"
 	"dprof/internal/cache"
 	"dprof/internal/core"
-	"dprof/internal/exp"
 	"dprof/internal/perfin"
 	"dprof/internal/pprofout"
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dprof", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -81,9 +77,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		diffPath     = fs.String("diff", "", "diff this run against a saved -json profile (file = baseline A, this run = B) and print the ranked per-type deltas")
 		list         = fs.Bool("list-workloads", false, "list registered workloads and their options")
 		sweep        = fs.String("sweep-topology", "", "comma list of SOCKETSxCORES layouts (e.g. 1x16,2x8,4x4): run the workload unprofiled on each topology and compare")
-		experiment   = fs.String("experiment", "", "run paper experiments instead of a workload (name, comma list, or 'all')")
-		quick        = fs.Bool("quick", false, "experiment mode: smaller workloads")
-		parallel     = fs.Int("parallel", 1, "experiment mode: experiments to run concurrently (0 = all cores)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of this run to the given file (go tool pprof)")
 		memProfile   = fs.String("memprofile", "", "write a heap profile at exit to the given file (go tool pprof)")
 		inputPath    = fs.String("input", "", "ingest a perf.data file (perf mem record) instead of running a workload; views, -type, -json, -diff, and -pprof apply to the ingested profile")
@@ -139,22 +132,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// a simulated workload; the analysis stack downstream is identical.
 	if *inputPath != "" {
 		return runIngest(stdout, stderr, *inputPath, *views, *typeName, *jsonOut, *diffPath, *pprofOut)
-	}
-
-	// Experiment mode delegates to the engine (same results as dprof-bench).
-	if *experiment != "" {
-		names, ok := exp.ParseNames(*experiment)
-		if !ok {
-			fmt.Fprintf(stderr, "dprof: no experiment names in %q\n", *experiment)
-			return 2
-		}
-		results, err := exp.RunAll(ctx, names, exp.Options{Quick: *quick, Workers: *parallel, WarmStart: true})
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		exp.WriteResults(stdout, results, false)
-		return 0
 	}
 
 	w, err := workload.Lookup(*workloadName)

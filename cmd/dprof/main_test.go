@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -33,12 +32,6 @@ func TestRunErrors(t *testing.T) {
 			args:       []string{"-views", "dataflow", "-type", "skbuf"},
 			wantCode:   2,
 			wantErrOut: []string{"unknown type", "skbuf", "skbuff"},
-		},
-		{
-			name:       "unknown experiment fails and prints the valid set",
-			args:       []string{"-experiment", "table9.9"},
-			wantCode:   1,
-			wantErrOut: []string{"unknown experiment", "table9.9", "table6.1"},
 		},
 		{
 			name:       "bad flag fails",
@@ -128,7 +121,7 @@ func TestRunErrors(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			var out, errOut strings.Builder
-			code := run(context.Background(), tt.args, &out, &errOut)
+			code := run(tt.args, &out, &errOut)
 			if code != tt.wantCode {
 				t.Fatalf("exit code = %d, want %d\nstdout:\n%s\nstderr:\n%s",
 					code, tt.wantCode, out.String(), errOut.String())
@@ -144,7 +137,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestListWorkloads(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run(context.Background(), []string{"-list-workloads"}, &out, &errOut)
+	code := run([]string{"-list-workloads"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr:\n%s", code, errOut.String())
 	}
@@ -160,7 +153,7 @@ func TestRunScenarioWorkload(t *testing.T) {
 		t.Skip("full workload run")
 	}
 	var out, errOut strings.Builder
-	code := run(context.Background(), []string{
+	code := run([]string{
 		"-workload", "trueshare", "-views", "dataprofile,missclass", "-lockstat", "-measure-ms", "1"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr:\n%s", code, errOut.String())
@@ -177,7 +170,7 @@ func TestRunMemcachedDataProfile(t *testing.T) {
 		t.Skip("full workload run")
 	}
 	var out, errOut strings.Builder
-	code := run(context.Background(), []string{"-workload", "memcached", "-measure-ms", "2"}, &out, &errOut)
+	code := run([]string{"-workload", "memcached", "-measure-ms", "2"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr:\n%s", code, errOut.String())
 	}
@@ -191,7 +184,7 @@ func TestRunTopologySweep(t *testing.T) {
 		t.Skip("full workload runs")
 	}
 	var out, errOut strings.Builder
-	code := run(context.Background(), []string{
+	code := run([]string{
 		"-workload", "numaremote", "-sweep-topology", "1x16,4x4", "-measure-ms", "1"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr:\n%s", code, errOut.String())
@@ -203,26 +196,12 @@ func TestRunTopologySweep(t *testing.T) {
 	}
 }
 
-func TestRunExperimentMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full quick experiment")
-	}
-	var out, errOut strings.Builder
-	code := run(context.Background(), []string{"-experiment", "table6.1", "-quick"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit code %d, stderr:\n%s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "=== table6.1") {
-		t.Errorf("experiment output missing:\n%s", out.String())
-	}
-}
-
 // TestJSONOutputMatchesDocumentFormat runs a tiny session with -json and
 // checks the output parses as the canonical profile document (the dprofd
 // POST /profile format) with the canonical options filled in.
 func TestJSONOutputMatchesDocumentFormat(t *testing.T) {
 	var stdout, stderr strings.Builder
-	code := run(context.Background(), []string{
+	code := run([]string{
 		"-workload", "falseshare", "-rate", "100000", "-measure-ms", "1", "-json",
 	}, &stdout, &stderr)
 	if code != 0 {
@@ -258,7 +237,7 @@ func TestJSONOutputMatchesDocumentFormat(t *testing.T) {
 // the paper's differential-analysis workflow end to end through the CLI.
 func TestDiffAgainstSavedProfile(t *testing.T) {
 	var saved, stderr strings.Builder
-	code := run(context.Background(), []string{
+	code := run([]string{
 		"-workload", "falseshare", "-rate", "100000", "-measure-ms", "1", "-json",
 	}, &saved, &stderr)
 	if code != 0 {
@@ -271,7 +250,7 @@ func TestDiffAgainstSavedProfile(t *testing.T) {
 
 	var stdout strings.Builder
 	stderr.Reset()
-	code = run(context.Background(), []string{
+	code = run([]string{
 		"-workload", "falseshare", "-padded", "-rate", "100000", "-measure-ms", "1",
 		"-diff", path, "-json",
 	}, &stdout, &stderr)
@@ -297,7 +276,7 @@ func TestDiffAgainstSavedProfile(t *testing.T) {
 	// Text mode renders the ranked table with the same suspect on top.
 	stdout.Reset()
 	stderr.Reset()
-	code = run(context.Background(), []string{
+	code = run([]string{
 		"-workload", "falseshare", "-padded", "-rate", "100000", "-measure-ms", "1",
 		"-diff", path,
 	}, &stdout, &stderr)
@@ -310,7 +289,7 @@ func TestDiffAgainstSavedProfile(t *testing.T) {
 
 	// A missing file is a usage error.
 	stderr.Reset()
-	if code := run(context.Background(), []string{
+	if code := run([]string{
 		"-workload", "falseshare", "-diff", filepath.Join(t.TempDir(), "nope.json"),
 	}, &stdout, &stderr); code != 2 {
 		t.Errorf("missing diff file: exit %d, want 2", code)
@@ -325,7 +304,7 @@ func TestSelfProfilingFlagsWriteProfiles(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	heap := filepath.Join(dir, "heap.pprof")
 	var stdout, stderr strings.Builder
-	code := run(context.Background(), []string{
+	code := run([]string{
 		"-workload", "falseshare", "-rate", "100000", "-measure-ms", "1",
 		"-cpuprofile", cpu, "-memprofile", heap,
 	}, &stdout, &stderr)
@@ -352,7 +331,7 @@ func TestSelfProfilingFlagsWriteProfiles(t *testing.T) {
 // summary to the text report.
 func TestWindowedTextReportListsWindows(t *testing.T) {
 	var stdout, stderr strings.Builder
-	code := run(context.Background(), []string{
+	code := run([]string{
 		"-workload", "falseshare", "-rate", "100000", "-measure-ms", "3", "-window-ms", "1",
 	}, &stdout, &stderr)
 	if code != 0 {

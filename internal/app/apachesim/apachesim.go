@@ -38,7 +38,9 @@ type Config struct {
 
 // Operating points for the two runs the paper profiles (§6.2): an offered
 // load just below the machine's capacity (peak) and one safely beyond it
-// (drop-off). Calibrated against the simulated machine; see EXPERIMENTS.md.
+// (drop-off). Calibrated against the simulated machine: `dprof-bench
+// -experiment table6.4,table6.5 -values` prints the throughput and the
+// tcp_sock working set and miss latency each point produces.
 const (
 	PeakOffered    = 65_000  // connections/s/core: ~80% utilization, shallow queues
 	DropOffOffered = 110_000 // connections/s/core: saturated, backlog pinned at the limit

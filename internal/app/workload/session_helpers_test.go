@@ -1,5 +1,7 @@
 package workload_test
 
+// Session helpers shared by the equivalence suites.
+
 import (
 	"bytes"
 	"testing"
@@ -7,12 +9,15 @@ import (
 	_ "dprof/internal/app/all" // register every workload
 	"dprof/internal/app/workload"
 	"dprof/internal/core"
+	"dprof/internal/sim"
 )
 
 // modeSession runs one workload at its defaults (quick fidelity) under a
-// full-view profiling session, with the engine's optimized hot paths or the
-// retained reference paths.
-func modeSession(name string, windowCycles uint64, reference bool) (*core.Session, error) {
+// full-view profiling session. With alwaysOn, a no-op always-on access hook
+// is registered before the session attaches its profilers, so every core
+// dispatches every access instead of skipping the ones no armed hook asked
+// for.
+func modeSession(name string, windowCycles uint64, alwaysOn bool) (*core.Session, error) {
 	w, err := workload.Lookup(name)
 	if err != nil {
 		return nil, err
@@ -21,8 +26,8 @@ func modeSession(name string, windowCycles uint64, reference bool) (*core.Sessio
 	if err != nil {
 		return nil, err
 	}
-	if reference {
-		inst.Machine().SetReference(true)
+	if alwaysOn {
+		inst.Machine().AddAccessHook(func(*sim.Ctx, *sim.AccessEvent) {})
 	}
 	win := w.Windows(true)
 	s, err := core.NewSession(inst, core.SessionConfig{
@@ -41,9 +46,9 @@ func modeSession(name string, windowCycles uint64, reference bool) (*core.Sessio
 }
 
 // runModeSession is modeSession for the test goroutine: errors fail the test.
-func runModeSession(t *testing.T, name string, windowCycles uint64, reference bool) *core.Session {
+func runModeSession(t *testing.T, name string, windowCycles uint64, alwaysOn bool) *core.Session {
 	t.Helper()
-	s, err := modeSession(name, windowCycles, reference)
+	s, err := modeSession(name, windowCycles, alwaysOn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,40 +97,5 @@ func compareSessions(t *testing.T, la, lb string, a, b *core.Session) {
 				t.Errorf("window %d %s view differs between %s and %s runs", i, view, la, lb)
 			}
 		}
-	}
-}
-
-// TestReferencePathEquivalence is the differential gate for the hot-path
-// optimizations (MRU fast path, armed hook dispatch, bypass-slot event
-// wheel): for every registered workload, the optimized engine must produce
-// byte-identical profiles — every view, every window snapshot, every run
-// value — to the retained reference paths, monolithic and windowed. CI runs
-// this under -race.
-func TestReferencePathEquivalence(t *testing.T) {
-	for _, name := range workload.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			w, err := workload.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			win := w.Windows(true)
-
-			t.Run("monolithic", func(t *testing.T) {
-				opt := runModeSession(t, name, 0, false)
-				ref := runModeSession(t, name, 0, true)
-				compareSessions(t, "reference", "optimized", ref, opt)
-			})
-			t.Run("windowed", func(t *testing.T) {
-				length := (win.Warmup + win.Measure) / 4
-				opt := runModeSession(t, name, length, false)
-				ref := runModeSession(t, name, length, true)
-				compareSessions(t, "reference", "optimized", ref, opt)
-				if len(opt.Windows()) < 2 {
-					t.Errorf("windowed run produced %d windows, want >= 2", len(opt.Windows()))
-				}
-			})
-		})
 	}
 }

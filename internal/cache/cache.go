@@ -99,11 +99,6 @@ type Config struct {
 	LatForeignRemote uint32
 	LatDRAM          uint32
 	LatDRAMRemote    uint32
-
-	// Snoop switches coherence lookups from the directory to scanning all
-	// other cores' private caches. Results are identical; this exists for
-	// the directory-vs-snoop ablation benchmark.
-	Snoop bool
 }
 
 // DefaultConfig returns the paper machine's geometry: 64 KB 2-way L1d and
@@ -364,17 +359,6 @@ const HomeGranule = 4096
 
 const homeGranuleShift = 12
 
-// mruLine is one core's private-line MRU filter entry: the line address the
-// core most recently hit in its private hierarchy. The fast path itself
-// self-validates against the L1/L2 sets (see fastHit), so the filter is a
-// precisely-maintained invariant rather than the gate: any foreign access
-// to the line — invalidation, downgrade to Shared — and any eviction from
-// the core's own L2 clears it, which the fastpath tests verify directly.
-type mruLine struct {
-	line  uint64
-	valid bool
-}
-
 // Hierarchy is the full simulated cache system.
 type Hierarchy struct {
 	cfg       Config
@@ -394,11 +378,6 @@ type Hierarchy struct {
 	// two migrate-on-hit paths, and invalidateL3).
 	l3pres *dirTable
 	stats  []Stats
-	// mru is the per-core private-line MRU filter (see mruLine); reference
-	// disables it (and keeps it cleared) so the equivalence suite can run
-	// the unfiltered paths.
-	mru       []mruLine
-	reference bool
 	// lat caches the per-level latency so hot paths index a table instead of
 	// switching, and hitCtr[core][lv] points at the Stats counter a hit at
 	// that level bumps (stats is allocated once and ResetStats overwrites
@@ -413,9 +392,6 @@ type Hierarchy struct {
 	// than a Go map because the DRAM-bound misses that dominate the slow
 	// path consult it on every fill.
 	homes *dirTable
-	// perSetFills counts L1 fills per set index, summed over cores. Used by
-	// tests and the conflict-miss ablation; cheap (one add per fill).
-	perSetFills []uint64
 }
 
 // New builds a single-socket hierarchy for n cores. It panics on invalid
@@ -474,7 +450,6 @@ func NewTopo(cfg Config, topo Topology) *Hierarchy {
 		dir:       newDirTable(1 << 16),
 		l3pres:    newDirTable(1 << 12),
 		stats:     make([]Stats, n),
-		mru:       make([]mruLine, n),
 		homes:     newDirTable(1 << 10),
 	}
 	h.lat = [NumLevels]uint32{
@@ -510,7 +485,6 @@ func NewTopo(cfg Config, topo Topology) *Hierarchy {
 		h.socket[i] = topo.SocketOf(i)
 		h.sockMask[h.socket[i]] |= 1 << uint(i)
 	}
-	h.perSetFills = make([]uint64, h.cores[0].l1.nsets())
 	return h
 }
 
@@ -566,28 +540,6 @@ func (h *Hierarchy) L1SetOf(addr uint64) int {
 	return int((addr >> h.lineShift) & h.cores[0].l1.setMask)
 }
 
-// holders returns the mask of cores whose private caches hold line.
-func (h *Hierarchy) holders(line uint64) uint64 {
-	if !h.cfg.Snoop {
-		return h.dir.get(line)
-	}
-	var mask uint64
-	for i := range h.cores {
-		if w := h.cores[i].l2.peek(line); w != nil {
-			mask |= 1 << uint(i)
-		}
-	}
-	return mask
-}
-
-// dropHolder removes core from line's holder set.
-func (h *Hierarchy) dropHolder(line uint64, core int) {
-	if h.cfg.Snoop {
-		return
-	}
-	h.dir.andNot(line, 1<<uint(core))
-}
-
 // evictPrivate handles a victim displaced from a core's private L2: the L1
 // copy must go too (inclusion), the directory forgets the core, and modified
 // data spills into the shared victim L3.
@@ -595,20 +547,9 @@ func (h *Hierarchy) evictPrivate(core int, v way) {
 	if v.state() == invalid {
 		return
 	}
-	if h.mru[core].line == v.line() {
-		// The evicted line leaves this core's private hierarchy entirely;
-		// its MRU filter entry (if it names this line) is no longer a hit.
-		h.mru[core].valid = false
-	}
 	h.cores[core].l1.invalidate(v.line())
-	var rest uint64
-	if h.cfg.Snoop {
-		rest = h.holders(v.line()) &^ (1 << uint(core))
-	} else {
-		// One directory probe both forgets the core and reports who is
-		// left, replacing the drop-then-recheck pair of probes.
-		rest = h.dir.andNot(v.line(), 1<<uint(core))
-	}
+	// One directory probe both forgets the core and reports who is left.
+	rest := h.dir.andNot(v.line(), 1<<uint(core))
 	l3 := &h.l3s[h.socket[core]] // victims spill into the evicting chip's L3
 	if v.state() == modified || v.state() == exclusive {
 		// AMD-style victim L3: private evictions (clean-exclusive or
@@ -643,7 +584,6 @@ func (h *Hierarchy) fill(core int, line uint64, st mesi) {
 		// was modified, L2 already tracks the line; keep its state.
 		_ = v
 	}
-	h.perSetFills[line&p.l1.setMask]++
 	// The directory already reflects this fill: slowAccess's fused miss
 	// probe (dir.swap / dir.fetchOr) wrote the core into the holder set
 	// before any fill path runs.
@@ -659,11 +599,6 @@ func (h *Hierarchy) invalidateOthers(line uint64, mask uint64) int {
 	for m := mask; m != 0; {
 		i := bits.TrailingZeros64(m)
 		m &^= 1 << uint(i)
-		if h.mru[i].line == line {
-			// Foreign write: the holder's fast-path filter must drop the
-			// line before its copy is killed.
-			h.mru[i].valid = false
-		}
 		p := &h.cores[i]
 		p.l1.invalidate(line)
 		if st := p.l2.invalidate(line); st != invalid {
@@ -683,26 +618,9 @@ func (h *Hierarchy) downgradeOthers(line uint64, mask uint64) {
 			continue
 		}
 		mask &^= 1 << uint(i)
-		if h.mru[i].line == line {
-			// Foreign read: the holder drops to Shared, which the fast path
-			// must not claim as a private M/E hit.
-			h.mru[i].valid = false
-		}
 		p := &h.cores[i]
 		p.l1.setState(line, shared)
 		p.l2.setState(line, shared)
-	}
-}
-
-// SetReference switches the hierarchy between the MRU-filtered fast path and
-// the retained reference path. Both produce identical results and identical
-// internal state evolution; reference mode exists for the equivalence suite.
-func (h *Hierarchy) SetReference(on bool) {
-	h.reference = on
-	if on {
-		for i := range h.mru {
-			h.mru[i] = mruLine{}
-		}
 	}
 }
 
@@ -711,10 +629,8 @@ func (h *Hierarchy) SetReference(on bool) {
 // split multi-line accesses (see sim.Ctx).
 func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	line := addr >> h.lineShift
-	if !h.reference {
-		if r, ok := h.fastHit(core, line, write); ok {
-			return r
-		}
+	if r, ok := h.fastHit(core, line, write); ok {
+		return r
 	}
 	return h.slowAccess(core, addr, line, write)
 }
@@ -724,16 +640,14 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 // move-to-front — decides whether the bank scans, directory probe, and
 // coherence branches of the slow path can matter. On a probe hit it replays
 // exactly the mutations the slow path would make: the per-bank LRU tick
-// bumps, the M-state transitions, the counters, and the MRU filter arming.
-// Reads are served from any valid state — an L1 read hit is state-blind,
-// and a line invalidated under a foreign write fails the state check.
-// Writes additionally need Modified/Exclusive at slot 0 of both levels (a
-// Shared write must pay the slow path's upgrade, and a write whose line
-// sits deeper in a set must pay the scans that move it up). The probe is
-// self-validating — correctness never depends on the MRU filter, which the
-// foreign-access paths nonetheless invalidate precisely so that it is a
-// checkable invariant (see MRUArmed and the fastpath tests). Any check
-// failing falls back to the slow path with no state touched.
+// bumps, the M-state transitions and the counters. Reads are served from
+// any valid state — an L1 read hit is state-blind, and a line invalidated
+// under a foreign write fails the state check. Writes additionally need
+// Modified/Exclusive at slot 0 of both levels (a Shared write must pay the
+// slow path's upgrade, and a write whose line sits deeper in a set must pay
+// the scans that move it up). The probe validates itself against the bank
+// contents; any check failing falls back to the slow path with no state
+// touched.
 func (h *Hierarchy) fastHit(core int, line uint64, write bool) (Result, bool) {
 	p := &h.cores[core]
 	base := line << 2
@@ -746,7 +660,6 @@ func (h *Hierarchy) fastHit(core int, line uint64, write bool) (Result, bool) {
 		st.Accesses++
 		p.l1.tick++
 		w1.lru = p.l1.tick
-		h.mru[core] = mruLine{line: line, valid: true}
 		st.L1Hits++
 		st.LatencySum += uint64(h.lat[L1Hit])
 		return Result{Level: L1Hit, Latency: h.lat[L1Hit]}, true
@@ -768,23 +681,12 @@ func (h *Hierarchy) fastHit(core int, line uint64, write bool) (Result, bool) {
 	w2.lru = p.l2.tick
 	w1.tag |= 3 // Exclusive or Modified -> Modified
 	w2.tag |= 3
-	h.mru[core] = mruLine{line: line, valid: true}
 	st.L1Hits++
 	st.LatencySum += uint64(h.lat[L1Hit])
 	return Result{Level: L1Hit, Latency: h.lat[L1Hit]}, true
 }
 
-// noteMRU records that core just completed a private hit on line in state st,
-// arming the fast-path filter for any valid state (fastHit itself gates
-// writes on Modified/Exclusive). Callers guarantee the line is at slot 0 of
-// the core's L1 set (move-to-front).
-func (h *Hierarchy) noteMRU(core int, line uint64, st mesi) {
-	if !h.reference && st != invalid {
-		h.mru[core] = mruLine{line: line, valid: true}
-	}
-}
-
-// slowAccess is the full access path (and, verbatim, the reference path).
+// slowAccess is the full access path.
 func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) Result {
 	p := &h.cores[core]
 	st := &h.stats[core]
@@ -803,29 +705,22 @@ func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) R
 	// whether core's own L1/L2 can hold the line (self bit — if clear, both
 	// private scans are skipped; the directory tracks L2, the inclusion
 	// root), and who the foreign sharers are (threaded to the upgrade and
-	// miss paths, which no longer re-probe). Snoop mode has no directory
-	// and keeps the scan-everything shape.
+	// miss paths, which no longer re-probe).
 	selfBit := uint64(1) << uint(core)
-	var others uint64
-	private := true
-	if !h.cfg.Snoop {
-		var old uint64
-		if write {
-			old = h.dir.swap(line, selfBit)
-		} else {
-			old = h.dir.fetchOr(line, selfBit)
-		}
-		others = old &^ selfBit
-		private = old&selfBit != 0
+	var old uint64
+	if write {
+		old = h.dir.swap(line, selfBit)
+	} else {
+		old = h.dir.fetchOr(line, selfBit)
 	}
-	if private {
+	others := old &^ selfBit
+	if old&selfBit != 0 {
 		if w1 := p.l1.lookup(line); w1 != nil {
 			if !write {
 				// A read hit in L1 is the overwhelmingly common case and, as
 				// on real hardware, is invisible to L2 (no LRU touch — the
 				// L1 filters it). Inclusion keeps states in sync on the
 				// write paths, which still consult L2.
-				h.noteMRU(core, line, w1.state())
 				st.L1Hits++
 				st.LatencySum += uint64(h.cfg.LatL1)
 				return Result{Level: L1Hit, Latency: h.cfg.LatL1}
@@ -842,7 +737,6 @@ func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) R
 			if v := p.l1.insert(line, stCopy); v.state() != invalid && v.line() != line {
 				_ = v // victim stays in L2 (inclusive)
 			}
-			h.perSetFills[line&p.l1.setMask]++
 			w1 := p.l1.lookup(line)
 			return h.hitUpgrade(core, line, w1, w2, L2Hit, h.cfg.LatL2, write, others)
 		}
@@ -852,9 +746,6 @@ func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) R
 	// the same chip supplies the line at the on-chip cost; otherwise the
 	// transfer crosses the chip interconnect.
 	socket := h.socket[core]
-	if h.cfg.Snoop {
-		others = h.holders(line) &^ selfBit
-	}
 	if others != 0 {
 		lv, lat := ForeignHit, h.cfg.LatForeign
 		if others&h.sockMask[socket] == 0 {
@@ -946,17 +837,11 @@ func (h *Hierarchy) finish(core int, st *Stats, lv Level, lat uint32) Result {
 
 // hitUpgrade completes a private-cache hit. A write to a Shared line must
 // still invalidate the other copies ("upgrade"), which costs a coherence
-// round trip.
-// hitUpgrade completes a private-cache hit. others is the holder set
-// excluding core that slowAccess's up-front directory probe returned;
-// under Snoop there is no directory and the (rare) shared-upgrade branch
-// scans for sharers itself.
+// round trip. others is the holder set excluding core that slowAccess's
+// up-front directory probe returned.
 func (h *Hierarchy) hitUpgrade(core int, line uint64, w1, w2 *way, lv Level, lat uint32, write bool, others uint64) Result {
 	st := &h.stats[core]
 	if !write {
-		if w1 != nil {
-			h.noteMRU(core, line, w2.state())
-		}
 		return h.finish(core, st, lv, lat)
 	}
 	switch w2.state() {
@@ -964,7 +849,6 @@ func (h *Hierarchy) hitUpgrade(core int, line uint64, w1, w2 *way, lv Level, lat
 		w2.setState(modified)
 		if w1 != nil {
 			w1.setState(modified)
-			h.noteMRU(core, line, modified)
 		}
 		return h.finish(core, st, lv, lat)
 	default: // shared: upgrade
@@ -972,14 +856,10 @@ func (h *Hierarchy) hitUpgrade(core int, line uint64, w1, w2 *way, lv Level, lat
 		// sharer on another chip pushes the upgrade to the cross-chip cost.
 		// The directory already holds the post-upgrade state (core as sole
 		// holder) from slowAccess's swap; only the losers' banks remain.
-		if h.cfg.Snoop {
-			others = h.holders(line) &^ (1 << uint(core))
-		}
 		killed := h.invalidateOthers(line, others)
 		w2.setState(modified)
 		if w1 != nil {
 			w1.setState(modified)
-			h.noteMRU(core, line, modified)
 		}
 		st.Upgrades++
 		st.InvalsSent += uint64(killed)
@@ -1006,7 +886,7 @@ func (h *Hierarchy) Probe(core int, addr uint64) Level {
 	if w := p.l2.peek(line); w != nil {
 		return L2Hit
 	}
-	if others := h.holders(line) &^ (1 << uint(core)); others != 0 {
+	if others := h.dir.get(line) &^ (1 << uint(core)); others != 0 {
 		if others&h.sockMask[socket] != 0 {
 			return ForeignHit
 		}
@@ -1124,16 +1004,6 @@ func (h *Hierarchy) ResetStats() {
 	for i := range h.stats {
 		h.stats[i] = Stats{}
 	}
-	for i := range h.perSetFills {
-		h.perSetFills[i] = 0
-	}
-}
-
-// PerSetFills returns the cumulative L1 fill count per set index (all cores).
-func (h *Hierarchy) PerSetFills() []uint64 {
-	out := make([]uint64, len(h.perSetFills))
-	copy(out, h.perSetFills)
-	return out
 }
 
 // Latency returns the configured latency for a level (a precomputed table
@@ -1148,9 +1018,6 @@ func (h *Hierarchy) Latency(lv Level) uint32 {
 // checkInvariants validates MESI single-writer and inclusion properties.
 // It is exported through an internal test hook only.
 func (h *Hierarchy) checkInvariants() error {
-	if h.cfg.Snoop {
-		return nil
-	}
 	// Collect every valid private line per core from L2 (inclusion root).
 	type holder struct {
 		core int

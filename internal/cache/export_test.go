@@ -3,10 +3,3 @@ package cache
 // CheckInvariants exposes the internal consistency checker to tests: MESI
 // single-writer, L1⊆L2 inclusion, and directory accuracy.
 func (h *Hierarchy) CheckInvariants() error { return h.checkInvariants() }
-
-// MRUArmed reports whether core's fast-path MRU filter is armed on the line
-// containing addr (tests of the invalidation paths).
-func (h *Hierarchy) MRUArmed(core int, addr uint64) bool {
-	f := h.mru[core]
-	return f.valid && f.line == addr>>h.lineShift
-}

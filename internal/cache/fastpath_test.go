@@ -1,53 +1,18 @@
 package cache
 
-// Tests for the private-line MRU fast path: when it arms, when foreign
-// accesses and evictions disarm it, and that the filtered hierarchy evolves
-// byte-identically to the reference (unfiltered) hierarchy.
+// Tests for the private-line fast path: a line it served as a private hit
+// must fall back to the slow path once a foreign access or an eviction has
+// changed the line's state. The oracle differential (oracle_test.go) covers
+// the fast path's results on every access.
 
-import (
-	"math/rand"
-	"testing"
-)
-
-func fastPathPair(n int) (opt, ref *Hierarchy) {
-	cfg := DefaultConfig()
-	opt = New(cfg, n)
-	ref = New(cfg, n)
-	ref.SetReference(true)
-	return opt, ref
-}
-
-func TestFastPathArmsOnPrivateHit(t *testing.T) {
-	h := New(DefaultConfig(), 2)
-	const addr = 0x4000
-	h.Access(0, addr, true) // cold write: fill Modified, no private hit yet
-	if h.MRUArmed(0, addr) {
-		t.Fatal("filter armed by a fill (no private hit yet)")
-	}
-	h.Access(0, addr, false) // L1 hit in M: arms
-	if !h.MRUArmed(0, addr) {
-		t.Fatal("filter not armed by an M-state L1 hit")
-	}
-	if r := h.Access(0, addr, false); r.Level != L1Hit {
-		t.Fatalf("fast-path read level = %v, want L1", r.Level)
-	}
-	if r := h.Access(0, addr, true); r.Level != L1Hit {
-		t.Fatalf("fast-path write level = %v, want L1", r.Level)
-	}
-}
+import "testing"
 
 func TestFastPathInvalidatedByForeignWrite(t *testing.T) {
 	h := New(DefaultConfig(), 2)
 	const addr = 0x4000
 	h.Access(0, addr, true)
-	h.Access(0, addr, true) // private M hit: arms
-	if !h.MRUArmed(0, addr) {
-		t.Fatal("filter not armed")
-	}
+	h.Access(0, addr, true) // private M hit
 	h.Access(1, addr, true) // foreign write invalidates core 0's copy
-	if h.MRUArmed(0, addr) {
-		t.Fatal("filter still armed after foreign write invalidated the line")
-	}
 	// Core 0 must now pay the foreign transfer, not a phantom L1 hit.
 	if r := h.Access(0, addr, false); r.Level != ForeignHit {
 		t.Fatalf("post-invalidation access level = %v, want foreign", r.Level)
@@ -64,14 +29,8 @@ func TestFastPathInvalidatedByForeignRead(t *testing.T) {
 	h := New(DefaultConfig(), 2)
 	const addr = 0x8000
 	h.Access(0, addr, true)
-	h.Access(0, addr, false) // arms in M
-	if !h.MRUArmed(0, addr) {
-		t.Fatal("filter not armed")
-	}
+	h.Access(0, addr, false) // private hit in M
 	h.Access(1, addr, false) // foreign read downgrades core 0 to Shared
-	if h.MRUArmed(0, addr) {
-		t.Fatal("filter still armed after downgrade to Shared")
-	}
 	// A write by core 0 must now take the slow upgrade path and invalidate
 	// core 1's copy.
 	h.Access(0, addr, true)
@@ -91,82 +50,18 @@ func TestFastPathInvalidatedByEviction(t *testing.T) {
 	h := New(cfg, 1)
 	const addr = 0x10000
 	h.Access(0, addr, true)
-	h.Access(0, addr, true) // arms
-	if !h.MRUArmed(0, addr) {
-		t.Fatal("filter not armed")
-	}
-	// Thrash the line's L2 set until the armed line is evicted: lines that
+	h.Access(0, addr, true) // private M hit
+	// Thrash the line's L2 set until the line is evicted: lines that
 	// map to the same L2 set differ by l2Sets * lineSize strides.
 	l2Sets := cfg.L2Size / cfg.LineSize / uint64(cfg.L2Ways)
 	stride := l2Sets * cfg.LineSize
 	for i := 1; i <= cfg.L2Ways+1; i++ {
 		h.Access(0, addr+uint64(i)*stride, true)
 	}
-	if h.MRUArmed(0, addr) {
-		t.Fatal("filter still armed after the line was evicted from L2")
-	}
 	if lv := h.Probe(0, addr); lv == L1Hit || lv == L2Hit {
 		t.Fatalf("line still private after conflict thrash: %v", lv)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFastPathReferenceEquivalenceRandom(t *testing.T) {
-	// Differential fuzz: an identical random access stream must produce an
-	// identical Result sequence, identical per-core counters, and identical
-	// invariant-checked state with the fast path on and off.
-	const cores = 4
-	opt, ref := fastPathPair(cores)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 200_000; i++ {
-		core := rng.Intn(cores)
-		// A small footprint with heavy reuse so all paths fire: private
-		// re-hits (fast path), sharing, upgrades, conflict evictions.
-		addr := uint64(rng.Intn(1<<14)) &^ 7
-		write := rng.Intn(3) == 0
-		ro := opt.Access(core, addr, write)
-		rr := ref.Access(core, addr, write)
-		if ro != rr {
-			t.Fatalf("access %d (core %d addr %#x write %v): optimized %+v != reference %+v",
-				i, core, addr, write, ro, rr)
-		}
-	}
-	for c := 0; c < cores; c++ {
-		if opt.CoreStats(c) != ref.CoreStats(c) {
-			t.Fatalf("core %d stats diverged:\noptimized %+v\nreference %+v",
-				c, opt.CoreStats(c), ref.CoreStats(c))
-		}
-	}
-	if err := opt.CheckInvariants(); err != nil {
-		t.Fatalf("optimized invariants: %v", err)
-	}
-	if err := ref.CheckInvariants(); err != nil {
-		t.Fatalf("reference invariants: %v", err)
-	}
-}
-
-func TestFastPathReferenceEquivalenceConflictHeavy(t *testing.T) {
-	// Same differential, but with a strided pattern engineered to evict
-	// constantly (exercising the eviction invalidation path and LRU-tick
-	// exactness rather than steady-state hits).
-	const cores = 2
-	opt, ref := fastPathPair(cores)
-	cfg := opt.Config()
-	l1Sets := cfg.L1Size / cfg.LineSize / uint64(cfg.L1Ways)
-	stride := l1Sets * cfg.LineSize
-	for i := 0; i < 50_000; i++ {
-		core := i % cores
-		addr := uint64(i%8) * stride // 8 ways fighting over 2-way L1 sets
-		write := i%2 == 0
-		ro := opt.Access(core, addr, write)
-		rr := ref.Access(core, addr, write)
-		if ro != rr {
-			t.Fatalf("access %d: optimized %+v != reference %+v", i, ro, rr)
-		}
-	}
-	if opt.Totals() != ref.Totals() {
-		t.Fatalf("totals diverged:\noptimized %+v\nreference %+v", opt.Totals(), ref.Totals())
 	}
 }

@@ -3,23 +3,22 @@ package cache
 // Checkpoint is a deep copy of every piece of mutable hierarchy state: the
 // packed ways of every bank (private L1/L2 pairs and the per-socket victim
 // L3s, LRU ticks included), the coherence directory, the L3 presence index,
-// the page-home table, the per-core counters, the MRU fast-path filters, and
-// the per-set fill histogram. It is immutable once taken: Restore copies out
-// of it, so one checkpoint can seed any number of restores.
+// the page-home table and the per-core counters. It is immutable once taken:
+// Restore copies out of it, so one checkpoint can seed any number of
+// restores.
 //
 // Geometry (config, topology, latency tables, hit-counter pointers) is not
 // captured — a checkpoint may only be restored into the hierarchy it was
-// taken from, which Restore does in place so the pointers the hierarchy
-// handed out (hitCtr, stats aliases) stay valid.
+// taken from or one built with the same config and topology, which Restore
+// does in place so the pointers the hierarchy handed out (hitCtr, stats
+// aliases) stay valid.
 type Checkpoint struct {
-	cores       []priv // banks hold copied way slices
-	l3s         []bank
-	dir         dirState
-	l3pres      dirState
-	homes       dirState
-	stats       []Stats
-	mru         []mruLine
-	perSetFills []uint64
+	cores  []priv // banks hold copied way slices
+	l3s    []bank
+	dir    dirState
+	l3pres dirState
+	homes  dirState
+	stats  []Stats
 }
 
 // dirState is a copied dirTable.
@@ -60,14 +59,12 @@ func (b *bank) restoreFrom(cp *bank) {
 // Checkpoint deep-copies the hierarchy's mutable state.
 func (h *Hierarchy) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
-		cores:       make([]priv, len(h.cores)),
-		l3s:         make([]bank, len(h.l3s)),
-		dir:         checkpointDir(h.dir),
-		l3pres:      checkpointDir(h.l3pres),
-		homes:       checkpointDir(h.homes),
-		stats:       append([]Stats(nil), h.stats...),
-		mru:         append([]mruLine(nil), h.mru...),
-		perSetFills: append([]uint64(nil), h.perSetFills...),
+		cores:  make([]priv, len(h.cores)),
+		l3s:    make([]bank, len(h.l3s)),
+		dir:    checkpointDir(h.dir),
+		l3pres: checkpointDir(h.l3pres),
+		homes:  checkpointDir(h.homes),
+		stats:  append([]Stats(nil), h.stats...),
 	}
 	for i := range h.cores {
 		cp.cores[i] = priv{
@@ -84,10 +81,7 @@ func (h *Hierarchy) Checkpoint() *Checkpoint {
 // Restore rewinds the hierarchy to the checkpointed state. It writes in
 // place — the stats slice, bank way arrays, and counter pointers keep their
 // identity — and copies out of the checkpoint, so the same checkpoint can be
-// restored any number of times. The reference/fast-path mode is runtime
-// state, not simulated state, and is left as-is (the MRU filter contents are
-// restored, matching the mode the checkpoint was taken under; SetReference
-// clears them when switching).
+// restored any number of times.
 func (h *Hierarchy) Restore(cp *Checkpoint) {
 	if len(cp.cores) != len(h.cores) || len(cp.l3s) != len(h.l3s) {
 		panic("cache: checkpoint restored into a different hierarchy")
@@ -103,8 +97,6 @@ func (h *Hierarchy) Restore(cp *Checkpoint) {
 	cp.l3pres.restore(h.l3pres)
 	cp.homes.restore(h.homes)
 	copy(h.stats, cp.stats)
-	copy(h.mru, cp.mru)
-	copy(h.perSetFills, cp.perSetFills)
 }
 
 // Bytes estimates the checkpoint's resident size, for checkpoint-pool
@@ -119,7 +111,5 @@ func (cp *Checkpoint) Bytes() uint64 {
 	}
 	n += uint64(len(cp.dir.entries)+len(cp.l3pres.entries)+len(cp.homes.entries)) * 16
 	n += uint64(len(cp.stats)) * uint64(14*8)
-	n += uint64(len(cp.mru)) * 16
-	n += uint64(len(cp.perSetFills)) * 8
 	return n
 }

@@ -1,8 +1,8 @@
 // Package exp regenerates every table and figure from the paper's evaluation
 // (§6). Each experiment builds the workload, attaches the relevant profiler
 // (DProf, lock-stat, or OProfile), runs the simulation, and renders output in
-// the shape of the paper's table or figure. EXPERIMENTS.md records measured
-// values next to the paper's.
+// the shape of the paper's table or figure; `dprof-bench -values` prints
+// each experiment's measured values in machine-readable form.
 //
 // Experiments execute on the engine in engine.go: Run and RunAll dispatch
 // any subset onto a bounded worker pool with context cancellation, streamed

@@ -115,8 +115,8 @@ func collectAllSingles(sets int, quick bool) []collectOutcome {
 
 // runTable67 regenerates Table 6.7: per-type history counts, sets,
 // collection time, and overhead. The paper collects 32-80 sets; the
-// simulated machine collects fewer (documented in EXPERIMENTS.md) — the
-// comparison is the per-type *ordering* of times and overheads.
+// simulated machine collects fewer (one or two, to keep the run short), so
+// the comparison is the per-type *ordering* of times and overheads.
 func runTable67(rc RunCfg) Result {
 	quick := rc.Quick
 	sets := 2

@@ -84,7 +84,8 @@ func NewIBS(m *sim.Machine) *IBS {
 	}
 	// Armed registration: between sample deadlines the machine skips event
 	// population and the call entirely; onAccess keeps its own guard, which
-	// is what runs on the reference path.
+	// is what runs when an always-on hook makes the machine deliver every
+	// access.
 	m.AddArmedAccessHook(u.onAccess, sim.HookArm{NextTime: u.nextArm})
 	m.AddSnapshotter(u)
 	return u

@@ -1,9 +1,9 @@
 package sim
 
 // Tests for the hot-path machinery this package optimizes: the bypass-slot
-// event wheel (batched same-core dispatch) and armed hook dispatch. Every
-// ordering test also runs the reference (pure-heap, always-dispatch) mode and
-// requires identical behavior.
+// event wheel (batched same-core dispatch) and armed hook dispatch. The
+// ordering tests pin the exact dispatch order; wheel_oracle_test.go checks
+// the wheel against a naive sorted queue on random schedules.
 
 import (
 	"reflect"
@@ -12,22 +12,13 @@ import (
 	"dprof/internal/sym"
 )
 
-// runBothModes executes build+run against an optimized and a reference
-// machine and returns both observation logs.
-func runBothModes(t *testing.T, cores int, drive func(m *Machine, log *[]string)) (opt, ref []string) {
-	t.Helper()
-	for _, reference := range []bool{false, true} {
-		m := testMachine(cores)
-		m.SetReference(reference)
-		var log []string
-		drive(m, &log)
-		if reference {
-			ref = log
-		} else {
-			opt = log
-		}
-	}
-	return opt, ref
+// runLog executes drive against a fresh machine and returns its
+// observation log.
+func runLog(cores int, drive func(m *Machine, log *[]string)) []string {
+	m := testMachine(cores)
+	var log []string
+	drive(m, &log)
+	return log
 }
 
 func TestBypassSlotEqualTimestampFIFO(t *testing.T) {
@@ -48,13 +39,10 @@ func TestBypassSlotEqualTimestampFIFO(t *testing.T) {
 		}
 		m.RunAll()
 	}
-	opt, ref := runBothModes(t, 1, drive)
+	got := runLog(1, drive)
 	want := []string{"a", "b", "c", "a2"}
-	if !reflect.DeepEqual(opt, want) {
-		t.Fatalf("optimized order = %v, want %v", opt, want)
-	}
-	if !reflect.DeepEqual(opt, ref) {
-		t.Fatalf("optimized %v != reference %v", opt, ref)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 }
 
@@ -96,28 +84,29 @@ func TestPendingCountsBypassSlot(t *testing.T) {
 
 func TestLargeSameCycleFanIn(t *testing.T) {
 	// A large burst of same-cycle events across all cores must run in exact
-	// schedule order in both modes.
+	// schedule order.
 	const burst = 256
 	drive := func(m *Machine, log *[]string) {
 		for i := 0; i < burst; i++ {
-			id := string(rune('A' + i%26))
+			id := itoa(uint64(i))
 			m.Schedule(i%m.NumCores(), 1000, func(*Ctx) { *log = append(*log, id) })
 		}
 		m.RunAll()
 	}
-	opt, ref := runBothModes(t, 8, drive)
-	if len(opt) != burst {
-		t.Fatalf("dispatched %d events, want %d", len(opt), burst)
+	got := runLog(8, drive)
+	want := make([]string, burst)
+	for i := range want {
+		want[i] = itoa(uint64(i))
 	}
-	if !reflect.DeepEqual(opt, ref) {
-		t.Fatalf("fan-in order diverged between optimized and reference")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fan-in order = %v, want schedule order", got)
 	}
 }
 
 func TestWindowBoundariesInterleaveWithBatchedDispatch(t *testing.T) {
 	// Chained same-core continuations (the pattern the bypass slot batches)
 	// crossing window boundaries: every boundary must still fire before the
-	// first event at or past it, in both modes.
+	// first event at or past it.
 	drive := func(m *Machine, log *[]string) {
 		m.SetWindowTicks(100, func(b uint64) {
 			*log = append(*log, "tick@"+itoa(b))
@@ -134,18 +123,15 @@ func TestWindowBoundariesInterleaveWithBatchedDispatch(t *testing.T) {
 		m.Schedule(0, 0, step)
 		m.RunAll()
 	}
-	opt, ref := runBothModes(t, 1, drive)
+	got := runLog(1, drive)
 	want := []string{
 		"task@0", "task@60",
 		"tick@100", "task@120", "task@180",
 		"tick@200", "task@240",
 		"tick@300", "task@300", "task@360",
 	}
-	if !reflect.DeepEqual(opt, want) {
-		t.Fatalf("optimized interleaving = %v, want %v", opt, want)
-	}
-	if !reflect.DeepEqual(opt, ref) {
-		t.Fatalf("optimized %v != reference %v", opt, ref)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("interleaving = %v, want %v", got, want)
 	}
 }
 
@@ -191,15 +177,18 @@ func TestArmedHookSkipsUnsampledAccesses(t *testing.T) {
 }
 
 func TestArmedDispatchMatchesReference(t *testing.T) {
-	// The same arming logic driven through optimized and reference dispatch
-	// must deliver the identical sample sequence.
+	// The same arming logic must deliver the identical sample sequence
+	// whether the machine skips undelivered accesses (armed dispatch) or
+	// dispatches every access because an always-on hook is registered too.
 	type delivery struct {
 		time uint64
 		addr uint64
 	}
-	run := func(reference bool) []delivery {
+	run := func(alwaysOn bool) []delivery {
 		m := testMachine(2)
-		m.SetReference(reference)
+		if alwaysOn {
+			m.AddAccessHook(func(*Ctx, *AccessEvent) {})
+		}
 		var got []delivery
 		next := []uint64{500, 500}
 		m.AddArmedAccessHook(func(c *Ctx, ev *AccessEvent) {
@@ -220,11 +209,11 @@ func TestArmedDispatchMatchesReference(t *testing.T) {
 		m.RunAll()
 		return got
 	}
-	opt, ref := run(false), run(true)
-	if !reflect.DeepEqual(opt, ref) {
-		t.Fatalf("armed deliveries diverged: optimized %d samples, reference %d", len(opt), len(ref))
+	armed, always := run(false), run(true)
+	if !reflect.DeepEqual(armed, always) {
+		t.Fatalf("armed deliveries diverged: armed %d samples, always-on %d", len(armed), len(always))
 	}
-	if len(opt) == 0 {
+	if len(armed) == 0 {
 		t.Fatal("no samples delivered")
 	}
 }

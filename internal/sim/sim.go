@@ -216,13 +216,9 @@ type eventWheel struct {
 	// slot costs a heap push plus a heap pop per task; with it, the
 	// continuation drops into the slot and is popped back out untouched.
 	// Invariant: when hasNext is set, next is less (by (t, seq)) than every
-	// heap entry, so pop order is exactly the reference heap order.
+	// heap entry, so pop order is exactly (t, seq) order.
 	next    event
 	hasNext bool
-
-	// reference disables the bypass slot (every event goes through the
-	// heap), for the optimized-vs-reference equivalence suite.
-	reference bool
 
 	// Window boundary ticks: winFn fires at every multiple of winLen before
 	// any event at or past that boundary is dispatched (see SetWindowTicks).
@@ -235,10 +231,6 @@ type eventWheel struct {
 func (w *eventWheel) schedule(t uint64, core int, fn TaskFunc) {
 	w.seq++
 	e := event{t: t, seq: w.seq, core: core, fn: fn}
-	if w.reference {
-		w.events.push(e)
-		return
-	}
 	if w.hasNext {
 		if e.less(w.next) {
 			// The newcomer is the new minimum; demote the old slot holder.
@@ -288,18 +280,6 @@ func (w *eventWheel) pop() event {
 	return w.events.pop()
 }
 
-// setReference switches the wheel between bypass-slot and pure-heap
-// scheduling. Enabling reference mode drains the slot into the heap so no
-// pending event is lost.
-func (w *eventWheel) setReference(on bool) {
-	w.reference = on
-	if on && w.hasNext {
-		w.events.push(w.next)
-		w.next = event{}
-		w.hasNext = false
-	}
-}
-
 // setWindowTicks installs or clears the periodic boundary callback.
 func (w *eventWheel) setWindowTicks(length uint64, fn func(boundary uint64)) {
 	if length == 0 || fn == nil {
@@ -340,12 +320,6 @@ type Machine struct {
 	ranges      []WatchRange
 	workHooks   []WorkHook
 
-	// reference selects the retained pre-optimization dispatch paths: every
-	// access dispatches to every hook, and the event wheel runs pure-heap.
-	// The differential equivalence suite runs both modes and requires
-	// byte-identical output.
-	reference bool
-
 	// Overhead tallies profiling costs by category; Table 6.9 reports the
 	// breakdown. Categories used: "interrupt", "memory", "communication".
 	Overhead map[string]uint64
@@ -385,21 +359,6 @@ func New(cfg Config) *Machine {
 	}
 	return m
 }
-
-// SetReference switches the machine (and its hierarchy and event wheel)
-// between the optimized hot paths and the retained reference paths. Both
-// produce byte-identical simulations; reference mode exists so
-// TestReferencePathEquivalence and the hot-path tests can prove that. It is
-// runtime state, not configuration: it must never influence results.
-func (m *Machine) SetReference(on bool) {
-	m.reference = on
-	m.wheel.setReference(on)
-	m.Hier.SetReference(on)
-	m.Rearm()
-}
-
-// Reference reports whether the machine runs the reference paths.
-func (m *Machine) Reference() bool { return m.reference }
 
 // NumCores returns the number of cores.
 func (m *Machine) NumCores() int { return len(m.cores) }
@@ -472,19 +431,9 @@ func (m *Machine) Rearm() {
 }
 
 // rearmCore recomputes one core's arm time: the minimum over every armed
-// hook's next-access deadline. In reference mode (or with any always-on hook
-// registered) the core is permanently armed.
+// hook's next-access deadline. With any always-on hook registered the core
+// is permanently armed.
 func (m *Machine) rearmCore(c *Core) {
-	if m.reference {
-		// Reference dispatch is the pre-optimization gate: dispatch on every
-		// access whenever any hook is registered.
-		if len(m.accessHooks) > 0 || len(m.workHooks) > 0 {
-			c.hookArm = ArmAlways
-		} else {
-			c.hookArm = ArmNever
-		}
-		return
-	}
 	if m.alwaysOn > 0 {
 		c.hookArm = ArmAlways
 		return

@@ -91,8 +91,7 @@ type coreState struct {
 	draws   uint64
 }
 
-// wheelState is the event wheel's snapshot. The reference flag is runtime
-// mode, not simulated state, and is not captured.
+// wheelState is the event wheel's snapshot.
 type wheelState struct {
 	events  eventHeap
 	seq     uint64
@@ -178,7 +177,6 @@ func (m *Machine) Snapshot() *Snapshot {
 // restored verbatim rather than recomputed — Rearm would consult the hooks'
 // current arming state, which the Snapshotter restores only afterwards; the
 // captured values are by construction what a cold run had at this instant.
-// The reference/fast-path mode is runtime state and keeps its current value.
 func (m *Machine) Restore(s *Snapshot) {
 	m.wheel.events = append(m.wheel.events[:0], s.wheel.events...)
 	m.wheel.seq = s.wheel.seq
@@ -188,13 +186,6 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.wheel.winLen = s.wheel.winLen
 	m.wheel.winNext = s.wheel.winNext
 	m.wheel.winFn = s.wheel.winFn
-	if m.wheel.reference && m.wheel.hasNext {
-		// Reference mode keeps everything in the heap; drain the restored
-		// bypass slot so the invariant holds in either mode.
-		m.wheel.events.push(m.wheel.next)
-		m.wheel.next = event{}
-		m.wheel.hasNext = false
-	}
 	for i, cs := range s.cores {
 		c := m.cores[i]
 		c.now = cs.now
