@@ -458,6 +458,26 @@ func BenchmarkSimAccessHooked(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointRestore times one fork's cache rewind: restoring a
+// warmup checkpoint of a lightly filled 16-core hierarchy after a measured
+// phase has run on past it. The restore must not allocate.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	h := cache.New(cache.DefaultConfig(), 16)
+	rng := rand.New(rand.NewSource(1))
+	access := func(n int) {
+		for i := 0; i < n; i++ {
+			h.Access(rng.Intn(16), uint64(rng.Intn(1<<22)), rng.Intn(3) == 0)
+		}
+	}
+	access(50_000)
+	cp := h.Checkpoint()
+	access(50_000)
+	b.ReportAllocs()
+	for b.Loop() {
+		h.Restore(cp)
+	}
+}
+
 func BenchmarkAllocFree(b *testing.B) {
 	scfg := sim.DefaultConfig()
 	scfg.Cores = 1

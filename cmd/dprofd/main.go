@@ -57,6 +57,26 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// Connection timeouts. A client has readHeaderTimeout to send its request
+// headers, so a stalled or slow-loris connection cannot hold a goroutine
+// forever, and a keep-alive connection idle for idleTimeout is closed.
+// There is deliberately no WriteTimeout (nor ReadTimeout, which would bound
+// uploads): NDJSON/SSE streams and 60 s simulations outlive any fixed
+// deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's http.Server for handler.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dprofd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -117,7 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dprofd: %v\n", err)
 		return 1
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -14,6 +14,26 @@ import (
 	"time"
 )
 
+// TestHTTPServerTimeouts: the daemon's server bounds header reads and idle
+// keep-alive connections, and sets no read or write deadline that would cut
+// off an upload, a stream or a long simulation.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.Handler == nil {
+		t.Fatal("server has no handler")
+	}
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadHeaderTimeout > time.Minute {
+		t.Errorf("ReadHeaderTimeout = %v, want a bound within a minute", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want a bound", hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout/WriteTimeout = %v/%v, want none: streams and 60 s simulations outlive them",
+			hs.ReadTimeout, hs.WriteTimeout)
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run(context.Background(), []string{"-no-such-flag"}, &out, &errOut); code != 2 {

@@ -874,38 +874,6 @@ func (h *Hierarchy) hitUpgrade(core int, line uint64, w1, w2 *way, lv Level, lat
 	}
 }
 
-// Probe reports where an access by core to addr *would* hit, without changing
-// any state. Intended for tests and assertions.
-func (h *Hierarchy) Probe(core int, addr uint64) Level {
-	line := addr >> h.lineShift
-	p := &h.cores[core]
-	socket := h.socket[core]
-	if w := p.l1.peek(line); w != nil {
-		return L1Hit
-	}
-	if w := p.l2.peek(line); w != nil {
-		return L2Hit
-	}
-	if others := h.dir.get(line) &^ (1 << uint(core)); others != 0 {
-		if others&h.sockMask[socket] != 0 {
-			return ForeignHit
-		}
-		return ForeignRemote
-	}
-	if w := h.l3s[socket].peek(line); w != nil {
-		return L3Hit
-	}
-	for s := range h.l3s {
-		if s != socket && h.l3s[s].peek(line) != nil {
-			return ForeignRemote
-		}
-	}
-	if h.isRemoteHome(addr, socket) {
-		return DRAMRemote
-	}
-	return DRAM
-}
-
 // peek is lookup without LRU side effects.
 func (b *bank) peek(line uint64) *way {
 	set := b.set(line)

@@ -228,102 +228,3 @@ func (d *dirTable) forEach(fn func(line, mask uint64)) {
 		}
 	}
 }
-
-// lineSet is an open-addressed set of line addresses, used as a presence
-// index in front of wide (16/32-way) cache banks: a miss resolves with one
-// hash probe instead of scanning every way of the set. Same layout rules as
-// dirTable: keys are line+1 so 0 means empty, linear probing, backward-shift
-// deletion.
-type lineSet struct {
-	keys  []uint64
-	mask  uint64
-	n     int
-	shift uint
-}
-
-func newLineSet() *lineSet {
-	const size = 1 << 10
-	return &lineSet{keys: make([]uint64, size), mask: size - 1, shift: shiftFor(size)}
-}
-
-func (s *lineSet) slot(key uint64) uint64 { return (key * dirHashMul) >> s.shift }
-
-func (s *lineSet) has(line uint64) bool {
-	key := line + 1
-	for i := s.slot(key); ; i = (i + 1) & s.mask {
-		k := s.keys[i]
-		if k == key {
-			return true
-		}
-		if k == 0 {
-			return false
-		}
-	}
-}
-
-// add inserts line; it is idempotent.
-func (s *lineSet) add(line uint64) {
-	key := line + 1
-	for i := s.slot(key); ; i = (i + 1) & s.mask {
-		k := s.keys[i]
-		if k == key {
-			return
-		}
-		if k == 0 {
-			s.keys[i] = key
-			s.n++
-			if uint64(s.n)*4 > uint64(len(s.keys))*3 {
-				s.grow()
-			}
-			return
-		}
-	}
-}
-
-// del removes line if present (backward-shift deletion).
-func (s *lineSet) del(line uint64) {
-	key := line + 1
-	i := s.slot(key)
-	for {
-		k := s.keys[i]
-		if k == key {
-			break
-		}
-		if k == 0 {
-			return
-		}
-		i = (i + 1) & s.mask
-	}
-	s.n--
-	for {
-		s.keys[i] = 0
-		j := i
-		for {
-			j = (j + 1) & s.mask
-			k := s.keys[j]
-			if k == 0 {
-				return
-			}
-			ideal := s.slot(k)
-			if (j-ideal)&s.mask >= (j-i)&s.mask {
-				s.keys[i] = k
-				i = j
-				break
-			}
-		}
-	}
-}
-
-func (s *lineSet) grow() {
-	old := s.keys
-	size := uint64(len(old)) * 2
-	s.keys = make([]uint64, size)
-	s.mask = size - 1
-	s.shift = shiftFor(size)
-	s.n = 0
-	for _, k := range old {
-		if k != 0 {
-			s.add(k - 1)
-		}
-	}
-}

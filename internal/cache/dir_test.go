@@ -54,37 +54,6 @@ func TestDirTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestLineSetMatchesMap does the same for the bank presence index.
-func TestLineSetMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := newLineSet()
-	ref := map[uint64]bool{}
-	const lines = 2048
-	for i := 0; i < 200_000; i++ {
-		line := uint64(rng.Intn(lines))
-		switch rng.Intn(3) {
-		case 0:
-			s.add(line)
-			ref[line] = true
-		case 1:
-			s.del(line)
-			delete(ref, line)
-		case 2:
-			if got, want := s.has(line), ref[line]; got != want {
-				t.Fatalf("step %d: has(%d) = %v, want %v", i, line, got, want)
-			}
-		}
-	}
-	for line := uint64(0); line < lines; line++ {
-		if got, want := s.has(line), ref[line]; got != want {
-			t.Fatalf("final: has(%d) = %v, want %v", line, got, want)
-		}
-	}
-	if s.n != len(ref) {
-		t.Fatalf("lineSet.n = %d, map has %d", s.n, len(ref))
-	}
-}
-
 // TestLineZeroIsValid guards the key-is-line+1 encoding: line 0 must be
 // storable and distinguishable from empty slots.
 func TestLineZeroIsValid(t *testing.T) {
@@ -96,14 +65,5 @@ func TestLineZeroIsValid(t *testing.T) {
 	d.set(0, 0)
 	if got := d.get(0); got != 0 {
 		t.Fatalf("after delete, get(0) = %#x", got)
-	}
-	s := newLineSet()
-	s.add(0)
-	if !s.has(0) {
-		t.Fatal("lineSet lost line 0")
-	}
-	s.del(0)
-	if s.has(0) {
-		t.Fatal("lineSet kept deleted line 0")
 	}
 }

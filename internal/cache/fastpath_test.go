@@ -58,8 +58,10 @@ func TestFastPathInvalidatedByEviction(t *testing.T) {
 	for i := 1; i <= cfg.L2Ways+1; i++ {
 		h.Access(0, addr+uint64(i)*stride, true)
 	}
-	if lv := h.Probe(0, addr); lv == L1Hit || lv == L2Hit {
-		t.Fatalf("line still private after conflict thrash: %v", lv)
+	for _, lc := range residents(h, addr) {
+		if lc.Core == 0 {
+			t.Fatalf("line still private after conflict thrash: %+v", lc)
+		}
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)

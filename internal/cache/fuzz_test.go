@@ -79,9 +79,11 @@ func FuzzHierarchyOracle(f *testing.F) {
 
 // FuzzSnapshotRestore checkpoints a hierarchy at a fuzz-chosen point of a
 // decoded stream, then restores the checkpoint into the same hierarchy
-// (after running on past it) and into a freshly built one. Replaying the
-// suffix on either must give the Results and counters of the uninterrupted
-// run. at picks the snapshot point, scaled to the stream length.
+// (after running on past it) and into a freshly built one. Right after the
+// restore, either must hold exactly the oracle's resident lines at the
+// checkpoint; replaying the suffix on either must give the Results and
+// counters of the uninterrupted run. at picks the snapshot point, scaled to
+// the stream length.
 func FuzzSnapshotRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, at byte, data []byte) {
 		cfg, topo, ops := decodeStream(data)
@@ -108,11 +110,22 @@ func FuzzSnapshotRestore(f *testing.F) {
 		h.Restore(cp)
 		fresh := cache.NewTopo(cfg, topo)
 		fresh.Restore(cp)
+		o := newOracle(cfg, topo)
+		for _, x := range ops[:cut] {
+			if x.home >= 0 {
+				o.setPageHome(x.addr, x.home)
+			} else {
+				o.access(x.core, x.addr, x.write)
+			}
+		}
 		for _, side := range []struct {
 			name string
 			h    *cache.Hierarchy
 		}{{"same", h}, {"fresh", fresh}} {
 			name, r := side.name, side.h
+			if err := checkContents(r, o); err != nil {
+				t.Fatalf("%s hierarchy: restore at op %d: %v", name, cut, err)
+			}
 			got := run(r, ops[cut:])
 			for i := range want {
 				if got[i] != want[i] {

@@ -8,8 +8,10 @@ package cache_test
 // and has no fast path, no packing and no directory.
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dprof/internal/cache"
@@ -282,6 +284,68 @@ func (o *oracle) finish(c *oracleCore, lv cache.Level, lat uint32) cache.Result 
 	return cache.Result{Level: lv, Latency: lat}
 }
 
+// contents lists the oracle's resident lines the way Hierarchy.Contents
+// reports them — every core's private lines (L2 is the inclusion root) and
+// every socket's L3 lines — sorted by compareContent.
+func (o *oracle) contents() []cache.LineContent {
+	var out []cache.LineContent
+	for i, c := range o.cores {
+		for line := range c.lines {
+			out = append(out, cache.LineContent{Core: i, Socket: c.socket, Addr: line << o.shift})
+		}
+	}
+	for s, b := range o.l3 {
+		for _, set := range b.sets {
+			for _, line := range set {
+				out = append(out, cache.LineContent{Core: -1, Socket: s, Addr: line << o.shift})
+			}
+		}
+	}
+	slices.SortFunc(out, compareContent)
+	return out
+}
+
+// occupancy counts the oracle's resident lines per socket.
+func (o *oracle) occupancy() []cache.SocketUsage {
+	out := make([]cache.SocketUsage, len(o.l3))
+	for s, b := range o.l3 {
+		out[s].Socket = s
+		for _, set := range b.sets {
+			out[s].L3Lines += len(set)
+		}
+	}
+	for _, c := range o.cores {
+		out[c.socket].PrivateLines += len(c.lines)
+	}
+	return out
+}
+
+func compareContent(a, b cache.LineContent) int {
+	return cmp.Or(cmp.Compare(a.Core, b.Core), cmp.Compare(a.Socket, b.Socket), cmp.Compare(a.Addr, b.Addr))
+}
+
+// checkContents compares the hierarchy's Contents, as a sorted set, and its
+// SocketOccupancy with the oracle's resident lines: the state the
+// working-set views read.
+func checkContents(h *cache.Hierarchy, o *oracle) error {
+	got, want := h.Contents(), o.contents()
+	slices.SortFunc(got, compareContent)
+	for i := 0; i < len(got) || i < len(want); i++ {
+		switch {
+		case i == len(got):
+			return fmt.Errorf("contents: oracle also holds %+v", want[i])
+		case i == len(want):
+			return fmt.Errorf("contents: hierarchy also holds %+v", got[i])
+		case got[i] != want[i]:
+			return fmt.Errorf("contents differ at entry %d of %d: hierarchy %+v, oracle %+v", i, len(want), got[i], want[i])
+		}
+	}
+	if g, w := h.SocketOccupancy(), o.occupancy(); !slices.Equal(g, w) {
+		return fmt.Errorf("socket occupancy: hierarchy %+v, oracle %+v", g, w)
+	}
+	return nil
+}
+
 // op is one step of a differential stream: an access, or (home >= 0) a
 // page-home assignment for addr.
 type op struct {
@@ -394,6 +458,7 @@ func randomOps(rng *rand.Rand, cfg cache.Config, topo cache.Topology, n int) []o
 	return ops
 }
 
+// runOps runs ops through the pair, then compares the resident lines.
 func runOps(t *testing.T, p *pair, ops []op) {
 	t.Helper()
 	for _, x := range ops {
@@ -401,14 +466,17 @@ func runOps(t *testing.T, p *pair, ops []op) {
 			t.Fatal(err)
 		}
 	}
+	if err := checkContents(p.h, p.o); err != nil {
+		t.Fatalf("after %d accesses: %v", p.n, err)
+	}
 }
 
 // TestOracleRandomTopologies runs random streams over random topologies
 // (1x1 up to 4x4, plus one 64-core machine) and random small geometries,
-// comparing every Result and every core's counters after every access. The
-// first round on each topology also checks the hierarchy's invariants after
-// every access; that check scans the whole directory table, so its streams
-// are shorter.
+// comparing every Result and every core's counters after every access, and
+// the resident lines at the end of each round. The first round on each
+// topology also checks the hierarchy's invariants after every access; that
+// check scans the whole directory table, so its streams are shorter.
 func TestOracleRandomTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n, checked := 20_000, 1_000

@@ -73,7 +73,7 @@ func recordWorkload(t *testing.T, name string, prefix int) (*sim.Machine, []acce
 // TestOracleWorkloadStreams replays a prefix of every registered workload's
 // quick run through the oracle, built with the workload's cache
 // configuration and topology, and requires the recorded Result of every
-// access and every core's counters at the cut.
+// access, and every core's counters and the resident lines at the cut.
 func TestOracleWorkloadStreams(t *testing.T) {
 	prefix := 1_000_000
 	if testing.Short() {
@@ -99,6 +99,9 @@ func TestOracleWorkloadStreams(t *testing.T) {
 				if got, want := m.Hier.CoreStats(c), o.cores[c].stats; got != want {
 					t.Fatalf("core %d stats after %d accesses:\nhierarchy %+v\noracle    %+v", c, len(rec), got, want)
 				}
+			}
+			if err := checkContents(m.Hier, o); err != nil {
+				t.Fatalf("after %d accesses: %v", len(rec), err)
 			}
 			t.Logf("%d accesses agree", len(rec))
 		})

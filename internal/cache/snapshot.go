@@ -1,11 +1,19 @@
 package cache
 
-// Checkpoint is a deep copy of every piece of mutable hierarchy state: the
-// packed ways of every bank (private L1/L2 pairs and the per-socket victim
-// L3s, LRU ticks included), the coherence directory, the L3 presence index,
-// the page-home table and the per-core counters. It is immutable once taken:
-// Restore copies out of it, so one checkpoint can seed any number of
-// restores.
+import "unsafe"
+
+// Checkpoint records the hierarchy's mutable state sparsely: only what is
+// live. For each bank (every core's L1 and L2, every socket's victim L3) it
+// keeps the LRU tick and the valid ways with their slot index; for the
+// coherence directory, the L3 presence index and the page-home table it
+// keeps the table size, mask, count and shift and the used entries with
+// their slot index; and it keeps the per-core counters. Slot positions are
+// exact, so move-to-front order and the table layout come back bit for bit.
+// Invalid ways and empty entries come back as zero, which is safe because
+// no probe or fill reads an invalid way's tag or lru.
+//
+// A checkpoint is immutable once taken: Restore copies out of it, so one
+// checkpoint can seed any number of restores.
 //
 // Geometry (config, topology, latency tables, hit-counter pointers) is not
 // captured — a checkpoint may only be restored into the hierarchy it was
@@ -13,74 +21,138 @@ package cache
 // does in place so the pointers the hierarchy handed out (hitCtr, stats
 // aliases) stay valid.
 type Checkpoint struct {
-	cores  []priv // banks hold copied way slices
-	l3s    []bank
-	dir    dirState
-	l3pres dirState
-	homes  dirState
+	cores  []privState
+	l3s    []bankState
+	dir    tableState
+	l3pres tableState
+	homes  tableState
 	stats  []Stats
 }
 
-// dirState is a copied dirTable.
-type dirState struct {
-	entries []dirEntry
-	mask    uint64
-	n       int
-	shift   uint
+// sparse holds the live elements of a dense array and their slot indices.
+type sparse[T any] struct {
+	slots []uint32
+	vals  []T
 }
 
-func checkpointDir(d *dirTable) dirState {
-	return dirState{
-		entries: append([]dirEntry(nil), d.entries...),
-		mask:    d.mask,
-		n:       d.n,
-		shift:   d.shift,
+// makeSparse returns a sparse array of n elements, sized exactly so Bytes
+// can count lengths.
+func makeSparse[T any](n int) sparse[T] {
+	return sparse[T]{slots: make([]uint32, n), vals: make([]T, n)}
+}
+
+// scatter zeroes dense and writes the saved elements back to their slots.
+func (s *sparse[T]) scatter(dense []T) {
+	clear(dense)
+	for i, slot := range s.slots {
+		dense[slot] = s.vals[i]
 	}
 }
 
-func (s *dirState) restore(d *dirTable) {
-	d.entries = append([]dirEntry(nil), s.entries...)
+func (s *sparse[T]) bytes() uint64 {
+	var zero T
+	return uint64(len(s.slots))*uint64(unsafe.Sizeof(uint32(0))) +
+		uint64(len(s.vals))*uint64(unsafe.Sizeof(zero))
+}
+
+// bankState is a bank's tick and valid ways.
+type bankState struct {
+	tick uint64
+	ways sparse[way]
+}
+
+type privState struct {
+	l1, l2 bankState
+}
+
+// captureBank copies b's valid ways. The copy loop is branch-free, because
+// valid and invalid ways interleave unpredictably in a warmed bank: every
+// way is written at the next free position, which advances only past a
+// valid one.
+func captureBank(b *bank) bankState {
+	n := 0
+	for i := range b.ways {
+		n += b.ways[i].valid()
+	}
+	ways := makeSparse[way](n)
+	for i, k := 0, 0; k < n; i++ {
+		w := b.ways[i]
+		ways.slots[k], ways.vals[k] = uint32(i), w
+		k += w.valid()
+	}
+	return bankState{tick: b.tick, ways: ways}
+}
+
+// valid is 1 for a way in any valid state, else 0.
+func (w way) valid() int { return int((w.tag | w.tag>>1) & 1) }
+
+func (b *bank) restoreFrom(s *bankState) {
+	s.ways.scatter(b.ways)
+	b.tick = s.tick
+}
+
+// tableState is a dirTable's shape and used entries.
+type tableState struct {
+	size    int
+	mask    uint64
+	n       int
+	shift   uint
+	entries sparse[dirEntry]
+}
+
+// captureTable copies d's shape and used entries, branch-free like
+// captureBank.
+func captureTable(d *dirTable) tableState {
+	entries := makeSparse[dirEntry](d.n)
+	for i, k := 0, 0; k < d.n; i++ {
+		e := d.entries[i]
+		entries.slots[k], entries.vals[k] = uint32(i), e
+		if e.key != 0 {
+			k++
+		}
+	}
+	return tableState{size: len(d.entries), mask: d.mask, n: d.n, shift: d.shift, entries: entries}
+}
+
+// restore rewrites d in place. It allocates only when d's table is not the
+// checkpointed size: it grew after the capture, or d is a fresh table.
+func (s *tableState) restore(d *dirTable) {
+	if len(d.entries) != s.size {
+		d.entries = make([]dirEntry, s.size)
+	}
+	s.entries.scatter(d.entries)
 	d.mask = s.mask
 	d.n = s.n
 	d.shift = s.shift
 }
 
-func checkpointBank(b *bank) bank {
-	cp := *b
-	cp.ways = append([]way(nil), b.ways...)
-	return cp
-}
-
-func (b *bank) restoreFrom(cp *bank) {
-	copy(b.ways, cp.ways)
-	b.tick = cp.tick
-}
-
-// Checkpoint deep-copies the hierarchy's mutable state.
+// Checkpoint captures the hierarchy's live state.
 func (h *Hierarchy) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
-		cores:  make([]priv, len(h.cores)),
-		l3s:    make([]bank, len(h.l3s)),
-		dir:    checkpointDir(h.dir),
-		l3pres: checkpointDir(h.l3pres),
-		homes:  checkpointDir(h.homes),
+		cores:  make([]privState, len(h.cores)),
+		l3s:    make([]bankState, len(h.l3s)),
+		dir:    captureTable(h.dir),
+		l3pres: captureTable(h.l3pres),
+		homes:  captureTable(h.homes),
 		stats:  append([]Stats(nil), h.stats...),
 	}
 	for i := range h.cores {
-		cp.cores[i] = priv{
-			l1: checkpointBank(&h.cores[i].l1),
-			l2: checkpointBank(&h.cores[i].l2),
+		cp.cores[i] = privState{
+			l1: captureBank(&h.cores[i].l1),
+			l2: captureBank(&h.cores[i].l2),
 		}
 	}
 	for s := range h.l3s {
-		cp.l3s[s] = checkpointBank(&h.l3s[s])
+		cp.l3s[s] = captureBank(&h.l3s[s])
 	}
 	return cp
 }
 
 // Restore rewinds the hierarchy to the checkpointed state. It writes in
-// place — the stats slice, bank way arrays, and counter pointers keep their
-// identity — and copies out of the checkpoint, so the same checkpoint can be
+// place — the stats slice, bank way arrays, tables and counter pointers keep
+// their identity — by clearing every live array and scattering the saved
+// entries back, and it allocates nothing unless a table grew after the
+// capture. It copies out of the checkpoint, so the same checkpoint can be
 // restored any number of times.
 func (h *Hierarchy) Restore(cp *Checkpoint) {
 	if len(cp.cores) != len(h.cores) || len(cp.l3s) != len(h.l3s) {
@@ -99,17 +171,16 @@ func (h *Hierarchy) Restore(cp *Checkpoint) {
 	copy(h.stats, cp.stats)
 }
 
-// Bytes estimates the checkpoint's resident size, for checkpoint-pool
-// budgeting. The bank way arrays dominate.
+// Bytes is the checkpoint's exact resident size, for checkpoint-pool
+// budgeting: the lengths of its sparse slices and its counters times their
+// element sizes.
 func (cp *Checkpoint) Bytes() uint64 {
-	n := uint64(0)
+	n := cp.dir.entries.bytes() + cp.l3pres.entries.bytes() + cp.homes.entries.bytes()
 	for i := range cp.cores {
-		n += uint64(len(cp.cores[i].l1.ways)+len(cp.cores[i].l2.ways)) * 16
+		n += cp.cores[i].l1.ways.bytes() + cp.cores[i].l2.ways.bytes()
 	}
 	for s := range cp.l3s {
-		n += uint64(len(cp.l3s[s].ways)) * 16
+		n += cp.l3s[s].ways.bytes()
 	}
-	n += uint64(len(cp.dir.entries)+len(cp.l3pres.entries)+len(cp.homes.entries)) * 16
-	n += uint64(len(cp.stats)) * uint64(14*8)
-	return n
+	return n + uint64(len(cp.stats))*uint64(unsafe.Sizeof(Stats{}))
 }

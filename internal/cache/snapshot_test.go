@@ -1,0 +1,108 @@
+package cache
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// warmHierarchy drives h with n random accesses over a footprint of lines
+// lines, so that banks, directory and L3 presence all hold entries.
+func warmHierarchy(h *Hierarchy, rng *rand.Rand, n, lines int) {
+	for i := 0; i < n; i++ {
+		h.Access(rng.Intn(h.NumCores()), uint64(rng.Intn(lines))*h.cfg.LineSize, rng.Intn(3) == 0)
+	}
+}
+
+// TestRestoreAllocatesNothing: when no table grew after the capture, a
+// restore rewrites the live arrays in place without allocating.
+func TestRestoreAllocatesNothing(t *testing.T) {
+	h := NewTopo(DefaultConfig(), Topology{Sockets: 2, CoresPerSocket: 8})
+	rng := rand.New(rand.NewSource(3))
+	for p := uint64(0); p < 64; p++ {
+		h.SetPageHome(p*HomeGranule, int(p%2))
+	}
+	warmHierarchy(h, rng, 20_000, 1<<14)
+	cp := h.Checkpoint()
+	warmHierarchy(h, rng, 20_000, 1<<14)
+	if allocs := testing.AllocsPerRun(10, func() { h.Restore(cp) }); allocs != 0 {
+		t.Fatalf("Restore allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestRestoreAfterHomesGrew: a checkpoint taken before the page-home table
+// grew restores the smaller table — pages homed after the capture are
+// unmapped again — and the restored hierarchy replays exactly like one that
+// never saw those homes.
+func TestRestoreAfterHomesGrew(t *testing.T) {
+	topo := Topology{Sockets: 2, CoresPerSocket: 2}
+	build := func() *Hierarchy {
+		h := NewTopo(testConfig(), topo)
+		for p := uint64(0); p < 16; p++ {
+			h.SetPageHome(p*HomeGranule, int(p%2))
+		}
+		warmHierarchy(h, rand.New(rand.NewSource(5)), 5_000, 1<<10)
+		return h
+	}
+	h, twin := build(), build()
+	cp := h.Checkpoint()
+	size := len(h.homes.entries)
+	const pages = 3_000
+	for p := uint64(0); p < pages; p++ {
+		h.SetPageHome(p*HomeGranule, 1)
+	}
+	if len(h.homes.entries) <= size {
+		t.Fatalf("homes table stayed at %d entries; the test needs it to grow", size)
+	}
+	h.Restore(cp)
+	if got := len(h.homes.entries); got != size {
+		t.Fatalf("restored homes table has %d entries, want the checkpointed %d", got, size)
+	}
+	for p := uint64(0); p < pages; p++ {
+		if got, want := h.HomeOf(p*HomeGranule), twin.HomeOf(p*HomeGranule); got != want {
+			t.Fatalf("page %d: HomeOf = %d after restore, want %d", p, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20_000; i++ {
+		core, addr, write := rng.Intn(topo.NumCores()), uint64(rng.Intn(64*HomeGranule)), rng.Intn(3) == 0
+		if got, want := h.Access(core, addr, write), twin.Access(core, addr, write); got != want {
+			t.Fatalf("replay access %d (core %d addr %#x): %+v after restore, %+v uninterrupted", i, core, addr, got, want)
+		}
+	}
+	for c := 0; c < topo.NumCores(); c++ {
+		if got, want := h.CoreStats(c), twin.CoreStats(c); got != want {
+			t.Fatalf("core %d stats after replay:\ngot  %+v\nwant %+v", c, got, want)
+		}
+	}
+}
+
+// TestCheckpointBytesExact: Bytes is the sparse form's exact size — 16 bytes
+// per valid way or used table entry plus its 4-byte slot index, and 112
+// bytes of counters per core — counted here from the live hierarchy.
+func TestCheckpointBytesExact(t *testing.T) {
+	h := NewTopo(DefaultConfig(), Topology{Sockets: 2, CoresPerSocket: 4})
+	for p := uint64(0); p < 32; p++ {
+		h.SetPageHome(p*HomeGranule, int(p%2))
+	}
+	warmHierarchy(h, rand.New(rand.NewSource(11)), 50_000, 1<<16)
+	live := 0
+	countWays := func(b *bank) {
+		for _, w := range b.ways {
+			if w.state() != invalid {
+				live++
+			}
+		}
+	}
+	for i := range h.cores {
+		countWays(&h.cores[i].l1)
+		countWays(&h.cores[i].l2)
+	}
+	for s := range h.l3s {
+		countWays(&h.l3s[s])
+	}
+	live += h.dir.n + h.l3pres.n + h.homes.n
+	want := uint64(live)*(16+4) + uint64(len(h.cores))*14*8
+	if got := h.Checkpoint().Bytes(); got != want {
+		t.Fatalf("Bytes = %d, want %d (%d live ways and entries, %d cores)", got, want, live, len(h.cores))
+	}
+}

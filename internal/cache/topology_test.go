@@ -140,18 +140,15 @@ func TestRemoteL3Supply(t *testing.T) {
 	for i := uint64(1); i <= uint64(cfg.L2Ways); i++ {
 		h.Access(0, addr+i*l2Sets*cfg.LineSize, false)
 	}
-	if lv := h.Probe(0, addr); lv != L3Hit {
-		t.Fatalf("line not parked in home L3 (probe=%v); eviction setup broken", lv)
-	}
-	if lv := h.Probe(8, addr); lv != ForeignRemote {
-		t.Fatalf("probe from other socket = %v, want %v", lv, ForeignRemote)
+	if got := residents(h, addr); len(got) != 1 || got[0] != (LineContent{Core: -1, Socket: 0, Addr: addr}) {
+		t.Fatalf("line resident at %+v, want socket 0's L3 only; eviction setup broken", got)
 	}
 	res := h.Access(8, addr, false)
 	if res.Level != ForeignRemote || res.Latency != cfg.LatForeignRemote {
 		t.Fatalf("remote L3 supply: %v/%d, want %v/%d", res.Level, res.Latency, ForeignRemote, cfg.LatForeignRemote)
 	}
-	if lv := h.Probe(8, addr); lv != L1Hit {
-		t.Fatalf("line did not migrate to requester (probe=%v)", lv)
+	if got := residents(h, addr); len(got) != 1 || got[0] != (LineContent{Core: 8, Socket: 1, Addr: addr}) {
+		t.Fatalf("line resident at %+v after the transfer, want core 8 only", got)
 	}
 }
 

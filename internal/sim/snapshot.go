@@ -227,11 +227,14 @@ func (m *Machine) Reseed(base int64) {
 }
 
 // Bytes returns an estimate of the snapshot's resident size (computed once at
-// capture), for checkpoint-pool budgeting. The cache hierarchy's way arrays
-// dominate; Snapshotter blobs are sized by a reflective walk over their
-// maps, slices, and structs.
+// capture), for checkpoint-pool budgeting. The cache hierarchy's part is
+// exact (cache.Checkpoint.Bytes); the machine's own state and the
+// Snapshotter blobs are estimated.
 func (s *Snapshot) Bytes() uint64 { return s.bytes }
 
+// estimateBytes sums the machine's own state, the hierarchy checkpoint's
+// exact size, and a reflective approxSize walk over the Snapshotter blobs,
+// whose types this package cannot see.
 func (s *Snapshot) estimateBytes() uint64 {
 	n := uint64(len(s.wheel.events))*40 + 128
 	for _, c := range s.cores {
