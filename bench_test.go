@@ -285,6 +285,68 @@ func BenchmarkCoherenceDirectory(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchySlowPath times the slow access path on a 16-core
+// default hierarchy, one access per op, in three regimes that weigh the
+// private-first lookup differently:
+//
+//   - l2-hits: each core sweeps 256 KB of its own, larger than L1 and within
+//     L2, so every access is an L1 miss that hits L2 and probes no directory;
+//   - upgrades: cores 0 and 1 take turns reading and then writing a shared
+//     line, so every read is a foreign transfer and every write a Shared
+//     upgrade, each with one directory probe;
+//   - misses: each core sweeps 1 MB of its own, larger than L2, so every
+//     access scans both private levels, misses, and probes the directory.
+//
+// Each reports ns/access and dir-probes/access (Hierarchy.DirProbes).
+func BenchmarkHierarchySlowPath(b *testing.B) {
+	type access struct {
+		core  int
+		addr  uint64
+		write bool
+	}
+	const cores, line = 16, 64
+	sweep := func(bytes uint64) []access {
+		var ops []access
+		for i := uint64(0); i < bytes/line; i++ {
+			for c := 0; c < cores; c++ {
+				ops = append(ops, access{c, uint64(c)<<32 | i*line, i%4 == 0})
+			}
+		}
+		return ops
+	}
+	var upgrades []access
+	for i := uint64(0); i < 64; i++ {
+		for c := 0; c < 2; c++ {
+			upgrades = append(upgrades, access{c, i * line, false}, access{c, i * line, true})
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		ops  []access
+	}{
+		{"l2-hits", sweep(256 << 10)},
+		{"upgrades", upgrades},
+		{"misses", sweep(1 << 20)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := cache.New(cache.DefaultConfig(), cores)
+			for _, x := range bc.ops {
+				h.Access(x.core, x.addr, x.write)
+			}
+			h.ResetStats()
+			b.ReportAllocs()
+			n := 0
+			for b.Loop() {
+				x := bc.ops[n%len(bc.ops)]
+				h.Access(x.core, x.addr, x.write)
+				n++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/access")
+			b.ReportMetric(float64(h.DirProbes())/float64(n), "dir-probes/access")
+		})
+	}
+}
+
 // --- ablation: alien caches on the remote-free path ---
 
 func benchRemoteFree(b *testing.B, alienCap int) {

@@ -76,6 +76,12 @@ func TestRunErrors(t *testing.T) {
 			wantErrOut: []string{"topology", "9x9"},
 		},
 		{
+			name:       "topology whose core count overflows is a CLI error, not a panic",
+			args:       []string{"-workload", "memcached", "-sockets", "4", "-cores-per-socket", "4611686018427387904"},
+			wantCode:   1,
+			wantErrOut: []string{"topology", "more than 64 cores"},
+		},
+		{
 			name:       "socket count that does not divide the L3 is a CLI error, not a panic",
 			args:       []string{"-workload", "numaremote", "-sockets", "3", "-cores-per-socket", "4"},
 			wantCode:   1,

@@ -54,6 +54,25 @@ func TestCanonicalizeUnifiesFlagAndBodySyntax(t *testing.T) {
 	}
 }
 
+// FuzzOptionCanonicalize: for every kind, a canonical form is a fixed
+// point. Whenever Canonicalize(v) succeeds with c, Canonicalize(c) must
+// return c and no error, so a canonical option map re-canonicalizes to
+// itself and a content address never depends on how a value was spelled.
+func FuzzOptionCanonicalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		for _, k := range []Kind{Bool, Int, Float, Str} {
+			o := Option{Name: "x", Kind: k}
+			c, err := o.Canonicalize(v)
+			if err != nil {
+				continue
+			}
+			if again, err := o.Canonicalize(c); err != nil || again != c {
+				t.Fatalf("%s %q: canonical %q re-canonicalizes to %q, %v", k, v, c, again, err)
+			}
+		}
+	})
+}
+
 // TestNewConfigStoresCanonicalValues: the config getters must see the same
 // value whether the input came in flag syntax or canonical syntax.
 func TestNewConfigStoresCanonicalValues(t *testing.T) {

@@ -248,20 +248,16 @@ func (b *bank) lookup(line uint64) *way {
 	return nil
 }
 
-// insert places line into its set with the given state and returns the evicted
-// victim (state != invalid) if one was displaced.
-func (b *bank) insert(line uint64, st mesi) (victim way) {
-	set := b.set(line)
-	b.tick++
-	// Prefer an invalid slot; otherwise evict the LRU way. minLRU is kept
-	// in a register so the scan does one load per way, not two.
+// victimSlot picks the slot a new line takes in set: the first invalid slot,
+// else the LRU way. minLRU is kept in a register so the scan does one load
+// per way, not two.
+func victimSlot(set []way) int {
 	vi := 0
 	minLRU := set[0].lru
 	if set[0].tag&3 != 0 {
 		for i := 1; i < len(set); i++ {
 			if set[i].tag&3 == 0 {
-				vi = i
-				break
+				return i
 			}
 			if set[i].lru < minLRU {
 				minLRU = set[i].lru
@@ -269,12 +265,35 @@ func (b *bank) insert(line uint64, st mesi) (victim way) {
 			}
 		}
 	}
+	return vi
+}
+
+// insert places line into its set with the given state and returns the evicted
+// victim (state != invalid) if one was displaced.
+func (b *bank) insert(line uint64, st mesi) (victim way) {
+	set := b.set(line)
+	b.tick++
+	vi := victimSlot(set)
 	victim = set[vi]
 	set[vi] = way{tag: wayTag(line, st), lru: b.tick}
 	if victim.tag&3 == 0 {
 		return way{}
 	}
 	return victim
+}
+
+// promote installs line, which the bank does not hold, the way insert
+// followed by lookup would, in one scan: the same victim slot is taken, the
+// tick advances twice, and the line ends at slot 0 with the slot-0 way moved
+// into the victim's place. The victim is dropped (an L1 victim stays in the
+// inclusive L2). It returns the line's way.
+func (b *bank) promote(line uint64, st mesi) *way {
+	set := b.set(line)
+	vi := victimSlot(set)
+	b.tick += 2
+	set[vi] = set[0]
+	set[0] = way{tag: wayTag(line, st), lru: b.tick}
+	return &set[0]
 }
 
 // invalidate removes line if present and returns its previous state.
@@ -378,6 +397,9 @@ type Hierarchy struct {
 	// two migrate-on-hit paths, and invalidateL3).
 	l3pres *dirTable
 	stats  []Stats
+	// dirProbes counts the directory probes accesses make (see DirProbes).
+	// It is kept out of Stats: it measures the simulator, not the machine.
+	dirProbes uint64
 	// lat caches the per-level latency so hot paths index a table instead of
 	// switching, and hitCtr[core][lv] points at the Stats counter a hit at
 	// that level bumps (stats is allocated once and ResetStats overwrites
@@ -550,6 +572,7 @@ func (h *Hierarchy) evictPrivate(core int, v way) {
 	h.cores[core].l1.invalidate(v.line())
 	// One directory probe both forgets the core and reports who is left.
 	rest := h.dir.andNot(v.line(), 1<<uint(core))
+	h.dirProbes++
 	l3 := &h.l3s[h.socket[core]] // victims spill into the evicting chip's L3
 	if v.state() == modified || v.state() == exclusive {
 		// AMD-style victim L3: private evictions (clean-exclusive or
@@ -579,11 +602,9 @@ func (h *Hierarchy) fill(core int, line uint64, st mesi) {
 	if v := p.l2.insert(line, st); v.state() != invalid && v.line() != line {
 		h.evictPrivate(core, v)
 	}
-	if v := p.l1.insert(line, st); v.state() != invalid && v.line() != line {
-		// L1 victim remains in L2 (inclusive); nothing else to do. If it
-		// was modified, L2 already tracks the line; keep its state.
-		_ = v
-	}
+	// An L1 victim remains in L2 (inclusive), which already tracks its
+	// state; nothing else to do.
+	p.l1.insert(line, st)
 	// The directory already reflects this fill: slowAccess's fused miss
 	// probe (dir.swap / dir.fetchOr) wrote the core into the holder set
 	// before any fill path runs.
@@ -591,9 +612,10 @@ func (h *Hierarchy) fill(core int, line uint64, st mesi) {
 
 // invalidateOthers removes line from every private cache in mask (the
 // holder set excluding the accessing core), returning how many copies were
-// killed. It touches only the banks: both callers write the line's final
-// holder set — the accessing core alone — with a single dir.swap probe, so
-// no per-holder directory update happens here.
+// killed. It touches only the banks: both callers — the write-miss path and
+// the Shared write upgrade — have already written the line's final holder
+// set, the accessing core alone, with the single dir.swap probe whose old
+// mask named these holders, so no per-holder directory update happens here.
 func (h *Hierarchy) invalidateOthers(line uint64, mask uint64) int {
 	killed := 0
 	for m := mask; m != 0; {
@@ -637,8 +659,8 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 
 // fastHit is the hot-line fast path: one probe of slot 0 of the line's L1
 // set — slot 0 is where every slow-path hit leaves a line, via
-// move-to-front — decides whether the bank scans, directory probe, and
-// coherence branches of the slow path can matter. On a probe hit it replays
+// move-to-front — decides whether the set scans and coherence branches of
+// the slow path can matter. On a probe hit it replays
 // exactly the mutations the slow path would make: the per-bank LRU tick
 // bumps, the M-state transitions and the counters. Reads are served from
 // any valid state — an L1 read hit is state-blind, and a line invalidated
@@ -686,7 +708,11 @@ func (h *Hierarchy) fastHit(core int, line uint64, write bool) (Result, bool) {
 	return Result{Level: L1Hit, Latency: h.lat[L1Hit]}, true
 }
 
-// slowAccess is the full access path.
+// slowAccess is the full access path. It looks in the core's own L1, then
+// its L2, before it touches the coherence directory: by inclusion the
+// directory lists the core as a holder exactly when its L2 holds the line,
+// so a private hit already knows the directory's answer for the core, and
+// only a Shared write upgrade (hitUpgrade) and a private miss pay a probe.
 func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) Result {
 	p := &h.cores[core]
 	st := &h.stats[core]
@@ -695,52 +721,37 @@ func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) R
 		st.Writes++
 	}
 
-	// One directory probe up front settles everything the private lookups
-	// and the old per-path probes used to establish separately. The access
-	// always ends with core holding the line, so the directory's final
-	// state is known before any bank is touched: a write leaves core the
-	// sole holder (swap — correct for hits, upgrades, and misses alike), a
-	// read adds core to the holder set (fetchOr, a no-op when core already
-	// holds it). The returned old mask answers two questions at once:
-	// whether core's own L1/L2 can hold the line (self bit — if clear, both
-	// private scans are skipped; the directory tracks L2, the inclusion
-	// root), and who the foreign sharers are (threaded to the upgrade and
-	// miss paths, which no longer re-probe).
+	if w1 := p.l1.lookup(line); w1 != nil {
+		if !write {
+			// A read hit in L1 is the overwhelmingly common case and, as
+			// on real hardware, is invisible to L2 (no LRU touch — the
+			// L1 filters it). Inclusion keeps states in sync on the
+			// write paths, which still consult L2.
+			st.L1Hits++
+			st.LatencySum += uint64(h.cfg.LatL1)
+			return Result{Level: L1Hit, Latency: h.cfg.LatL1}
+		}
+		return h.hitUpgrade(core, line, w1, p.l2.lookup(line), L1Hit, h.cfg.LatL1, write)
+	}
+	if w2 := p.l2.lookup(line); w2 != nil {
+		w1 := p.l1.promote(line, w2.state())
+		return h.hitUpgrade(core, line, w1, w2, L2Hit, h.cfg.LatL2, write)
+	}
+
+	// A private miss probes the directory once, and that probe also
+	// writes the state the access ends in, since the core ends up holding
+	// the line: a write leaves the core the sole holder (swap), a read
+	// adds it to the holders (fetchOr). By inclusion the old mask has no
+	// self bit, so it is exactly the set of foreign holders the paths
+	// below invalidate or downgrade, without probing again.
 	selfBit := uint64(1) << uint(core)
-	var old uint64
+	var others uint64
 	if write {
-		old = h.dir.swap(line, selfBit)
+		others = h.dir.swap(line, selfBit)
 	} else {
-		old = h.dir.fetchOr(line, selfBit)
+		others = h.dir.fetchOr(line, selfBit)
 	}
-	others := old &^ selfBit
-	if old&selfBit != 0 {
-		if w1 := p.l1.lookup(line); w1 != nil {
-			if !write {
-				// A read hit in L1 is the overwhelmingly common case and, as
-				// on real hardware, is invisible to L2 (no LRU touch — the
-				// L1 filters it). Inclusion keeps states in sync on the
-				// write paths, which still consult L2.
-				st.L1Hits++
-				st.LatencySum += uint64(h.cfg.LatL1)
-				return Result{Level: L1Hit, Latency: h.cfg.LatL1}
-			}
-			w2 := p.l2.lookup(line) // inclusive: always present
-			if w2 == nil {
-				w2 = w1 // defensive: treat L1 as authority
-			}
-			return h.hitUpgrade(core, line, w1, w2, L1Hit, h.cfg.LatL1, write, others)
-		}
-		if w2 := p.l2.lookup(line); w2 != nil {
-			// Promote into L1.
-			stCopy := w2.state()
-			if v := p.l1.insert(line, stCopy); v.state() != invalid && v.line() != line {
-				_ = v // victim stays in L2 (inclusive)
-			}
-			w1 := p.l1.lookup(line)
-			return h.hitUpgrade(core, line, w1, w2, L2Hit, h.cfg.LatL2, write, others)
-		}
-	}
+	h.dirProbes++
 
 	// Miss in the private hierarchy: consult the other cores. A copy on
 	// the same chip supplies the line at the on-chip cost; otherwise the
@@ -835,43 +846,39 @@ func (h *Hierarchy) finish(core int, st *Stats, lv Level, lat uint32) Result {
 	return Result{Level: lv, Latency: lat}
 }
 
-// hitUpgrade completes a private-cache hit. A write to a Shared line must
-// still invalidate the other copies ("upgrade"), which costs a coherence
-// round trip. others is the holder set excluding core that slowAccess's
-// up-front directory probe returned.
-func (h *Hierarchy) hitUpgrade(core int, line uint64, w1, w2 *way, lv Level, lat uint32, write bool, others uint64) Result {
+// hitUpgrade completes a private-cache hit; w1 and w2 are the line's L1 and
+// L2 ways. A write to an M/E line needs no coherence traffic. A write to a
+// Shared line must invalidate the other copies ("upgrade"), which costs a
+// coherence round trip: one dir.swap leaves the core the sole holder and
+// its old mask, less the core, names the copies to kill.
+func (h *Hierarchy) hitUpgrade(core int, line uint64, w1, w2 *way, lv Level, lat uint32, write bool) Result {
 	st := &h.stats[core]
 	if !write {
 		return h.finish(core, st, lv, lat)
 	}
-	switch w2.state() {
-	case modified, exclusive:
+	if w2.state() != shared {
 		w2.setState(modified)
-		if w1 != nil {
-			w1.setState(modified)
-		}
+		w1.setState(modified)
 		return h.finish(core, st, lv, lat)
-	default: // shared: upgrade
-		// The invalidation round trip prices like the farthest copy: any
-		// sharer on another chip pushes the upgrade to the cross-chip cost.
-		// The directory already holds the post-upgrade state (core as sole
-		// holder) from slowAccess's swap; only the losers' banks remain.
-		killed := h.invalidateOthers(line, others)
-		w2.setState(modified)
-		if w1 != nil {
-			w1.setState(modified)
-		}
-		st.Upgrades++
-		st.InvalsSent += uint64(killed)
-		l := lat
-		if killed > 0 {
-			l = h.cfg.LatForeign
-			if others&^h.sockMask[h.socket[core]] != 0 {
-				l = h.cfg.LatForeignRemote
-			}
-		}
-		return h.finish(core, st, lv, l)
 	}
+	// The invalidation round trip prices like the farthest copy: any
+	// sharer on another chip pushes the upgrade to the cross-chip cost.
+	selfBit := uint64(1) << uint(core)
+	others := h.dir.swap(line, selfBit) &^ selfBit
+	h.dirProbes++
+	killed := h.invalidateOthers(line, others)
+	w2.setState(modified)
+	w1.setState(modified)
+	st.Upgrades++
+	st.InvalsSent += uint64(killed)
+	l := lat
+	if killed > 0 {
+		l = h.cfg.LatForeign
+		if others&^h.sockMask[h.socket[core]] != 0 {
+			l = h.cfg.LatForeignRemote
+		}
+	}
+	return h.finish(core, st, lv, l)
 }
 
 // peek is lookup without LRU side effects.
@@ -966,13 +973,21 @@ func (h *Hierarchy) Totals() Stats {
 	return t
 }
 
-// ResetStats zeroes all counters (cache contents are preserved), so a
-// measurement window can exclude warm-up.
+// ResetStats zeroes all counters, DirProbes included (cache contents are
+// preserved), so a measurement window can exclude warm-up.
 func (h *Hierarchy) ResetStats() {
 	for i := range h.stats {
 		h.stats[i] = Stats{}
 	}
+	h.dirProbes = 0
 }
+
+// DirProbes returns how many coherence-directory probes accesses have made:
+// one per private miss (the fused swap/fetchOr), one per Shared write
+// upgrade (swap) and one per private L2 eviction (andNot). It is a
+// deterministic measure of the simulator's own work, not a counter of the
+// simulated machine, so it is not part of Stats.
+func (h *Hierarchy) DirProbes() uint64 { return h.dirProbes }
 
 // Latency returns the configured latency for a level (a precomputed table
 // lookup; out-of-range levels price as local DRAM, as before).

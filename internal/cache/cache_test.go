@@ -134,6 +134,48 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 	}
 }
 
+// TestDirProbesSkipPrivateHits: private hits on the slow path leave the
+// coherence directory alone, and only misses, Shared write upgrades and L2
+// evictions probe it. DirProbes follows ResetStats, Checkpoint and Restore.
+func TestDirProbesSkipPrivateHits(t *testing.T) {
+	cfg := testConfig()
+	h := New(cfg, 2)
+	stride := uint64(h.L1Sets()) * cfg.LineSize // same L1 set, distinct L2 sets
+	a, b, c := uint64(0x10000), 0x10000+stride, 0x10000+2*stride
+	step := func(name string, core int, addr uint64, write bool, level Level, probes uint64) {
+		t.Helper()
+		before := h.DirProbes()
+		if r := h.Access(core, addr, write); r.Level != level {
+			t.Fatalf("%s: level %v, want %v", name, r.Level, level)
+		}
+		if got := h.DirProbes() - before; got != probes {
+			t.Fatalf("%s: %d directory probes, want %d", name, got, probes)
+		}
+	}
+	step("read miss a", 0, a, false, DRAM, 1)
+	step("read miss b", 0, b, false, DRAM, 1) // b takes way 1 of the 2-way L1 set
+	step("slow-path L1 read hit in way 1", 0, b, false, L1Hit, 0)
+	step("read miss c", 0, c, false, DRAM, 1) // evicts a from L1 only
+	step("L2 hit", 0, a, false, L2Hit, 0)     // a takes b's L1 way
+	step("slow-path E write hit", 0, c, true, L1Hit, 0)
+	step("foreign read shares c", 1, c, false, ForeignHit, 1)
+	step("Shared write upgrade", 0, c, true, L1Hit, 1)
+	if got := h.CoreStats(0).Upgrades; got != 1 {
+		t.Fatalf("upgrades = %d, want 1", got)
+	}
+
+	cp := h.Checkpoint()
+	n := h.DirProbes()
+	h.ResetStats()
+	if got := h.DirProbes(); got != 0 {
+		t.Fatalf("DirProbes after ResetStats = %d, want 0", got)
+	}
+	h.Restore(cp)
+	if got := h.DirProbes(); got != n {
+		t.Fatalf("DirProbes after Restore = %d, want %d", got, n)
+	}
+}
+
 func TestVictimL3(t *testing.T) {
 	cfg := testConfig()
 	h := New(cfg, 1)

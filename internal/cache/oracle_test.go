@@ -554,6 +554,10 @@ func TestOracleScenarios(t *testing.T) {
 	tiny.L1Size, tiny.L1Ways = 2*64, 2
 	tiny.L2Size, tiny.L2Ways = 2*64, 2
 	tiny.L3Size, tiny.L3Ways = 4*64, 2
+	// wide keeps tiny's one-set L1 but gives L2 four sets, so a, b and c
+	// conflict in L1 only.
+	wide := tiny
+	wide.L2Size = 8 * 64
 	const a, b, c = 0x0, 0x40, 0x80
 	const x, y = 0x4000, 0x8000 // y's page is homed on socket 1
 	type step struct {
@@ -611,6 +615,25 @@ func TestOracleScenarios(t *testing.T) {
 			{1, b, false, cache.ForeignHit, 0}, // core 1 evicts nothing yet
 			{1, c, false, cache.ForeignHit, 0}, // core 1 drops the last copy of a
 			{0, a, false, cache.L3Hit, 0},
+		}},
+		{"L2 hit promotes into a full L1 set", wide, cache.SingleSocket(1), []step{
+			{0, a, false, cache.DRAM, 0},
+			{0, b, false, cache.DRAM, 0},
+			{0, c, false, cache.DRAM, 0},  // L1 drops a, L2 keeps it
+			{0, a, false, cache.L2Hit, 0}, // a evicts b, L1's LRU line
+			{0, b, false, cache.L2Hit, 0}, // the L1 victim stayed in L2
+			{0, a, false, cache.L1Hit, 0},
+			{0, c, false, cache.L2Hit, 0},
+		}},
+		{"Shared write upgrade on an L1 hit, on-chip and cross-chip", tiny, cache.Topology{Sockets: 2, CoresPerSocket: 2}, []step{
+			{0, a, false, cache.DRAM, 0},
+			{0, b, false, cache.DRAM, 0},                    // b in L1 way 1
+			{1, b, false, cache.ForeignHit, 0},              // core 0 drops to Shared
+			{0, b, true, cache.L1Hit, def.LatForeign},       // kills core 1's copy on chip
+			{2, b, false, cache.ForeignRemote, 0},           // core 0 drops to Shared
+			{0, a, false, cache.L1Hit, 0},                   // b back to L1 way 1
+			{0, b, true, cache.L1Hit, def.LatForeignRemote}, // kills core 2's copy across chips
+			{1, b, false, cache.ForeignHit, 0},
 		}},
 		{"remote home", def, cache.Topology{Sockets: 2, CoresPerSocket: 2}, []step{
 			{0, y, false, cache.DRAMRemote, 0},

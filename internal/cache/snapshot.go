@@ -7,7 +7,8 @@ import "unsafe"
 // keeps the LRU tick and the valid ways with their slot index; for the
 // coherence directory, the L3 presence index and the page-home table it
 // keeps the table size, mask, count and shift and the used entries with
-// their slot index; and it keeps the per-core counters. Slot positions are
+// their slot index; and it keeps the per-core counters and the directory
+// probe count. Slot positions are
 // exact, so move-to-front order and the table layout come back bit for bit.
 // Invalid ways and empty entries come back as zero, which is safe because
 // no probe or fill reads an invalid way's tag or lru.
@@ -27,6 +28,8 @@ type Checkpoint struct {
 	l3pres tableState
 	homes  tableState
 	stats  []Stats
+	// dirProbes is Hierarchy.DirProbes at the capture.
+	dirProbes uint64
 }
 
 // sparse holds the live elements of a dense array and their slot indices.
@@ -129,12 +132,13 @@ func (s *tableState) restore(d *dirTable) {
 // Checkpoint captures the hierarchy's live state.
 func (h *Hierarchy) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
-		cores:  make([]privState, len(h.cores)),
-		l3s:    make([]bankState, len(h.l3s)),
-		dir:    captureTable(h.dir),
-		l3pres: captureTable(h.l3pres),
-		homes:  captureTable(h.homes),
-		stats:  append([]Stats(nil), h.stats...),
+		cores:     make([]privState, len(h.cores)),
+		l3s:       make([]bankState, len(h.l3s)),
+		dir:       captureTable(h.dir),
+		l3pres:    captureTable(h.l3pres),
+		homes:     captureTable(h.homes),
+		stats:     append([]Stats(nil), h.stats...),
+		dirProbes: h.dirProbes,
 	}
 	for i := range h.cores {
 		cp.cores[i] = privState{
@@ -169,6 +173,7 @@ func (h *Hierarchy) Restore(cp *Checkpoint) {
 	cp.l3pres.restore(h.l3pres)
 	cp.homes.restore(h.homes)
 	copy(h.stats, cp.stats)
+	h.dirProbes = cp.dirProbes
 }
 
 // Bytes is the checkpoint's exact resident size, for checkpoint-pool

@@ -46,15 +46,17 @@ func (t Topology) CoresOn(socket int) []int {
 	return out
 }
 
-// Validate reports whether the topology is usable.
+// Validate reports whether the topology is usable. Each factor is checked
+// against MaxCores before they are multiplied, so a product that overflows
+// int cannot wrap into range.
 func (t Topology) Validate() error {
 	if t.Sockets <= 0 || t.CoresPerSocket <= 0 {
 		return fmt.Errorf("cache: topology %dx%d must have positive sockets and cores per socket",
 			t.Sockets, t.CoresPerSocket)
 	}
-	if n := t.NumCores(); n > MaxCores {
-		return fmt.Errorf("cache: topology %dx%d has %d cores, above the limit of %d",
-			t.Sockets, t.CoresPerSocket, n, MaxCores)
+	if t.Sockets > MaxCores || t.CoresPerSocket > MaxCores || t.NumCores() > MaxCores {
+		return fmt.Errorf("cache: topology %dx%d has more than %d cores",
+			t.Sockets, t.CoresPerSocket, MaxCores)
 	}
 	return nil
 }

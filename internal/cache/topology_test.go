@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 func TestTopologyValidateAndParse(t *testing.T) {
 	cases := []struct {
@@ -14,6 +17,11 @@ func TestTopologyValidateAndParse(t *testing.T) {
 		{"0x4", Topology{}, false},
 		{"4x0", Topology{}, false},
 		{"9x9", Topology{}, false}, // 81 cores > MaxCores
+		// 4 * 2^62 wraps to 0 in int: each factor is checked first.
+		{"4x4611686018427387904", Topology{}, false},
+		{"4611686018427387904x4", Topology{}, false},
+		{"65x1", Topology{}, false},
+		{"1x65", Topology{}, false},
 		{"4", Topology{}, false},
 		{"axb", Topology{}, false},
 	}
@@ -37,6 +45,23 @@ func TestTopologyValidateAndParse(t *testing.T) {
 	if cores := topo.CoresOn(2); cores[0] != 8 || cores[3] != 11 {
 		t.Errorf("CoresOn(2) = %v, want [8 9 10 11]", cores)
 	}
+}
+
+// FuzzParseTopology: any string ParseTopology accepts, and so Validate
+// passes, has a core count in [1, MaxCores] equal to the exact product of
+// its factors, whatever the product would have done in int.
+func FuzzParseTopology(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		topo, err := ParseTopology(s)
+		if err != nil {
+			return
+		}
+		hi, lo := bits.Mul64(uint64(topo.Sockets), uint64(topo.CoresPerSocket))
+		n := topo.NumCores()
+		if n < 1 || n > MaxCores || hi != 0 || lo != uint64(n) {
+			t.Fatalf("ParseTopology(%q) = %v with %d cores, want a product in [1, %d]", s, topo, n, MaxCores)
+		}
+	})
 }
 
 // TestCrossSocketCoherence is the ISSUE 3 satellite table test: a line

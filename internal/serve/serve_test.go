@@ -163,6 +163,12 @@ func TestProfileErrors(t *testing.T) {
 			wantMsg:  []string{"building numaremote", "L3 size"},
 		},
 		{
+			name:     "topology whose core count overflows is the client's fault",
+			body:     `{"workload":"memcached","options":{"sockets":"4","cores-per-socket":"4611686018427387904"},"measure_ms":1,"quick":true}`,
+			wantCode: 400,
+			wantMsg:  []string{"building memcached", "more than 64 cores"},
+		},
+		{
 			name:     "malformed body",
 			body:     `{"workload":`,
 			wantCode: 400,
