@@ -522,22 +522,42 @@ func BenchmarkSimAccessHooked(b *testing.B) {
 
 // BenchmarkCheckpointRestore times one fork's cache rewind: restoring a
 // warmup checkpoint of a lightly filled 16-core hierarchy after a measured
-// phase has run on past it. The restore must not allocate.
+// phase has run on past it. "in-place" clears and rewrites the live arrays
+// and must not allocate. "released" parks the hierarchy first, as dprofd
+// does between forks: Release hands its arrays to the recycler and Restore
+// takes them back, so it must not allocate a bank or table either.
 func BenchmarkCheckpointRestore(b *testing.B) {
-	h := cache.New(cache.DefaultConfig(), 16)
-	rng := rand.New(rand.NewSource(1))
-	access := func(n int) {
-		for i := 0; i < n; i++ {
-			h.Access(rng.Intn(16), uint64(rng.Intn(1<<22)), rng.Intn(3) == 0)
+	warmed := func() (*cache.Hierarchy, *cache.Checkpoint) {
+		h := cache.New(cache.DefaultConfig(), 16)
+		rng := rand.New(rand.NewSource(1))
+		access := func(n int) {
+			for i := 0; i < n; i++ {
+				h.Access(rng.Intn(16), uint64(rng.Intn(1<<22)), rng.Intn(3) == 0)
+			}
 		}
-	}
-	access(50_000)
-	cp := h.Checkpoint()
-	access(50_000)
-	b.ReportAllocs()
-	for b.Loop() {
+		access(50_000)
+		cp := h.Checkpoint()
+		access(50_000)
+		// Bring every table back to its checkpointed size, so the loop
+		// measures the steady state.
 		h.Restore(cp)
+		return h, cp
 	}
+	b.Run("in-place", func(b *testing.B) {
+		h, cp := warmed()
+		b.ReportAllocs()
+		for b.Loop() {
+			h.Restore(cp)
+		}
+	})
+	b.Run("released", func(b *testing.B) {
+		h, cp := warmed()
+		b.ReportAllocs()
+		for b.Loop() {
+			h.Release()
+			h.Restore(cp)
+		}
+	})
 }
 
 func BenchmarkAllocFree(b *testing.B) {

@@ -60,8 +60,9 @@ func diffViews(t *testing.T, label string, want, got map[string]json.RawMessage)
 // registry: for every workload, monolithic and windowed, a measured phase
 // forked from a warmup-boundary checkpoint must export every view
 // byte-identically to a cold run — on the first fork (the warmed machine
-// continuing in place), on a repeat fork (restored from the snapshot), and
-// on a fork taken after a shorter diverging fork consumed the machine.
+// continuing in place), on a repeat fork (restored from the snapshot), on a
+// fork taken after a shorter diverging fork consumed the machine, and on
+// forks after the checkpoint was parked between them.
 func TestWarmForkEquivalence(t *testing.T) {
 	for _, name := range workload.Names() {
 		name := name
@@ -96,8 +97,23 @@ func TestWarmForkEquivalence(t *testing.T) {
 				cp.Fork(0)
 				diffViews(t, tc.label+"/fork-after-divergence", cold, exportAllViews(t, name, s))
 
-				if cp.Forks() != 4 {
-					t.Errorf("%s: Forks() = %d, want 4", tc.label, cp.Forks())
+				// Park between forks, as dprofd does: the hierarchy hands
+				// its dense arrays to the recycler, and the next fork
+				// restores into arrays taken back from it.
+				cp.Park()
+				if n := cp.Runnable().Machine().Hier.DenseBytes(); n != 0 {
+					t.Errorf("%s: parked machine holds %d dense cache bytes, want 0", tc.label, n)
+				}
+				cp.Fork(0)
+				diffViews(t, tc.label+"/parked-fork", cold, exportAllViews(t, name, s))
+
+				cp.Fork(win.Measure / 2)
+				cp.Park()
+				cp.Fork(0)
+				diffViews(t, tc.label+"/parked-after-divergence", cold, exportAllViews(t, name, s))
+
+				if cp.Forks() != 7 {
+					t.Errorf("%s: Forks() = %d, want 7", tc.label, cp.Forks())
 				}
 			}
 		})

@@ -218,10 +218,13 @@ func (b *bank) nsets() int { return int(b.setMask + 1) }
 // used to carry one, but the hierarchy-wide l3pres table now answers "which
 // socket's L3 holds this line" in a single probe, so every per-bank L3 call
 // is already known to hit and a local index would only add overhead.
+//
+// The way array comes from the recycler, so a capture reuses the arrays a
+// parked machine released.
 func newBank(size uint64, ways int, lineSize uint64) bank {
 	nsets := size / lineSize / uint64(ways)
 	return bank{
-		ways:    make([]way, nsets*uint64(ways)),
+		ways:    wayArrays.get(int(nsets) * ways),
 		setMask: nsets - 1,
 		nways:   uint64(ways),
 	}

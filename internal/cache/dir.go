@@ -22,14 +22,14 @@ type dirEntry struct {
 }
 
 // newDirTable returns a table with capacity for about cap entries before the
-// first grow.
+// first grow. Its entries come from the recycler, like every table's.
 func newDirTable(capHint int) *dirTable {
 	size := uint64(16)
 	for int(size)*3/4 < capHint {
 		size <<= 1
 	}
 	return &dirTable{
-		entries: make([]dirEntry, size),
+		entries: dirArrays.get(int(size)),
 		mask:    size - 1,
 		shift:   shiftFor(size),
 	}
@@ -205,10 +205,12 @@ func (d *dirTable) del(i uint64) {
 	}
 }
 
+// grow doubles the table. The outgrown entries go to the GC, not the
+// recycler: only Release feeds it.
 func (d *dirTable) grow() {
 	old := d.entries
 	size := uint64(len(old)) * 2
-	d.entries = make([]dirEntry, size)
+	d.entries = dirArrays.get(int(size))
 	d.mask = size - 1
 	d.shift = shiftFor(size)
 	d.n = 0

@@ -79,10 +79,11 @@ func FuzzHierarchyOracle(f *testing.F) {
 
 // FuzzSnapshotRestore checkpoints a hierarchy at a fuzz-chosen point of a
 // decoded stream, then restores the checkpoint into the same hierarchy
-// (after running on past it) and into a freshly built one. Right after the
-// restore, either must hold exactly the oracle's resident lines at the
-// checkpoint; replaying the suffix on either must give the Results and
-// counters of the uninterrupted run. at picks the snapshot point, scaled to
+// (after running on past it), into a freshly built one, and into one
+// released right after its checkpoint (restored with recycled, dirty
+// arrays). Right after the restore, each must hold exactly the oracle's
+// resident lines at the checkpoint; replaying the suffix on each must give
+// the Results and counters of the uninterrupted run. at picks the snapshot point, scaled to
 // the stream length.
 func FuzzSnapshotRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, at byte, data []byte) {
@@ -110,6 +111,17 @@ func FuzzSnapshotRestore(f *testing.F) {
 		h.Restore(cp)
 		fresh := cache.NewTopo(cfg, topo)
 		fresh.Restore(cp)
+		// The parked path: release right after the snapshot, then restore
+		// with the arrays another hierarchy released dirty, which the
+		// recycler hands out first.
+		parked := cache.NewTopo(cfg, topo)
+		run(parked, ops[:cut])
+		pcp := parked.Checkpoint()
+		parked.Release()
+		other := cache.NewTopo(cfg, topo)
+		run(other, ops)
+		other.Release()
+		parked.Restore(pcp)
 		o := newOracle(cfg, topo)
 		for _, x := range ops[:cut] {
 			if x.home >= 0 {
@@ -121,7 +133,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		for _, side := range []struct {
 			name string
 			h    *cache.Hierarchy
-		}{{"same", h}, {"fresh", fresh}} {
+		}{{"same", h}, {"fresh", fresh}, {"released", parked}} {
 			name, r := side.name, side.h
 			if err := checkContents(r, o); err != nil {
 				t.Fatalf("%s hierarchy: restore at op %d: %v", name, cut, err)

@@ -44,9 +44,8 @@ func makeSparse[T any](n int) sparse[T] {
 	return sparse[T]{slots: make([]uint32, n), vals: make([]T, n)}
 }
 
-// scatter zeroes dense and writes the saved elements back to their slots.
+// scatter writes the saved elements back to their slots of a zeroed dense.
 func (s *sparse[T]) scatter(dense []T) {
-	clear(dense)
 	for i, slot := range s.slots {
 		dense[slot] = s.vals[i]
 	}
@@ -90,6 +89,7 @@ func captureBank(b *bank) bankState {
 func (w way) valid() int { return int((w.tag | w.tag>>1) & 1) }
 
 func (b *bank) restoreFrom(s *bankState) {
+	b.ways = wayArrays.reuse(b.ways, b.nsets()*int(b.nways))
 	s.ways.scatter(b.ways)
 	b.tick = s.tick
 }
@@ -117,12 +117,11 @@ func captureTable(d *dirTable) tableState {
 	return tableState{size: len(d.entries), mask: d.mask, n: d.n, shift: d.shift, entries: entries}
 }
 
-// restore rewrites d in place. It allocates only when d's table is not the
-// checkpointed size: it grew after the capture, or d is a fresh table.
+// restore rewrites d in place. It takes a table from the recycler only when
+// d's is not the checkpointed size: d was released, its table grew after
+// the capture, or d is a fresh table.
 func (s *tableState) restore(d *dirTable) {
-	if len(d.entries) != s.size {
-		d.entries = make([]dirEntry, s.size)
-	}
+	d.entries = dirArrays.reuse(d.entries, s.size)
 	s.entries.scatter(d.entries)
 	d.mask = s.mask
 	d.n = s.n
@@ -156,8 +155,10 @@ func (h *Hierarchy) Checkpoint() *Checkpoint {
 // place — the stats slice, bank way arrays, tables and counter pointers keep
 // their identity — by clearing every live array and scattering the saved
 // entries back, and it allocates nothing unless a table grew after the
-// capture. It copies out of the checkpoint, so the same checkpoint can be
-// restored any number of times.
+// capture. A released hierarchy takes its arrays back from the recycler
+// instead, already zeroed, and allocates only what the recycler no longer
+// stocks. Restore copies out of the checkpoint, so the same checkpoint can
+// be restored any number of times.
 func (h *Hierarchy) Restore(cp *Checkpoint) {
 	if len(cp.cores) != len(h.cores) || len(cp.l3s) != len(h.l3s) {
 		panic("cache: checkpoint restored into a different hierarchy")
@@ -174,6 +175,49 @@ func (h *Hierarchy) Restore(cp *Checkpoint) {
 	cp.homes.restore(h.homes)
 	copy(h.stats, cp.stats)
 	h.dirProbes = cp.dirProbes
+}
+
+// Release hands every dense array of the hierarchy to the recycler: each
+// core's L1 and L2 ways, each socket's L3 ways, and the directory,
+// L3-presence and page-home tables. The hierarchy is unusable until the
+// next Restore, which takes arrays back. A checkpoint pool calls it on an
+// idle machine, so that only the sparse checkpoint stays resident between
+// forks.
+func (h *Hierarchy) Release() {
+	for i := range h.cores {
+		h.cores[i].l1.release()
+		h.cores[i].l2.release()
+	}
+	for s := range h.l3s {
+		h.l3s[s].release()
+	}
+	h.dir.release()
+	h.l3pres.release()
+	h.homes.release()
+}
+
+func (b *bank) release() {
+	wayArrays.put(b.ways)
+	b.ways = nil
+}
+
+func (d *dirTable) release() {
+	dirArrays.put(d.entries)
+	d.entries = nil
+}
+
+// DenseBytes is the size of the dense arrays the hierarchy holds: its bank
+// ways and table entries. It is zero once the hierarchy is released.
+func (h *Hierarchy) DenseBytes() uint64 {
+	ways := 0
+	for i := range h.cores {
+		ways += len(h.cores[i].l1.ways) + len(h.cores[i].l2.ways)
+	}
+	for s := range h.l3s {
+		ways += len(h.l3s[s].ways)
+	}
+	entries := len(h.dir.entries) + len(h.l3pres.entries) + len(h.homes.entries)
+	return uint64(ways)*uint64(unsafe.Sizeof(way{})) + uint64(entries)*uint64(unsafe.Sizeof(dirEntry{}))
 }
 
 // Bytes is the checkpoint's exact resident size, for checkpoint-pool

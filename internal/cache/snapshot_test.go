@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -104,5 +105,57 @@ func TestCheckpointBytesExact(t *testing.T) {
 	want := uint64(live)*(16+4) + uint64(len(h.cores))*14*8
 	if got := h.Checkpoint().Bytes(); got != want {
 		t.Fatalf("Bytes = %d, want %d (%d live ways and entries, %d cores)", got, want, live, len(h.cores))
+	}
+}
+
+// TestReleaseThenRestore: a hierarchy released after a checkpoint holds no
+// dense array, and restoring the checkpoint into it — with arrays another
+// hierarchy released dirty — gives a hierarchy that replays exactly like a
+// twin that was never released.
+func TestReleaseThenRestore(t *testing.T) {
+	topo := Topology{Sockets: 2, CoresPerSocket: 4}
+	build := func() *Hierarchy {
+		h := NewTopo(testConfig(), topo)
+		for p := uint64(0); p < 64; p++ {
+			h.SetPageHome(p*HomeGranule, int(p%2))
+		}
+		warmHierarchy(h, rand.New(rand.NewSource(13)), 20_000, 1<<12)
+		return h
+	}
+	h, twin := build(), build()
+	cp := h.Checkpoint()
+	warmHierarchy(h, rand.New(rand.NewSource(17)), 20_000, 1<<12)
+	h.Release()
+	if n := h.DenseBytes(); n != 0 {
+		t.Fatalf("released hierarchy holds %d dense bytes, want 0", n)
+	}
+	dirty := build()
+	warmHierarchy(dirty, rand.New(rand.NewSource(19)), 20_000, 1<<14)
+	dirty.Release()
+
+	h.Restore(cp)
+	if got, want := h.DenseBytes(), twin.DenseBytes(); got != want {
+		t.Fatalf("restored hierarchy holds %d dense bytes, its twin %d", got, want)
+	}
+	if err := h.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.SocketOccupancy(), twin.SocketOccupancy(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SocketOccupancy after restore = %+v, twin %+v", got, want)
+	}
+	if got, want := h.Contents(), twin.Contents(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Contents after restore differ from the twin's: %d lines vs %d", len(got), len(want))
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 50_000; i++ {
+		core, addr, write := rng.Intn(topo.NumCores()), uint64(rng.Intn(1<<14))*64, rng.Intn(3) == 0
+		if got, want := h.Access(core, addr, write), twin.Access(core, addr, write); got != want {
+			t.Fatalf("replay access %d (core %d addr %#x): %+v after release and restore, %+v never released", i, core, addr, got, want)
+		}
+	}
+	for c := 0; c < topo.NumCores(); c++ {
+		if got, want := h.CoreStats(c), twin.CoreStats(c); got != want {
+			t.Fatalf("core %d stats after replay:\ngot  %+v\nwant %+v", c, got, want)
+		}
 	}
 }

@@ -153,6 +153,24 @@ func (p *CheckpointPool) unlink(e *poolEntry) {
 	p.bytes -= e.bytes
 }
 
+// Each calls fn with every resident checkpoint, under its entry lock, so fn
+// never overlaps a fork.
+func (p *CheckpointPool) Each(fn func(*Checkpoint)) {
+	p.mu.Lock()
+	entries := make([]*poolEntry, 0, p.ll.Len())
+	for el := p.ll.Front(); el != nil; el = el.Next() {
+		entries = append(entries, el.Value.(*poolEntry))
+	}
+	p.mu.Unlock()
+	for _, e := range entries {
+		e.mu.Lock()
+		if e.cp != nil && !e.dead {
+			fn(e.cp)
+		}
+		e.mu.Unlock()
+	}
+}
+
 // Stats returns the pool's current counters.
 func (p *CheckpointPool) Stats() PoolStats {
 	p.mu.Lock()

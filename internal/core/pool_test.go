@@ -250,6 +250,27 @@ func TestForkMemo(t *testing.T) {
 	}
 }
 
+// TestForkMemoAfterPark: a parked checkpoint's machine no longer embodies
+// its last fork, so ForkMemo of the same length forks again, and matches a
+// cold run.
+func TestForkMemoAfterPark(t *testing.T) {
+	cp, err := core.CaptureWarmup(newTickWorkload(), tickWarmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.ForkMemo(1_000)
+	cp.Park()
+	if n := cp.Runnable().Machine().Hier.DenseBytes(); n != 0 {
+		t.Errorf("parked machine holds %d dense cache bytes, want 0", n)
+	}
+	if b := cp.ForkMemo(1_000); fmt.Sprint(b.Values) != fmt.Sprint(coldTick(1_000).Values) || cp.Forks() != 2 {
+		t.Errorf("ForkMemo after Park = %v after %d forks, want the cold run after 2", b.Values, cp.Forks())
+	}
+	if cp.ForkMemo(1_000); cp.Forks() != 2 {
+		t.Errorf("ForkMemo repeated after the re-fork ran %d forks, want 2", cp.Forks())
+	}
+}
+
 // TestCaptureWarmupRequiresWarmRunnable: a workload without the warm-start
 // contract cannot be checkpointed.
 func TestCaptureWarmupRequiresWarmRunnable(t *testing.T) {

@@ -38,6 +38,9 @@ type Checkpoint struct {
 	snap   *sim.Snapshot
 	warmup uint64
 	forks  int
+	// parked is set by Park: the machine's cache hierarchy is released,
+	// and the next fork must restore it.
+	parked bool
 
 	// last and result record the most recent fork, so ForkMemo can answer a
 	// repeat from the machine state that fork left behind.
@@ -103,8 +106,9 @@ func (cp *Checkpoint) Fork(measure uint64) RunResult {
 	if measure == 0 && s != nil {
 		measure = s.cfg.Measure
 	}
-	if cp.forks > 0 {
+	if cp.forks > 0 || cp.parked {
 		cp.wr.Machine().Restore(cp.snap)
+		cp.parked = false
 	}
 	cp.forks++
 	cp.last = measure
@@ -123,15 +127,27 @@ func (cp *Checkpoint) Fork(measure uint64) RunResult {
 
 // ForkMemo is Fork for callers that may repeat a measured length: when the
 // most recent fork already ran measure, the machine still embodies that
-// phase and its result returns without simulating again.
+// phase and its result returns without simulating again. A parked
+// checkpoint's machine no longer embodies it, so ForkMemo forks.
 func (cp *Checkpoint) ForkMemo(measure uint64) RunResult {
 	if measure == 0 && cp.s != nil {
 		measure = cp.s.cfg.Measure
 	}
-	if cp.forks > 0 && cp.last == measure {
+	if cp.forks > 0 && !cp.parked && cp.last == measure {
 		return cp.result
 	}
 	return cp.Fork(measure)
+}
+
+// Park releases the machine's cache hierarchy (cache.Hierarchy.Release)
+// between forks, so that an idle checkpoint keeps its sparse snapshot but
+// not the machine's dense cache arrays. The next Fork restores the
+// hierarchy, as every fork after the first does. Nothing may read the
+// hierarchy between Park and that Fork: call Park only once the previous
+// fork's views are rendered.
+func (cp *Checkpoint) Park() {
+	cp.wr.Machine().Hier.Release()
+	cp.parked = true
 }
 
 // Session returns the session the checkpoint belongs to (its views and

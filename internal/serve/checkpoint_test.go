@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
+
+	"dprof/internal/core"
 )
 
 // warmReqs vary only the measured length (and one adds windowing), so on a
@@ -134,5 +137,61 @@ func TestProfileRejectsParallelShards(t *testing.T) {
 	}
 	if after := s.ckpts.Stats(); after != before {
 		t.Errorf("pool counters moved: before %+v, after %+v", before, after)
+	}
+}
+
+// denseCheckpointBytes sums the dense cache arrays the machines behind the
+// pool's checkpoints hold.
+func denseCheckpointBytes(s *Server) (entries int, dense uint64) {
+	s.ckpts.Each(func(cp *core.Checkpoint) {
+		entries++
+		dense += cp.Runnable().Machine().Hier.DenseBytes()
+	})
+	return entries, dense
+}
+
+// TestProfileParksPoolEntries: once a profile is rendered, its pool entry is
+// parked, so that no idle entry's machine holds a dense cache array. A
+// parked entry's next fork restores into recycled arrays and serves bytes
+// identical to a fresh server's, one that simulates every request cold.
+// Eight conflict seeds are eight warm addresses; numaremote adds a
+// two-socket entry, whose working-set view reads the live hierarchy's
+// per-socket occupancy and so must render before the park.
+func TestProfileParksPoolEntries(t *testing.T) {
+	var reqs []func(ms int) string
+	for seed := 1; seed <= 8; seed++ {
+		reqs = append(reqs, func(ms int) string {
+			return fmt.Sprintf(`{"workload":"conflict","views":["dataprofile","missclass","workingset"],`+
+				`"options":{"seed":"%d"},"measure_ms":%d,"quick":true}`, seed, ms)
+		})
+	}
+	reqs = append(reqs, func(ms int) string {
+		return fmt.Sprintf(`{"workload":"numaremote","views":["dataprofile","workingset"],"measure_ms":%d,"quick":true}`, ms)
+	})
+	s, ts := newTestServer(t, Config{})
+	for _, req := range reqs {
+		if resp, body := postProfile(t, ts, req(1)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	if entries, dense := denseCheckpointBytes(s); entries != len(reqs) || dense != 0 {
+		t.Fatalf("%d pool entries hold %d dense cache bytes, want %d entries holding none", entries, dense, len(reqs))
+	}
+
+	_, fresh := newTestServer(t, Config{CheckpointPoolBytes: -1})
+	for _, req := range reqs {
+		_, got := postProfile(t, ts, req(2))
+		_, want := postProfile(t, fresh, req(2))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: profile forked from a parked entry differs from a fresh server's:\n--- parked ---\n%s\n--- fresh ---\n%s",
+				req(2), got, want)
+		}
+	}
+	n := uint64(len(reqs))
+	if st := s.ckpts.Stats(); st.Captures != n || st.Forks != 2*n || st.Evictions != 0 {
+		t.Errorf("pool stats = %+v, want %d captures, %d forks, no evictions", st, n, 2*n)
+	}
+	if entries, dense := denseCheckpointBytes(s); entries != len(reqs) || dense != 0 {
+		t.Errorf("after the re-requests, %d pool entries hold %d dense cache bytes, want %d holding none", entries, dense, len(reqs))
 	}
 }

@@ -305,11 +305,13 @@ func renderProfile(sess *core.Session, k profileKey) ([]byte, error) {
 // With the warm-start checkpoint pool on, the session's warmup runs once
 // per warm address and is captured; every request forks its measured phase
 // from that checkpoint, so requests that differ only in measured length
-// skip the warmup simulation. Forks are byte-identical to cold runs (the
-// core warm-start contract), so the body cache and the replica ring never
-// observe the difference. Streamed (windowed) sessions always run cold: a
-// fork replays only the measured phase, but a live window stream owns the
-// whole run.
+// skip the warmup simulation. Between requests the entry is parked
+// (core.Checkpoint.Park): its machine hands its dense cache arrays to the
+// cache package's recycler, and the next fork takes arrays back. Forks are
+// byte-identical to cold runs (the core warm-start contract), so the body
+// cache and the replica ring never observe the difference. Streamed
+// (windowed) sessions always run cold: a fork replays only the measured
+// phase, but a live window stream owns the whole run.
 func (s *Server) runProfile(k profileKey, onWindow func(*core.WindowSnapshot)) (body []byte, err error) {
 	if err := s.acquire(); err != nil {
 		return nil, err
@@ -327,6 +329,9 @@ func (s *Server) runProfile(k profileKey, onWindow func(*core.WindowSnapshot)) (
 			s.simulations.Add(1)
 			cp.Fork(k.MeasureCycles)
 			body, err = renderProfile(cp.Session(), k)
+			// Park only after the render: the working-set views read
+			// SocketOccupancy off the live hierarchy.
+			cp.Park()
 			return err
 		})
 		return body, err

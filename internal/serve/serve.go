@@ -95,8 +95,12 @@ type Config struct {
 	// CheckpointPoolBytes bounds the in-memory warm-start checkpoint pool:
 	// machine checkpoints captured at the warmup boundary, forked to serve
 	// profile requests that differ only in measured length without
-	// re-simulating the warmup. Zero means the 256 MiB default; negative
-	// disables warm-start forking entirely (every request runs cold).
+	// re-simulating the warmup. The budget charges checkpoints
+	// (core.Checkpoint.Bytes). An entry is parked between requests, so its
+	// machine's dense cache arrays are not retained, but a parked entry
+	// also keeps its workload and profiler objects, ~0.4 MB for conflict.
+	// Zero means the 256 MiB default; negative disables warm-start forking
+	// entirely (every request runs cold).
 	CheckpointPoolBytes int64
 }
 

@@ -233,7 +233,7 @@ func (m *Machine) Reseed(base int64) {
 func (s *Snapshot) Bytes() uint64 { return s.bytes }
 
 // estimateBytes sums the machine's own state, the hierarchy checkpoint's
-// exact size, and a reflective approxSize walk over the Snapshotter blobs,
+// exact size, and a reflective blobSize walk over the Snapshotter blobs,
 // whose types this package cannot see.
 func (s *Snapshot) estimateBytes() uint64 {
 	n := uint64(len(s.wheel.events))*40 + 128
@@ -242,77 +242,112 @@ func (s *Snapshot) estimateBytes() uint64 {
 	}
 	n += uint64(len(s.overhead))*48 + uint64(len(s.ranges))*16
 	n += s.hier.Bytes()
-	seen := map[uintptr]bool{}
+	z := sizer{seen: map[uintptr]bool{}, flat: map[reflect.Type]bool{}}
 	for _, b := range s.blobs {
-		n += approxSize(reflect.ValueOf(b), seen, 0)
+		n += z.blobSize(b)
 	}
 	return n
 }
 
-// approxSize walks a snapshot blob and sums the memory its maps, slices,
-// strings, and structs pin. It is an estimate for budgeting, not an exact
-// accounting: shared pointers are counted once, funcs/chans count as a word,
-// and recursion is depth-limited defensively.
-func approxSize(v reflect.Value, seen map[uintptr]bool, depth int) uint64 {
-	if !v.IsValid() || depth > 32 {
+// sizer estimates the memory a Snapshotter blob owns, for budgeting. The
+// blob root, typically a pointer to the component's state struct, is
+// followed. Below it a pointer counts as one word and is not followed: a
+// blob owns its slices, maps and strings, but the pointers inside them
+// reference live workload objects (in-flight packets, map keys) that the
+// snapshot does not pin on its own. Slices and maps reachable twice count
+// once; funcs and chans count as a word.
+type sizer struct {
+	seen map[uintptr]bool
+	flat map[reflect.Type]bool // memoized: the type owns nothing beyond its inline size
+}
+
+func (z *sizer) blobSize(b any) uint64 {
+	v := reflect.ValueOf(b)
+	if !v.IsValid() {
+		return 0
+	}
+	n := uint64(16) // the interface holding the blob
+	if v.Kind() == reflect.Ptr {
+		if v.IsNil() {
+			return n
+		}
+		v = v.Elem()
+	}
+	return n + uint64(v.Type().Size()) + z.owned(v)
+}
+
+// owned is the memory v owns outside its inline footprint.
+func (z *sizer) owned(v reflect.Value) uint64 {
+	if z.isFlat(v.Type()) {
 		return 0
 	}
 	switch v.Kind() {
-	case reflect.Ptr:
-		if v.IsNil() || seen[v.Pointer()] {
-			return 8
-		}
-		seen[v.Pointer()] = true
-		return 8 + approxSize(v.Elem(), seen, depth+1)
 	case reflect.Interface:
-		if v.IsNil() {
-			return 16
+		if v.IsNil() || v.Elem().Kind() == reflect.Ptr {
+			return 0
 		}
-		return 16 + approxSize(v.Elem(), seen, depth+1)
+		return uint64(v.Elem().Type().Size()) + z.owned(v.Elem())
 	case reflect.Slice:
-		if v.IsNil() {
-			return 24
+		if v.IsNil() || z.seen[v.Pointer()] {
+			return 0
 		}
-		if v.Pointer() != 0 && seen[v.Pointer()] {
-			return 24
-		}
-		if v.Pointer() != 0 {
-			seen[v.Pointer()] = true
-		}
-		n := uint64(24)
-		if v.Len() > 0 {
-			per := approxSize(v.Index(0), seen, depth+1)
-			n += per
-			if v.Len() > 1 {
-				// Assume homogeneous element footprint beyond the first.
-				n += uint64(v.Len()-1) * per
+		z.seen[v.Pointer()] = true
+		n := uint64(v.Len()) * uint64(v.Type().Elem().Size())
+		if !z.isFlat(v.Type().Elem()) {
+			for i := 0; i < v.Len(); i++ {
+				n += z.owned(v.Index(i))
 			}
 		}
 		return n
 	case reflect.Map:
-		n := uint64(48)
-		iter := v.MapRange()
-		for iter.Next() {
-			n += approxSize(iter.Key(), seen, depth+1)
-			n += approxSize(iter.Value(), seen, depth+1)
-			n += 16 // bucket overhead
+		if v.IsNil() || z.seen[v.Pointer()] {
+			return 0
+		}
+		z.seen[v.Pointer()] = true
+		// A bucket header per map, and a tophash byte and overflow share
+		// per entry, rounded to 16.
+		n := 48 + uint64(v.Len())*(uint64(v.Type().Key().Size())+uint64(v.Type().Elem().Size())+16)
+		if !z.isFlat(v.Type().Key()) || !z.isFlat(v.Type().Elem()) {
+			for it := v.MapRange(); it.Next(); {
+				n += z.owned(it.Key()) + z.owned(it.Value())
+			}
 		}
 		return n
 	case reflect.Struct:
 		n := uint64(0)
 		for i := 0; i < v.NumField(); i++ {
-			n += approxSize(v.Field(i), seen, depth+1)
+			n += z.owned(v.Field(i))
 		}
 		return n
-	case reflect.String:
-		return 16 + uint64(v.Len())
 	case reflect.Array:
 		n := uint64(0)
 		for i := 0; i < v.Len(); i++ {
-			n += approxSize(v.Index(i), seen, depth+1)
+			n += z.owned(v.Index(i))
 		}
 		return n
-	default:
-		return uint64(v.Type().Size())
+	case reflect.String:
+		return uint64(v.Len())
 	}
+	return 0
+}
+
+// isFlat reports whether values of t own no memory beyond their inline
+// size: no slices, maps, strings or interfaces, except behind a pointer.
+func (z *sizer) isFlat(t reflect.Type) bool {
+	if f, ok := z.flat[t]; ok {
+		return f
+	}
+	f := true
+	switch t.Kind() {
+	case reflect.Slice, reflect.Map, reflect.String, reflect.Interface:
+		f = false
+	case reflect.Struct:
+		for i := 0; i < t.NumField() && f; i++ {
+			f = z.isFlat(t.Field(i).Type)
+		}
+	case reflect.Array:
+		f = t.Len() == 0 || z.isFlat(t.Elem())
+	}
+	z.flat[t] = f
+	return f
 }

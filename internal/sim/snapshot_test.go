@@ -164,3 +164,47 @@ func TestSnapshotBytesNonzero(t *testing.T) {
 		t.Fatal("snapshot reports zero bytes")
 	}
 }
+
+// liveObject stands for a workload object a snapshot blob points at, such
+// as an in-flight packet: large, and owned by the running workload.
+type liveObject struct {
+	payload [1 << 16]byte
+	next    []byte
+}
+
+// pointerBlob is a blob that owns two slices, one of pointers into live
+// objects, and a map keyed by them.
+type pointerBlob struct {
+	queue []*liveObject
+	state map[*liveObject]uint32
+	name  string
+}
+
+// TestBlobSizeCountsPointersAsWords: below the blob root a pointer costs
+// one word and is not followed, however large its target, while the slices,
+// map and string the blob owns are counted in full.
+func TestBlobSizeCountsPointersAsWords(t *testing.T) {
+	live := &liveObject{next: make([]byte, 1<<20)}
+	const n = 100
+	b := &pointerBlob{
+		queue: make([]*liveObject, n),
+		state: map[*liveObject]uint32{live: 1},
+		name:  "blob",
+	}
+	for i := range b.queue {
+		b.queue[i] = live
+	}
+	z := sizer{seen: map[uintptr]bool{}, flat: map[reflect.Type]bool{}}
+	got := z.blobSize(b)
+	root := uint64(16) + uint64(reflect.TypeOf(pointerBlob{}).Size())
+	want := root + n*8 + 48 + (8 + 4 + 16) + uint64(len(b.name))
+	if got != want {
+		t.Fatalf("blobSize = %d, want %d: %d pointers at 8 bytes each, one map entry, the name", got, want, n)
+	}
+
+	// The same queue of values rather than pointers is owned, so counted.
+	vals := []liveObject{*live}
+	if got := z.blobSize(&vals); got < 1<<16+1<<20 {
+		t.Fatalf("blobSize of an owned []liveObject = %d, want at least its payload and slice", got)
+	}
+}
