@@ -34,6 +34,12 @@ func TestRunErrors(t *testing.T) {
 			wantErrOut: []string{"unknown type", "skbuf", "skbuff"},
 		},
 		{
+			name:       "window-ms whose cycle count overflows fails",
+			args:       []string{"-workload", "falseshare", "-window-ms", "288230376151711744"},
+			wantCode:   2,
+			wantErrOut: []string{"window-ms", "bad int value", "288230376151711744"},
+		},
+		{
 			name:       "bad flag fails",
 			args:       []string{"-no-such-flag"},
 			wantCode:   2,

@@ -118,9 +118,6 @@ func New(cfg Config) *Bench {
 // Sock returns the instance socket on core i (tests use it).
 func (b *Bench) Sock(i int) *kernel.UDPSock { return b.socks[i] }
 
-// Completed returns the per-core completion counters.
-func (b *Bench) Completed() []uint64 { return append([]uint64(nil), b.completed...) }
-
 // wakeApp schedules the instance's event loop if it is not already pending.
 func (b *Bench) wakeApp(c *sim.Ctx, core int) {
 	if b.appQueued[core] {

@@ -53,15 +53,6 @@ func (b *bench) window(warmup, measure uint64) {
 	b.stopAt = warmup + measure
 }
 
-// measure runs the machine through warmup and the measured interval,
-// resetting cache statistics at the warmup boundary (so views reflect
-// steady state, like the case-study workloads).
-func (b *bench) measure(warmup, measureCycles uint64) {
-	b.M.Run(warmup)
-	b.M.Hier.ResetStats()
-	b.M.Run(warmup + measureCycles)
-}
-
 // warmupWindow arms the start of the measured window and leaves its end and
 // the generator stop horizon open (both depend on the measured length, which
 // a warm-start fork chooses later). Tasks that overshoot the warmup boundary

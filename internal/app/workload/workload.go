@@ -122,11 +122,12 @@ func (e *BadValueError) Error() string {
 		e.Workload, e.Option, e.Kind, e.Value)
 }
 
-// NewConfig validates vals against w's declared options: unknown names and
-// unparsable values are errors. Valid values are stored in canonical form
-// (see Option.Canonicalize), so every consumer — CLI flags, HTTP request
-// bodies, cache keys — goes through one parse path. Undeclared-but-unset
-// options fall back to their declared defaults in the typed getters.
+// NewConfig validates vals against w's declared options: unknown names,
+// unparsable values and a window-ms whose cycle count overflows are errors.
+// Valid values are stored in canonical form (see Option.Canonicalize), so
+// every consumer — CLI flags, HTTP request bodies, cache keys — goes through
+// one parse path. Undeclared-but-unset options fall back to their declared
+// defaults in the typed getters.
 func NewConfig(w Workload, vals map[string]string) (Config, error) {
 	decl := make(map[string]Option)
 	var names []string
@@ -148,7 +149,7 @@ func NewConfig(w Workload, vals map[string]string) (Config, error) {
 			return Config{}, &UnknownOptionError{Workload: w.Name(), Option: name, Declared: names}
 		}
 		canon, err := o.Canonicalize(vals[name])
-		if err != nil {
+		if err != nil || name == windowOption && !windowFits(canon) {
 			return Config{}, &BadValueError{Workload: w.Name(), Option: name, Kind: o.Kind, Value: vals[name]}
 		}
 		cfg.vals[name] = canon

@@ -224,7 +224,7 @@ func (b *bank) nsets() int { return int(b.setMask + 1) }
 func newBank(size uint64, ways int, lineSize uint64) bank {
 	nsets := size / lineSize / uint64(ways)
 	return bank{
-		ways:    wayArrays.get(int(nsets) * ways),
+		ways:    wayArrays.Get(int(nsets) * ways),
 		setMask: nsets - 1,
 		nways:   uint64(ways),
 	}
@@ -532,13 +532,13 @@ func (h *Hierarchy) SetPageHome(addr uint64, socket int) {
 	if h.topo.Sockets == 1 {
 		return // single memory node; nothing to record
 	}
-	h.homes.set(addr>>homeGranuleShift, uint64(socket)+1)
+	h.homes.Set(addr>>homeGranuleShift, uint64(socket)+1)
 }
 
 // HomeOf returns the socket whose memory node owns addr's page, or -1 when
 // no home was assigned (treated as local to every socket).
 func (h *Hierarchy) HomeOf(addr uint64) int {
-	if v := h.homes.get(addr >> homeGranuleShift); v != 0 {
+	if v := h.homes.Get(addr >> homeGranuleShift); v != 0 {
 		return int(v - 1)
 	}
 	return -1
@@ -550,20 +550,12 @@ func (h *Hierarchy) isRemoteHome(addr uint64, socket int) bool {
 	if h.topo.Sockets == 1 {
 		return false
 	}
-	v := h.homes.get(addr >> homeGranuleShift)
+	v := h.homes.Get(addr >> homeGranuleShift)
 	return v != 0 && int(v-1) != socket
 }
 
-// LineOf returns the line address (addr with the offset bits dropped).
-func (h *Hierarchy) LineOf(addr uint64) uint64 { return addr >> h.lineShift }
-
 // L1Sets returns the number of associativity sets in each L1.
 func (h *Hierarchy) L1Sets() int { return h.cores[0].l1.nsets() }
-
-// L1SetOf returns the L1 associativity set index addr maps to.
-func (h *Hierarchy) L1SetOf(addr uint64) int {
-	return int((addr >> h.lineShift) & h.cores[0].l1.setMask)
-}
 
 // evictPrivate handles a victim displaced from a core's private L2: the L1
 // copy must go too (inclusion), the directory forgets the core, and modified
@@ -782,7 +774,7 @@ func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) R
 	// dominate this path, every skipped probe is a skipped cache miss).
 	// The banks remain authoritative: a set presence bit still goes through
 	// the bank's own lookup, which performs the LRU touch a hit implies.
-	if l3mask := h.l3pres.get(line); l3mask != 0 {
+	if l3mask := h.l3pres.Get(line); l3mask != 0 {
 		// The chip's own victim L3.
 		if l3mask&(1<<uint(socket)) != 0 {
 			if w := h.l3s[socket].lookup(line); w != nil {
@@ -830,14 +822,14 @@ func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) R
 // index names the holding sockets (usually none), so the common case is one
 // probe and no bank touches at all.
 func (h *Hierarchy) invalidateL3(line uint64) {
-	m := h.l3pres.get(line)
-	if m == 0 {
+	i, ok := h.l3pres.Find(line)
+	if !ok {
 		return
 	}
-	for mm := m; mm != 0; mm &= mm - 1 {
-		h.l3s[bits.TrailingZeros64(mm)].invalidate(line)
+	for m := *h.l3pres.At(i); m != 0; m &= m - 1 {
+		h.l3s[bits.TrailingZeros64(m)].invalidate(line)
 	}
-	h.l3pres.set(line, 0)
+	h.l3pres.DeleteAt(i)
 }
 
 // finish records the satisfied level in the core's counters. The level
@@ -1038,16 +1030,12 @@ func (h *Hierarchy) checkInvariants() error {
 		if mod > 0 && len(hs) > 1 {
 			return fmt.Errorf("MESI violated: line %#x exclusive/modified with %d holders", line, len(hs))
 		}
-		if dm := h.dir.get(line); dm != mask {
+		if dm := h.dir.Get(line); dm != mask {
 			return fmt.Errorf("directory stale for line %#x: dir=%#x actual=%#x", line, dm, mask)
 		}
 	}
 	// Directory must not claim holders that do not exist.
-	var dirErr error
-	h.dir.forEach(func(line, dm uint64) {
-		if dirErr != nil {
-			return
-		}
+	for line, dm := range h.dir.All() {
 		var mask uint64
 		if hs, ok := lines[line]; ok {
 			for _, x := range hs {
@@ -1055,8 +1043,8 @@ func (h *Hierarchy) checkInvariants() error {
 			}
 		}
 		if dm != mask {
-			dirErr = fmt.Errorf("directory entry for line %#x claims %#x, caches hold %#x", line, dm, mask)
+			return fmt.Errorf("directory entry for line %#x claims %#x, caches hold %#x", line, dm, mask)
 		}
-	})
-	return dirErr
+	}
+	return nil
 }

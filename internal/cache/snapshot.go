@@ -1,17 +1,21 @@
 package cache
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"dprof/internal/hashtab"
+)
 
 // Checkpoint records the hierarchy's mutable state sparsely: only what is
 // live. For each bank (every core's L1 and L2, every socket's victim L3) it
 // keeps the LRU tick and the valid ways with their slot index; for the
 // coherence directory, the L3 presence index and the page-home table it
-// keeps the table size, mask, count and shift and the used entries with
-// their slot index; and it keeps the per-core counters and the directory
-// probe count. Slot positions are
-// exact, so move-to-front order and the table layout come back bit for bit.
-// Invalid ways and empty entries come back as zero, which is safe because
-// no probe or fill reads an invalid way's tag or lru.
+// keeps the table size and the used entries with their slot index
+// (hashtab.Snapshot); and it keeps the per-core counters and the directory
+// probe count. Slot positions are exact, so move-to-front order and the
+// table layout come back bit for bit. Invalid ways and empty entries come
+// back as zero, which is safe because no probe or fill reads an invalid
+// way's tag or lru.
 //
 // A checkpoint is immutable once taken: Restore copies out of it, so one
 // checkpoint can seed any number of restores.
@@ -24,43 +28,18 @@ import "unsafe"
 type Checkpoint struct {
 	cores  []privState
 	l3s    []bankState
-	dir    tableState
-	l3pres tableState
-	homes  tableState
+	dir    hashtab.Snapshot[uint64]
+	l3pres hashtab.Snapshot[uint64]
+	homes  hashtab.Snapshot[uint64]
 	stats  []Stats
 	// dirProbes is Hierarchy.DirProbes at the capture.
 	dirProbes uint64
 }
 
-// sparse holds the live elements of a dense array and their slot indices.
-type sparse[T any] struct {
-	slots []uint32
-	vals  []T
-}
-
-// makeSparse returns a sparse array of n elements, sized exactly so Bytes
-// can count lengths.
-func makeSparse[T any](n int) sparse[T] {
-	return sparse[T]{slots: make([]uint32, n), vals: make([]T, n)}
-}
-
-// scatter writes the saved elements back to their slots of a zeroed dense.
-func (s *sparse[T]) scatter(dense []T) {
-	for i, slot := range s.slots {
-		dense[slot] = s.vals[i]
-	}
-}
-
-func (s *sparse[T]) bytes() uint64 {
-	var zero T
-	return uint64(len(s.slots))*uint64(unsafe.Sizeof(uint32(0))) +
-		uint64(len(s.vals))*uint64(unsafe.Sizeof(zero))
-}
-
 // bankState is a bank's tick and valid ways.
 type bankState struct {
 	tick uint64
-	ways sparse[way]
+	ways hashtab.Sparse[way]
 }
 
 type privState struct {
@@ -76,10 +55,10 @@ func captureBank(b *bank) bankState {
 	for i := range b.ways {
 		n += b.ways[i].valid()
 	}
-	ways := makeSparse[way](n)
+	ways := hashtab.MakeSparse[way](n)
 	for i, k := 0, 0; k < n; i++ {
 		w := b.ways[i]
-		ways.slots[k], ways.vals[k] = uint32(i), w
+		ways.Set(k, i, w)
 		k += w.valid()
 	}
 	return bankState{tick: b.tick, ways: ways}
@@ -89,43 +68,9 @@ func captureBank(b *bank) bankState {
 func (w way) valid() int { return int((w.tag | w.tag>>1) & 1) }
 
 func (b *bank) restoreFrom(s *bankState) {
-	b.ways = wayArrays.reuse(b.ways, b.nsets()*int(b.nways))
-	s.ways.scatter(b.ways)
+	b.ways = wayArrays.Reuse(b.ways, b.nsets()*int(b.nways))
+	s.ways.Scatter(b.ways)
 	b.tick = s.tick
-}
-
-// tableState is a dirTable's shape and used entries.
-type tableState struct {
-	size    int
-	mask    uint64
-	n       int
-	shift   uint
-	entries sparse[dirEntry]
-}
-
-// captureTable copies d's shape and used entries, branch-free like
-// captureBank.
-func captureTable(d *dirTable) tableState {
-	entries := makeSparse[dirEntry](d.n)
-	for i, k := 0, 0; k < d.n; i++ {
-		e := d.entries[i]
-		entries.slots[k], entries.vals[k] = uint32(i), e
-		if e.key != 0 {
-			k++
-		}
-	}
-	return tableState{size: len(d.entries), mask: d.mask, n: d.n, shift: d.shift, entries: entries}
-}
-
-// restore rewrites d in place. It takes a table from the recycler only when
-// d's is not the checkpointed size: d was released, its table grew after
-// the capture, or d is a fresh table.
-func (s *tableState) restore(d *dirTable) {
-	d.entries = dirArrays.reuse(d.entries, s.size)
-	s.entries.scatter(d.entries)
-	d.mask = s.mask
-	d.n = s.n
-	d.shift = s.shift
 }
 
 // Checkpoint captures the hierarchy's live state.
@@ -133,9 +78,9 @@ func (h *Hierarchy) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		cores:     make([]privState, len(h.cores)),
 		l3s:       make([]bankState, len(h.l3s)),
-		dir:       captureTable(h.dir),
-		l3pres:    captureTable(h.l3pres),
-		homes:     captureTable(h.homes),
+		dir:       h.dir.Capture(),
+		l3pres:    h.l3pres.Capture(),
+		homes:     h.homes.Capture(),
 		stats:     append([]Stats(nil), h.stats...),
 		dirProbes: h.dirProbes,
 	}
@@ -170,9 +115,9 @@ func (h *Hierarchy) Restore(cp *Checkpoint) {
 	for s := range h.l3s {
 		h.l3s[s].restoreFrom(&cp.l3s[s])
 	}
-	cp.dir.restore(h.dir)
-	cp.l3pres.restore(h.l3pres)
-	cp.homes.restore(h.homes)
+	h.dir.Restore(&cp.dir)
+	h.l3pres.Restore(&cp.l3pres)
+	h.homes.Restore(&cp.homes)
 	copy(h.stats, cp.stats)
 	h.dirProbes = cp.dirProbes
 }
@@ -191,19 +136,14 @@ func (h *Hierarchy) Release() {
 	for s := range h.l3s {
 		h.l3s[s].release()
 	}
-	h.dir.release()
-	h.l3pres.release()
-	h.homes.release()
+	h.dir.Release()
+	h.l3pres.Release()
+	h.homes.Release()
 }
 
 func (b *bank) release() {
-	wayArrays.put(b.ways)
+	wayArrays.Put(b.ways)
 	b.ways = nil
-}
-
-func (d *dirTable) release() {
-	dirArrays.put(d.entries)
-	d.entries = nil
 }
 
 // DenseBytes is the size of the dense arrays the hierarchy holds: its bank
@@ -216,20 +156,20 @@ func (h *Hierarchy) DenseBytes() uint64 {
 	for s := range h.l3s {
 		ways += len(h.l3s[s].ways)
 	}
-	entries := len(h.dir.entries) + len(h.l3pres.entries) + len(h.homes.entries)
-	return uint64(ways)*uint64(unsafe.Sizeof(way{})) + uint64(entries)*uint64(unsafe.Sizeof(dirEntry{}))
+	return uint64(ways)*uint64(unsafe.Sizeof(way{})) +
+		h.dir.DenseBytes() + h.l3pres.DenseBytes() + h.homes.DenseBytes()
 }
 
 // Bytes is the checkpoint's exact resident size, for checkpoint-pool
 // budgeting: the lengths of its sparse slices and its counters times their
 // element sizes.
 func (cp *Checkpoint) Bytes() uint64 {
-	n := cp.dir.entries.bytes() + cp.l3pres.entries.bytes() + cp.homes.entries.bytes()
+	n := cp.dir.Bytes() + cp.l3pres.Bytes() + cp.homes.Bytes()
 	for i := range cp.cores {
-		n += cp.cores[i].l1.ways.bytes() + cp.cores[i].l2.ways.bytes()
+		n += cp.cores[i].l1.ways.Bytes() + cp.cores[i].l2.ways.Bytes()
 	}
 	for s := range cp.l3s {
-		n += cp.l3s[s].ways.bytes()
+		n += cp.l3s[s].ways.Bytes()
 	}
 	return n + uint64(len(cp.stats))*uint64(unsafe.Sizeof(Stats{}))
 }

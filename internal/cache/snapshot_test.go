@@ -46,17 +46,17 @@ func TestRestoreAfterHomesGrew(t *testing.T) {
 	}
 	h, twin := build(), build()
 	cp := h.Checkpoint()
-	size := len(h.homes.entries)
+	size := h.homes.DenseBytes()
 	const pages = 3_000
 	for p := uint64(0); p < pages; p++ {
 		h.SetPageHome(p*HomeGranule, 1)
 	}
-	if len(h.homes.entries) <= size {
-		t.Fatalf("homes table stayed at %d entries; the test needs it to grow", size)
+	if h.homes.DenseBytes() <= size {
+		t.Fatalf("homes table stayed at %d bytes; the test needs it to grow", size)
 	}
 	h.Restore(cp)
-	if got := len(h.homes.entries); got != size {
-		t.Fatalf("restored homes table has %d entries, want the checkpointed %d", got, size)
+	if got := h.homes.DenseBytes(); got != size {
+		t.Fatalf("restored homes table holds %d bytes, want the checkpointed %d", got, size)
 	}
 	for p := uint64(0); p < pages; p++ {
 		if got, want := h.HomeOf(p*HomeGranule), twin.HomeOf(p*HomeGranule); got != want {
@@ -101,7 +101,7 @@ func TestCheckpointBytesExact(t *testing.T) {
 	for s := range h.l3s {
 		countWays(&h.l3s[s])
 	}
-	live += h.dir.n + h.l3pres.n + h.homes.n
+	live += h.dir.Len() + h.l3pres.Len() + h.homes.Len()
 	want := uint64(live)*(16+4) + uint64(len(h.cores))*14*8
 	if got := h.Checkpoint().Bytes(); got != want {
 		t.Fatalf("Bytes = %d, want %d (%d live ways and entries, %d cores)", got, want, live, len(h.cores))

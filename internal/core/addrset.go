@@ -2,6 +2,8 @@ package core
 
 import (
 	"sort"
+
+	"dprof/internal/hashtab"
 )
 
 // ObjRecord is one allocation in the address set: the address and type of an
@@ -32,7 +34,7 @@ type typeUsage struct {
 // associativity sets and to estimate working-set contents.
 type AddressSet struct {
 	objects []ObjRecord
-	liveIdx *addrIdx // addr -> index of the live record
+	liveIdx hashtab.Table[int] // addr -> index of the live record
 
 	// usage is a move-to-front list rather than a map: a run touches a few
 	// dozen types at most, and the lookup runs on every alloc and free.
@@ -54,13 +56,13 @@ type typeUsageEntry struct {
 
 // NewAddressSet returns an empty address set.
 func NewAddressSet() *AddressSet {
-	return &AddressSet{liveIdx: newAddrIdx()}
+	return &AddressSet{liveIdx: hashtab.New[int](3<<10, nil)} // 4096 slots
 }
 
 // AddStatic records a static (always-live) object.
 func (as *AddressSet) AddStatic(t *TypeDesc, addr uint64) {
 	as.objects = append(as.objects, ObjRecord{Type: t, Addr: addr, AllocCore: -1})
-	as.liveIdx.set(addr, len(as.objects)-1)
+	as.liveIdx.Set(addr, len(as.objects)-1)
 	u := as.usageFor(t)
 	u.live++
 	if u.live > u.peak {
@@ -129,7 +131,7 @@ func (as *AddressSet) RecordAlloc(now uint64, core int32, t *TypeDesc, addr uint
 		AllocAt:   now,
 		AllocCore: core,
 	})
-	as.liveIdx.set(addr, len(as.objects)-1)
+	as.liveIdx.Set(addr, len(as.objects)-1)
 }
 
 // RecordFree records a deallocation at time now.
@@ -141,7 +143,7 @@ func (as *AddressSet) RecordFree(now uint64, t *TypeDesc, addr uint64) {
 	if u.live > 0 {
 		u.live--
 	}
-	if i, ok := as.liveIdx.take(addr); ok {
+	if i, ok := as.liveIdx.Delete(addr); ok {
 		as.objects[i].FreeAt = now
 	}
 }

@@ -133,15 +133,6 @@ func (col *Collector) AllHistories() []*History {
 	return out
 }
 
-// Stats returns per-type collection statistics in queue order.
-func (col *Collector) Stats() []*CollectStats {
-	out := make([]*CollectStats, 0, len(col.order))
-	for _, t := range col.order {
-		out = append(out, col.stats[t])
-	}
-	return out
-}
-
 // StatsFor returns collection statistics for one type (nil if never queued).
 func (col *Collector) StatsFor(t *mem.Type) *CollectStats { return col.stats[t] }
 

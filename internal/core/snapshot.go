@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dprof/internal/hashtab"
 	"dprof/internal/mem"
 )
 
@@ -14,7 +15,7 @@ import (
 // Pointer identity is load-bearing in three places and the restore paths
 // below preserve it: the active collection (the debug-register trap handler
 // and the wheel's truncation-guard event both close over the
-// *activeCollection), CollectStats entries (returned by Stats()), and the
+// *activeCollection), CollectStats entries (returned by StatsFor), and the
 // window pipeline itself (the machine's boundary tick holds pipe.close).
 // Type interning (types/descs/mems) is append-only and keyed by name, so it
 // is deliberately not rewound: descriptors interned after the checkpoint are
@@ -58,11 +59,7 @@ type usageState struct {
 
 type addrSetState struct {
 	objects    []ObjRecord
-	idxKeys    []uint64
-	idxVals    []int
-	idxMask    uint64
-	idxShift   uint
-	idxN       int
+	liveIdx    hashtab.Snapshot[int]
 	usage      []usageState
 	start, end uint64
 	maxObjects int
@@ -72,11 +69,7 @@ type addrSetState struct {
 func captureAddrSet(as *AddressSet) addrSetState {
 	st := addrSetState{
 		objects:    append([]ObjRecord(nil), as.objects...),
-		idxKeys:    append([]uint64(nil), as.liveIdx.keys...),
-		idxVals:    append([]int(nil), as.liveIdx.vals...),
-		idxMask:    as.liveIdx.mask,
-		idxShift:   as.liveIdx.shift,
-		idxN:       as.liveIdx.n,
+		liveIdx:    as.liveIdx.Capture(),
 		usage:      make([]usageState, len(as.usage)),
 		start:      as.start,
 		end:        as.end,
@@ -91,11 +84,7 @@ func captureAddrSet(as *AddressSet) addrSetState {
 
 func (st *addrSetState) restoreInto(as *AddressSet) {
 	as.objects = append(as.objects[:0], st.objects...)
-	as.liveIdx.keys = append([]uint64(nil), st.idxKeys...)
-	as.liveIdx.vals = append([]int(nil), st.idxVals...)
-	as.liveIdx.mask = st.idxMask
-	as.liveIdx.shift = st.idxShift
-	as.liveIdx.n = st.idxN
+	as.liveIdx.Restore(&st.liveIdx)
 	as.usage = as.usage[:0]
 	for i := range st.usage {
 		u := st.usage[i].u

@@ -116,13 +116,6 @@ func buildMemcached(fix bool) core.Runnable {
 	return build("memcached", map[string]string{"fix": strconv.FormatBool(fix)})
 }
 
-func buildApache(offered float64, backlog int) core.Runnable {
-	return build("apache", map[string]string{
-		"offered": strconv.FormatFloat(offered, 'f', -1, 64),
-		"backlog": strconv.Itoa(backlog),
-	})
-}
-
 // mustSession wraps core.NewSession for experiments, whose view and type
 // names are constants.
 func mustSession(inst core.Runnable, cfg core.SessionConfig) *core.Session {

@@ -79,15 +79,6 @@ func (k *Kernel) EpollWake(c *sim.Ctx, ep *EventPoll) {
 	}
 }
 
-// EpollNote posts a readiness event without waking (used for EPOLLOUT
-// write-space notifications, which the applications do not sleep on).
-func (k *Kernel) EpollNote(c *sim.Ctx, ep *EventPoll) {
-	defer c.Leave(c.EnterPC(pcEpPollCallback))
-	ep.Lock.Acquire(c)
-	c.Write(ep.Addr+16, 16)
-	ep.Lock.Release(c)
-}
-
 // EpollWait drains and returns the pending readiness count — sys_epoll_wait
 // with its ep_scan_ready_list pass.
 func (k *Kernel) EpollWait(c *sim.Ctx, ep *EventPoll) int {

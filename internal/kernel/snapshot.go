@@ -68,10 +68,9 @@ type udpState struct {
 }
 
 type listenerState struct {
-	acceptQ  []*TCPConn
-	accepted uint64
-	refused  uint64
-	lock     lockstat.LockState
+	acceptQ []*TCPConn
+	refused uint64
+	lock    lockstat.LockState
 }
 
 type epollState struct {
@@ -155,10 +154,9 @@ func (k *Kernel) SnapshotState() any {
 	}
 	for port, l := range k.tcpPorts {
 		st.listeners[port] = listenerState{
-			acceptQ:  append([]*TCPConn(nil), l.acceptQ...),
-			accepted: l.accepted,
-			refused:  l.refused,
-			lock:     l.lock.State(),
+			acceptQ: append([]*TCPConn(nil), l.acceptQ...),
+			refused: l.refused,
+			lock:    l.lock.State(),
 		}
 		for _, conn := range l.acceptQ {
 			if _, ok := st.conns[conn]; !ok {
@@ -230,7 +228,6 @@ func (k *Kernel) RestoreState(state any) {
 	for port, ls := range st.listeners {
 		l := k.tcpPorts[port]
 		l.acceptQ = append(l.acceptQ[:0], ls.acceptQ...)
-		l.accepted = ls.accepted
 		l.refused = ls.refused
 		l.lock.SetState(ls.lock)
 	}

@@ -41,8 +41,7 @@ type Listener struct {
 	Backlog int // accept-queue limit; the §6.2 fix caps this low
 	acceptQ []*TCPConn
 
-	accepted uint64
-	refused  uint64
+	refused uint64
 }
 
 // NewListener creates a listening socket on core's instance. backlog is the
@@ -71,9 +70,6 @@ func (k *Kernel) NewListener(c *sim.Ctx, port, core, backlog int) *Listener {
 
 // QueueLen returns the current accept-queue depth.
 func (l *Listener) QueueLen() int { return len(l.acceptQ) }
-
-// Accepted returns how many connections have been accepted.
-func (l *Listener) Accepted() uint64 { return l.accepted }
 
 // Refused returns how many connection attempts were dropped at a full
 // backlog.
@@ -140,7 +136,6 @@ func (l *Listener) Accept(c *sim.Ctx) *TCPConn {
 	l.acceptQ = l.acceptQ[1:]
 	c.Write(l.Addr+TCPOffRxQ, 16)
 	l.lock.Release(c)
-	l.accepted++
 	// Establish: read the socket state written at SYN time, then update it.
 	c.Read(conn.Addr, 64)
 	c.Read(conn.Addr+TCPOffState, 64)

@@ -130,12 +130,6 @@ func NewLock(class *Class, addr uint64) *Lock {
 	return &Lock{class: class, addr: addr, holder: -1}
 }
 
-// Class returns the lock's class.
-func (l *Lock) Class() *Class { return l.class }
-
-// Addr returns the simulated address of the lock word.
-func (l *Lock) Addr() uint64 { return l.addr }
-
 // spinReadGap is how many cycles a spinning core pauses between re-reads of
 // the lock word (the PAUSE loop of a real spinlock).
 const spinReadGap = 150

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"dprof/internal/cache"
+	"dprof/internal/hashtab"
 	"dprof/internal/lockstat"
 	"dprof/internal/sim"
 )
@@ -174,7 +175,7 @@ type Allocator struct {
 	types     map[string]*Type
 	typeOrder []*Type
 
-	slabMap    *pageTable // page number -> slab
+	slabMap    hashtab.Table[*slabInfo] // page number -> slab
 	nextSlab   uint64
 	nextMeta   uint64
 	nextStatic uint64
@@ -212,7 +213,7 @@ func New(cfg Config, cores int, locks *lockstat.Registry) *Allocator {
 		cores:      cores,
 		locks:      locks,
 		types:      make(map[string]*Type),
-		slabMap:    newPageTable(),
+		slabMap:    hashtab.New[*slabInfo](3<<10, nil), // 4096 slots
 		nextSlab:   slabBase,
 		nextMeta:   internalBase,
 		nextStatic: staticBase,
@@ -336,7 +337,7 @@ func (a *Allocator) StaticArray(name string, objSize uint64, count int, desc str
 	pages := (total + SlabBytes - 1) / SlabBytes
 	info := &slabInfo{t: t, base: base, objSize: t.objSize, nobj: count, home: -1}
 	for p := uint64(0); p < pages; p++ {
-		a.slabMap.set((base+p*SlabBytes)>>SlabShift, info)
+		a.slabMap.Set((base+p*SlabBytes)>>SlabShift, info)
 	}
 	a.assignHome(base, pages*SlabBytes, -1)
 	a.nextStatic += pages * SlabBytes
@@ -373,7 +374,7 @@ func (a *Allocator) StaticStrided(name string, objSize uint64, count int, stride
 			panic(fmt.Sprintf("mem: strided object %d of %q straddles a page", i, name))
 		}
 		info := &slabInfo{t: t, base: addr, objSize: t.objSize, nobj: 1, home: -1}
-		a.slabMap.set(addr>>SlabShift, info)
+		a.slabMap.Set(addr>>SlabShift, info)
 		a.assignHome(addr, t.objSize, -1)
 		addrs[i] = addr
 		a.statics = append(a.statics, ObjRef{Type: t, Base: addr})
@@ -398,7 +399,7 @@ func (a *Allocator) carveInternal(t *Type) uint64 {
 			nobj:    int(SlabBytes / t.objSize),
 			home:    -1,
 		}
-		a.slabMap.set(base>>SlabShift, s)
+		a.slabMap.Set(base>>SlabShift, s)
 		a.assignHome(base, SlabBytes, -1)
 		a.carve[t] = s
 	}
@@ -435,11 +436,14 @@ func (a *Allocator) LiveObjects() []ObjRef {
 		}
 	}
 	var out []ObjRef
-	pages := a.slabMap.pages()
+	var pages []uint64
+	for pg := range a.slabMap.All() {
+		pages = append(pages, pg)
+	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	seen := make(map[*slabInfo]bool)
 	for _, pg := range pages {
-		s := a.slabMap.get(pg)
+		s := a.slabMap.Get(pg)
 		if seen[s] || s.t.pool == nil {
 			seen[s] = true
 			continue
@@ -499,7 +503,7 @@ func (a *Allocator) growPool(c *sim.Ctx, p *pool, home int) *slabInfo {
 	for i := nobj - 1; i >= 0; i-- {
 		s.free = append(s.free, base+uint64(i)*s.objSize)
 	}
-	a.slabMap.set(base>>SlabShift, s)
+	a.slabMap.Set(base>>SlabShift, s)
 	a.assignHome(base, SlabBytes, home)
 	p.partial = append(p.partial, s)
 	p.slabs++
@@ -551,18 +555,6 @@ func (a *Allocator) refill(c *sim.Ctx, p *pool, ac *arrayCache) {
 	}
 }
 
-// returnToSlab gives one object back to its slab's freelist (caller holds the
-// pool lock).
-func (a *Allocator) returnToSlab(c *sim.Ctx, p *pool, obj uint64) {
-	s := a.slabMap.get(obj >> SlabShift)
-	s.free = append(s.free, obj)
-	s.inuse--
-	c.Write(s.metaAddr, 16)
-	if len(s.free) == 1 {
-		p.partial = append(p.partial, s)
-	}
-}
-
 // slabSeen reports whether s is already in the batch's touched list.
 func slabSeen(touched []*slabInfo, s *slabInfo) bool {
 	for _, t := range touched {
@@ -589,7 +581,7 @@ func (a *Allocator) flushLocal(c *sim.Ctx, p *pool, ac *arrayCache) {
 	var metas []uint64
 	for i := 0; i < n; i++ {
 		obj := ac.objs[i]
-		s := a.slabMap.get(obj >> SlabShift)
+		s := a.slabMap.Get(obj >> SlabShift)
 		s.free = append(s.free, obj)
 		s.inuse--
 		if !slabSeen(touched, s) {
@@ -627,7 +619,7 @@ func (a *Allocator) drainAlien(c *sim.Ctx, p *pool, alien *arrayCache) {
 	var touched []*slabInfo
 	var metas []uint64
 	for _, obj := range objs {
-		s := a.slabMap.get(obj >> SlabShift)
+		s := a.slabMap.Get(obj >> SlabShift)
 		s.free = append(s.free, obj)
 		s.inuse--
 		if !slabSeen(touched, s) {
@@ -680,7 +672,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, t *Type) uint64 {
 // Free returns an object to its pool. Objects freed on a core other than the
 // slab's home core go through the alien cache.
 func (a *Allocator) Free(c *sim.Ctx, addr uint64) {
-	s := a.slabMap.get(addr >> SlabShift)
+	s := a.slabMap.Get(addr >> SlabShift)
 	if s == nil || s.t.pool == nil {
 		panic(fmt.Sprintf("mem: Free of unknown address %#x", addr))
 	}
@@ -724,7 +716,7 @@ type ObjRef struct {
 // object's type, base address, and whether the address is typed at all.
 // This is DProf's memory-type resolver (§5.2).
 func (a *Allocator) Resolve(addr uint64) (t *Type, base uint64, ok bool) {
-	s := a.slabMap.get(addr >> SlabShift)
+	s := a.slabMap.Get(addr >> SlabShift)
 	if s == nil {
 		return nil, 0, false
 	}
@@ -765,29 +757,6 @@ type PoolStats struct {
 	Allocs    uint64
 	Frees     uint64
 	Slabs     int
-}
-
-// Stats returns counters for every pool type, ordered by peak bytes.
-func (a *Allocator) Stats() []PoolStats {
-	var out []PoolStats
-	for _, t := range a.typeOrder {
-		if t.pool == nil {
-			continue
-		}
-		p := t.pool
-		out = append(out, PoolStats{
-			Type:      t,
-			Live:      p.live,
-			Peak:      p.peak,
-			LiveBytes: p.live * t.objSize,
-			PeakBytes: p.peak * t.objSize,
-			Allocs:    p.alloc,
-			Frees:     p.frees,
-			Slabs:     p.slabs,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PeakBytes > out[j].PeakBytes })
-	return out
 }
 
 // StatsFor returns counters for one type (zero value for non-pool types).

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"dprof/internal/hashtab"
 	"dprof/internal/lockstat"
 )
 
@@ -13,13 +14,9 @@ import (
 // matching sim.Snapshot's machine-bound semantics.
 
 type allocState struct {
-	pools     []poolState // by typeOrder index; zero value for non-pool types
-	slabs     map[*slabInfo]slabState
-	pageKeys  []uint64
-	pageVals  []*slabInfo
-	pageMask  uint64
-	pageShift uint
-	pageN     int
+	pools []poolState // by typeOrder index; zero value for non-pool types
+	slabs map[*slabInfo]slabState
+	pages hashtab.Snapshot[*slabInfo]
 
 	nextSlab   uint64
 	nextMeta   uint64
@@ -60,11 +57,7 @@ func (a *Allocator) SnapshotState() any {
 	st := &allocState{
 		pools:      make([]poolState, len(a.typeOrder)),
 		slabs:      make(map[*slabInfo]slabState),
-		pageKeys:   append([]uint64(nil), a.slabMap.keys...),
-		pageVals:   append([]*slabInfo(nil), a.slabMap.vals...),
-		pageMask:   a.slabMap.mask,
-		pageShift:  a.slabMap.shift,
-		pageN:      a.slabMap.n,
+		pages:      a.slabMap.Capture(),
 		nextSlab:   a.nextSlab,
 		nextMeta:   a.nextMeta,
 		nextStatic: a.nextStatic,
@@ -83,10 +76,8 @@ func (a *Allocator) SnapshotState() any {
 			st.slabs[s] = slabState{free: append([]uint64(nil), s.free...), inuse: s.inuse}
 		}
 	}
-	for i, v := range a.slabMap.vals {
-		if a.slabMap.keys[i] != 0 && v != nil {
-			snapSlab(v)
-		}
+	for _, s := range a.slabMap.All() {
+		snapSlab(s)
 	}
 	for i, t := range a.typeOrder {
 		p := t.pool
@@ -122,11 +113,7 @@ func (a *Allocator) SnapshotState() any {
 // first populated them).
 func (a *Allocator) RestoreState(state any) {
 	st := state.(*allocState)
-	a.slabMap.keys = append(a.slabMap.keys[:0], st.pageKeys...)
-	a.slabMap.vals = append(a.slabMap.vals[:0], st.pageVals...)
-	a.slabMap.mask = st.pageMask
-	a.slabMap.shift = st.pageShift
-	a.slabMap.n = st.pageN
+	a.slabMap.Restore(&st.pages)
 	a.nextSlab = st.nextSlab
 	a.nextMeta = st.nextMeta
 	a.nextStatic = st.nextStatic

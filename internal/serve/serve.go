@@ -276,15 +276,21 @@ func writeStatus(w http.ResponseWriter, status int, msg string) {
 func readBody(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil && v != nil {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(v)
+		err = decodeBody(raw, v)
 	}
 	if err != nil {
 		writeStatus(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return nil, false
 	}
 	return raw, true
+}
+
+// decodeBody decodes the first JSON value of raw into v, rejecting a field
+// v does not name.
+func decodeBody(raw []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

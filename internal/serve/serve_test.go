@@ -145,6 +145,12 @@ func TestProfileErrors(t *testing.T) {
 			wantMsg:  []string{"measure_ms", "exceeds"},
 		},
 		{
+			name:     "window-ms whose cycle count overflows is a bad value",
+			body:     `{"workload":"falseshare","options":{"window-ms":"288230376151711744"}}`,
+			wantCode: 400,
+			wantMsg:  []string{"window-ms", "bad int value", "288230376151711744"},
+		},
+		{
 			name:     "oversized history-set count is rejected",
 			body:     `{"workload":"falseshare","views":["pathtrace"],"sets":2000000000}`,
 			wantCode: 400,

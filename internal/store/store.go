@@ -194,9 +194,6 @@ func (s *Store) maybeSweep(keep string) {
 	}
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len reports the resident object count.
 func (s *Store) Len() int64 { return s.entries.Load() }
 
