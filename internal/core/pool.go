@@ -7,9 +7,9 @@ import (
 
 // CheckpointPool shares warmup checkpoints between runs that differ only in
 // their measured phase: the first run of a warm key pays the warmup and
-// captures a checkpoint, every later run forks from it. The experiment
-// engine and dprofd both hold one; the caller derives the key, which must
-// cover everything that shapes machine state up to the warmup boundary.
+// captures a checkpoint, every later run forks from it. dprofd's /profile
+// holds one; the caller derives the key, which must cover everything that
+// shapes machine state up to the warmup boundary.
 //
 // Each entry has its own lock, held across capture and every fork: a
 // checkpoint restores into the machine it was captured from, so its forks

@@ -58,18 +58,28 @@ func (w *tickWorkload) Run(warmup, measure uint64) core.RunResult {
 
 const tickWarmup = 5_000
 
-// captureTick is a pool capture function over a fresh tickWorkload; calls
-// counts its invocations.
+// tickSession is a profiling session over a fresh tickWorkload. Its
+// configuration is constant, so an error is a bug and panics.
+func tickSession(measure uint64) *core.Session {
+	s, err := core.NewSession(newTickWorkload(), core.SessionConfig{Warmup: tickWarmup, Measure: measure})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// captureTick is a pool capture function over a fresh tickWorkload's
+// session; calls counts its invocations.
 func captureTick(calls *int) func() (*core.Checkpoint, error) {
 	return func() (*core.Checkpoint, error) {
 		*calls++
-		return core.CaptureWarmup(newTickWorkload(), tickWarmup)
+		return tickSession(0).Warmup()
 	}
 }
 
 // coldTick is the reference result a fork of measure must reproduce.
 func coldTick(measure uint64) core.RunResult {
-	return newTickWorkload().Run(tickWarmup, measure)
+	return tickSession(measure).Run()
 }
 
 // forkTick forks measure from key's checkpoint and checks it against a cold
@@ -90,7 +100,7 @@ func forkTick(t *testing.T, p *core.CheckpointPool, key string, measure uint64, 
 
 func tickBytes(t *testing.T) int64 {
 	t.Helper()
-	cp, err := core.CaptureWarmup(newTickWorkload(), tickWarmup)
+	cp, err := tickSession(0).Warmup()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,48 +244,15 @@ func TestCheckpointPoolConcurrentKeys(t *testing.T) {
 	}
 }
 
-// TestForkMemo: repeating the most recent measured length is answered from
-// the materialized state and counts no fork; a different length forks.
-func TestForkMemo(t *testing.T) {
-	cp, err := core.CaptureWarmup(newTickWorkload(), tickWarmup)
+// TestWarmupRequiresWarmRunnable: a session over a workload without the
+// warm-start contract cannot be checkpointed.
+func TestWarmupRequiresWarmRunnable(t *testing.T) {
+	s, err := core.NewSession(newToyWorkload(), core.SessionConfig{Warmup: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := cp.ForkMemo(1_000)
-	if b := cp.ForkMemo(1_000); fmt.Sprint(a.Values) != fmt.Sprint(b.Values) || cp.Forks() != 1 {
-		t.Errorf("repeat ForkMemo: %v vs %v after %d forks, want equal after 1", a.Values, b.Values, cp.Forks())
-	}
-	if c := cp.ForkMemo(2_000); fmt.Sprint(c.Values) != fmt.Sprint(coldTick(2_000).Values) || cp.Forks() != 2 {
-		t.Errorf("ForkMemo of a new length = %v after %d forks, want the cold run after 2", c.Values, cp.Forks())
-	}
-}
-
-// TestForkMemoAfterPark: a parked checkpoint's machine no longer embodies
-// its last fork, so ForkMemo of the same length forks again, and matches a
-// cold run.
-func TestForkMemoAfterPark(t *testing.T) {
-	cp, err := core.CaptureWarmup(newTickWorkload(), tickWarmup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.ForkMemo(1_000)
-	cp.Park()
-	if n := cp.Runnable().Machine().Hier.DenseBytes(); n != 0 {
-		t.Errorf("parked machine holds %d dense cache bytes, want 0", n)
-	}
-	if b := cp.ForkMemo(1_000); fmt.Sprint(b.Values) != fmt.Sprint(coldTick(1_000).Values) || cp.Forks() != 2 {
-		t.Errorf("ForkMemo after Park = %v after %d forks, want the cold run after 2", b.Values, cp.Forks())
-	}
-	if cp.ForkMemo(1_000); cp.Forks() != 2 {
-		t.Errorf("ForkMemo repeated after the re-fork ran %d forks, want 2", cp.Forks())
-	}
-}
-
-// TestCaptureWarmupRequiresWarmRunnable: a workload without the warm-start
-// contract cannot be checkpointed.
-func TestCaptureWarmupRequiresWarmRunnable(t *testing.T) {
-	if _, err := core.CaptureWarmup(newToyWorkload(), 100); err == nil {
-		t.Error("CaptureWarmup of a plain Runnable succeeded, want an error")
+	if _, err := s.Warmup(); err == nil {
+		t.Error("Warmup of a session over a plain Runnable succeeded, want an error")
 	}
 }
 

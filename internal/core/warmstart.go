@@ -21,11 +21,10 @@ type WarmRunnable interface {
 	RunMeasured(warmup, measure uint64) RunResult
 }
 
-// Checkpoint is a machine checkpoint captured at a warmup boundary — of a
-// profiling session (Session.Warmup) or of a bare, unprofiled workload
-// (CaptureWarmup). Fork resumes the measured phase from it — any number of
-// times, with any measured length — and each fork's result (and, for a
-// session, its profile) is byte-identical to a cold run of the same
+// Checkpoint is a profiling session's machine checkpoint, captured at the
+// warmup boundary by Session.Warmup. Fork resumes the measured phase from
+// it — any number of times, with any measured length — and each fork's
+// result and profile are byte-identical to a cold run of the same
 // configuration.
 //
 // A checkpoint restores into the machine instance it was captured from
@@ -33,7 +32,7 @@ type WarmRunnable interface {
 // checkpoint are strictly sequential; parallelism comes from forking
 // distinct checkpoints concurrently.
 type Checkpoint struct {
-	s      *Session // nil for a bare workload checkpoint
+	s      *Session
 	wr     WarmRunnable
 	snap   *sim.Snapshot
 	warmup uint64
@@ -41,37 +40,6 @@ type Checkpoint struct {
 	// parked is set by Park: the machine's cache hierarchy is released,
 	// and the next fork must restore it.
 	parked bool
-
-	// last and result record the most recent fork, so ForkMemo can answer a
-	// repeat from the machine state that fork left behind.
-	last   uint64
-	result RunResult
-}
-
-// warmRunnable asserts the warm-start contract on a workload instance.
-func warmRunnable(w Runnable) (WarmRunnable, error) {
-	wr, ok := w.(WarmRunnable)
-	if !ok {
-		return nil, fmt.Errorf("core: workload %T does not support warm start", w)
-	}
-	return wr, nil
-}
-
-// newCheckpoint runs the warmup phase and snapshots the machine at the boundary.
-func newCheckpoint(wr WarmRunnable, warmup uint64) *Checkpoint {
-	wr.RunWarmup(warmup)
-	return &Checkpoint{wr: wr, snap: wr.Machine().Snapshot(), warmup: warmup}
-}
-
-// CaptureWarmup runs an unprofiled workload's warmup phase and captures a
-// checkpoint at the boundary: the bare-run counterpart of Session.Warmup.
-// The instance must not have run yet.
-func CaptureWarmup(w Runnable, warmup uint64) (*Checkpoint, error) {
-	wr, err := warmRunnable(w)
-	if err != nil {
-		return nil, err
-	}
-	return newCheckpoint(wr, warmup), nil
 }
 
 // Warmup runs the session's warmup phase and captures a checkpoint at the
@@ -82,17 +50,16 @@ func (s *Session) Warmup() (*Checkpoint, error) {
 	if s.ran {
 		return nil, errors.New("core: Session.Warmup after the session already ran")
 	}
-	wr, err := warmRunnable(s.w)
-	if err != nil {
-		return nil, err
+	wr, ok := s.w.(WarmRunnable)
+	if !ok {
+		return nil, fmt.Errorf("core: workload %T does not support warm start", s.w)
 	}
 	s.ran = true
 	if s.cfg.WindowCycles > 0 || s.cfg.OnWindow != nil {
 		s.p.StartWindows(s.cfg.WindowCycles, s.cfg.Views, s.p.Desc(s.target), s.cfg.OnWindow)
 	}
-	cp := newCheckpoint(wr, s.cfg.Warmup)
-	cp.s = s
-	return cp, nil
+	wr.RunWarmup(s.cfg.Warmup)
+	return &Checkpoint{s: s, wr: wr, snap: wr.Machine().Snapshot(), warmup: s.cfg.Warmup}, nil
 }
 
 // Fork runs one measured phase from the checkpoint. measure 0 uses the
@@ -103,7 +70,7 @@ func (s *Session) Warmup() (*Checkpoint, error) {
 // fork's measured phase.
 func (cp *Checkpoint) Fork(measure uint64) RunResult {
 	s := cp.s
-	if measure == 0 && s != nil {
+	if measure == 0 {
 		measure = s.cfg.Measure
 	}
 	if cp.forks > 0 || cp.parked {
@@ -111,32 +78,13 @@ func (cp *Checkpoint) Fork(measure uint64) RunResult {
 		cp.parked = false
 	}
 	cp.forks++
-	cp.last = measure
-	cp.result = cp.wr.RunMeasured(cp.warmup, measure)
-	if s == nil {
-		return cp.result
-	}
-	s.result = cp.result
+	s.result = cp.wr.RunMeasured(cp.warmup, measure)
 	if s.cfg.WindowCycles > 0 || s.cfg.OnWindow != nil {
 		s.p.FinishWindows()
 	}
 	s.p.Sync()
 	s.p.Collector.FinalizeStats()
 	return s.result
-}
-
-// ForkMemo is Fork for callers that may repeat a measured length: when the
-// most recent fork already ran measure, the machine still embodies that
-// phase and its result returns without simulating again. A parked
-// checkpoint's machine no longer embodies it, so ForkMemo forks.
-func (cp *Checkpoint) ForkMemo(measure uint64) RunResult {
-	if measure == 0 && cp.s != nil {
-		measure = cp.s.cfg.Measure
-	}
-	if cp.forks > 0 && !cp.parked && cp.last == measure {
-		return cp.result
-	}
-	return cp.Fork(measure)
 }
 
 // Park releases the machine's cache hierarchy (cache.Hierarchy.Release)
@@ -151,7 +99,7 @@ func (cp *Checkpoint) Park() {
 }
 
 // Session returns the session the checkpoint belongs to (its views and
-// report reflect the most recent Fork); nil for a bare workload checkpoint.
+// report reflect the most recent Fork).
 func (cp *Checkpoint) Session() *Session { return cp.s }
 
 // Runnable returns the workload instance the checkpoint forks.

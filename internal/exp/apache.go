@@ -17,7 +17,7 @@ func init() {
 }
 
 // apacheOpts builds the option map for one Apache operating point (shared
-// with figure6.2's baseline so the warm pool keys line up).
+// with figure6.2's baseline so the run memo's keys line up).
 func apacheOpts(offered float64, backlog int) map[string]string {
 	return map[string]string{
 		"offered": strconv.FormatFloat(offered, 'f', -1, 64),

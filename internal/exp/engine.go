@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dprof/internal/core"
 )
 
 // Options configures an engine run.
@@ -23,12 +21,11 @@ type Options struct {
 	// means GOMAXPROCS. Every experiment constructs its own seeded machine,
 	// so results are identical at any worker count.
 	Workers int
-	// WarmStart shares warmup checkpoints across the experiments of this
-	// run: experiments whose runs share a warmup prefix (same workload,
-	// options, profiler configuration, and warmup length) fork one
-	// checkpoint at the warmup boundary instead of re-simulating it, and
-	// identical runs are answered from the materialized state outright.
-	// Results are byte-identical to cold runs at any worker count.
+	// WarmStart shares finished runs across the experiments of this run:
+	// a run whose full configuration (workload, options, profiler and
+	// session settings, warmup and measured lengths) already ran is read
+	// from that run's finished state instead of simulating again. Results
+	// are byte-identical to unshared runs at any worker count.
 	WarmStart bool
 	// Progress, if non-nil, receives one Event when an experiment starts and
 	// one when it finishes or fails. Delivery never blocks experiment
@@ -174,7 +171,7 @@ func RunAll(ctx context.Context, names []string, opts Options) ([]Result, error)
 
 	rc := RunCfg{Quick: opts.Quick}
 	if opts.WarmStart {
-		rc.warm = core.NewCheckpointPool(enginePoolBytes)
+		rc.memo = newRunMemo()
 	}
 
 	runOne := func(i int) {

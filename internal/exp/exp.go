@@ -31,7 +31,7 @@ type Result struct {
 }
 
 // Runner produces a Result. The RunCfg carries the quick/full switch and,
-// when the engine runs with WarmStart, the shared checkpoint pool.
+// when the engine runs with WarmStart, the memo of finished runs.
 type Runner func(rc RunCfg) Result
 
 type entry struct {

@@ -41,22 +41,36 @@ func TestGoldenProfiles(t *testing.T) {
 		}
 	}
 
-	// DPROF_GOLDEN_WARMSTART=1 runs the same goldens in warm-start fork
-	// mode: each experiment's internal runs fork their measured phase from
-	// a shared warmup checkpoint and must still reproduce the checked-in
-	// paper bytes — not merely agree with a cold run of the same build.
-	warm := os.Getenv("DPROF_GOLDEN_WARMSTART") != ""
-
-	got := make(map[string]map[string]float64)
+	var names []string
 	for _, name := range Names() {
 		if testing.Short() && !goldenFast[name] {
 			continue
 		}
-		r, err := Run(context.Background(), name, Options{Quick: true, WarmStart: warm})
+		names = append(names, name)
+	}
+
+	// DPROF_GOLDEN_WARMSTART=1 runs the same goldens as one WarmStart
+	// RunAll, so every run that experiments share (table6.4 and table6.5's
+	// Apache session, the memcached pairs, fix-apache's bare runs) is read
+	// from the one finished run and must still reproduce the checked-in
+	// paper bytes — not merely agree with a cold run of the same build.
+	got := make(map[string]map[string]float64)
+	if os.Getenv("DPROF_GOLDEN_WARMSTART") != "" {
+		rs, err := RunAll(context.Background(), names, Options{Quick: true, WarmStart: true})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		got[name] = r.Values
+		for _, r := range rs {
+			got[r.Name] = r.Values
+		}
+	} else {
+		for _, name := range names {
+			r, err := Run(context.Background(), name, Options{Quick: true})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got[name] = r.Values
+		}
 	}
 
 	if *updateGolden {

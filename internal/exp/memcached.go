@@ -17,14 +17,14 @@ func init() {
 	register("fix-memcached", "local TX queue selection fix (+57% in the paper)", runFixMemcached)
 }
 
-// memcachedOpts builds the option map shared by the warm pool's keying.
+// memcachedOpts builds the option map shared by the run memo's keying.
 func memcachedOpts(fix bool) map[string]string {
 	return map[string]string{"fix": strconv.FormatBool(fix)}
 }
 
 // runTable61 regenerates Table 6.1: the data profile of the memcached
 // workload under the buggy default queue selection. Its session shares a
-// warm key (and, via the memo, its entire run) with ext-oracle.
+// memo key, and so its entire run, with ext-oracle.
 func runTable61(rc RunCfg) Result {
 	w := memcachedWindow(rc.Quick)
 	var out Result

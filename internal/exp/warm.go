@@ -2,34 +2,76 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"dprof/internal/core"
 )
 
 // RunCfg is what the engine hands each experiment body. Quick selects the
-// small run windows; the unexported pool, when present, shares warm-start
-// checkpoints between experiments of the same RunAll.
+// small run windows; the unexported memo, when present, shares finished runs
+// between experiments of the same RunAll.
 //
 // Experiments reach simulation through the session and bare helpers below.
-// With a nil pool both run cold, exactly as the bodies did before warm-start
-// existed; with a pool, runs that share a warmup prefix (same workload,
-// options, profiler configuration, and warmup length) fork one checkpoint
-// instead of re-simulating the warmup, and runs with identical full
-// configurations are answered from the already-materialized state without
-// running at all (Checkpoint.ForkMemo). Either way the observable results
-// are byte-identical to cold runs — that is the warm-start correctness bar,
-// enforced by the equivalence tests.
+// Every run takes the one cold path: build, run, read. With a memo, a run
+// whose full configuration (workload, options, every session field and the
+// run windows) already ran in this RunAll is not run again: the caller
+// reads the finished session or instance that run left behind. Either
+// way the observable results are byte-identical to unshared runs, enforced
+// by the equivalence and golden tests.
 type RunCfg struct {
 	Quick bool
-	warm  *core.CheckpointPool
+	memo  *runMemo
 }
 
-// enginePoolBytes is the engine pool's budget: unbounded, so nothing is ever
-// evicted and every warm key is captured once for the whole RunAll.
-const enginePoolBytes = math.MaxInt64
+// runMemo maps a run's full configuration to its finished state. Each entry
+// has its own lock, held across the run and every read, so reads of one
+// run never overlap and distinct runs proceed in parallel; the memo lock
+// guards only the index.
+type runMemo struct {
+	mu      sync.Mutex
+	entries map[string]*memoEntry
+}
+
+type memoEntry struct {
+	mu  sync.Mutex
+	run *finishedRun // nil until a run completes
+}
+
+// finishedRun is one run's state after its measured phase: the session for
+// a profiled run, the workload instance for a bare one.
+type finishedRun struct {
+	s    *core.Session
+	inst core.Runnable
+	res  core.RunResult
+}
+
+func newRunMemo() *runMemo { return &runMemo{entries: make(map[string]*memoEntry)} }
+
+// do hands read the finished run for key, running it first when no earlier
+// caller finished it. A nil memo runs every call cold. A run that panics is
+// never kept: the next caller runs it afresh on a new instance. read must
+// not retain the run's state: later callers read it too.
+func (m *runMemo) do(key string, run func() *finishedRun, read func(*finishedRun)) {
+	if m == nil {
+		read(run())
+		return
+	}
+	m.mu.Lock()
+	e, ok := m.entries[key]
+	if !ok {
+		e = new(memoEntry)
+		m.entries[key] = e
+	}
+	m.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.run == nil {
+		e.run = run()
+	}
+	read(e.run)
+}
 
 // optsKey canonicalizes a workload option map.
 func optsKey(opts map[string]string) string {
@@ -45,71 +87,34 @@ func optsKey(opts map[string]string) string {
 	return b.String()
 }
 
-// sessionKey derives the warm key of a profiled session: everything shaping
-// the run up to the warmup boundary. Measure is the only SessionConfig field
-// a fork may vary; every other field changes profiler behavior during warmup
-// (sampling, collection targeting, windowing) and so splits the warm key.
+// sessionKey is a profiled run's memo key: the workload, its options and
+// the whole session configuration, run windows included.
 func sessionKey(name string, opts map[string]string, scfg core.SessionConfig) string {
-	return fmt.Sprintf("session|%s|%s|rate=%v,addrs=%d,watch=%d|type=%s,sets=%d,range=%d,life=%d|ls=%t,op=%t|win=%d,views=%s|warm=%d",
-		name, optsKey(opts),
-		scfg.Profiler.SampleRate, scfg.Profiler.MaxAddrRecords, scfg.Profiler.WatchLen,
-		scfg.TypeName, scfg.Sets, scfg.WatchRange, scfg.MaxLifetime,
-		scfg.LockStat, scfg.OProfile,
-		scfg.WindowCycles, strings.Join(scfg.Views, ";"),
-		scfg.Warmup)
-}
-
-// fork runs read on the pool checkpoint for warmKey, capturing it first on
-// the key's first use. Experiment configurations are constants, so a
-// failure is a programming error and panics (the engine reports it).
-func (rc RunCfg) fork(warmKey string, capture func() (*core.Checkpoint, error), read func(*core.Checkpoint)) {
-	err := rc.warm.Do(warmKey, capture, func(cp *core.Checkpoint) error {
-		read(cp)
-		return nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
+	return fmt.Sprintf("session|%s|%s|%+v", name, optsKey(opts), scfg)
 }
 
 // session runs a profiled session and hands it, still locked, to read.
-//
-// Cold (no pool, or a streamed session): build, run, read. Warm: the first
-// caller of the session's warm key pays the warmup and captures the
-// checkpoint; later callers fork only the measured phase. read must not
-// retain the session: it is shared, and another experiment's fork will
-// rewind it.
+// Streamed sessions (OnWindow) always run cold: their callback is part of
+// the run.
 func (rc RunCfg) session(name string, opts map[string]string, scfg core.SessionConfig, read func(*core.Session, core.RunResult)) {
-	if rc.warm == nil || scfg.OnWindow != nil {
-		s := mustSession(build(name, opts), scfg)
-		read(s, s.Run())
-		return
+	m := rc.memo
+	if scfg.OnWindow != nil {
+		m = nil
 	}
-	rc.fork(sessionKey(name, opts, scfg), func() (*core.Checkpoint, error) {
-		return mustSession(build(name, opts), scfg).Warmup()
-	}, func(cp *core.Checkpoint) {
-		read(cp.Session(), cp.ForkMemo(scfg.Measure))
-	})
+	m.do(sessionKey(name, opts, scfg), func() *finishedRun {
+		s := mustSession(build(name, opts), scfg)
+		return &finishedRun{s: s, res: s.Run()}
+	}, func(r *finishedRun) { read(r.s, r.res) })
 }
 
 // bare runs an unprofiled workload instance (the paper's clean baseline
 // runs) and hands it, still locked, to read. The lock registry is reset
-// before the warmup on every path, so lock-stat reports always cover
-// warmup+measure from a clean slate — cold callers that don't read locks are
-// unaffected, and warm forks restore the registry to its boundary state.
+// before the run, so lock-stat reports cover warmup+measure from a clean
+// slate; callers that don't read locks are unaffected.
 func (rc RunCfg) bare(name string, opts map[string]string, w window, read func(core.Runnable, core.RunResult)) {
-	if rc.warm == nil {
+	rc.memo.do(fmt.Sprintf("bare|%s|%s|%+v", name, optsKey(opts), w), func() *finishedRun {
 		inst := build(name, opts)
 		inst.Locks().Reset()
-		read(inst, inst.Run(w.warmup, w.measure))
-		return
-	}
-	warmKey := fmt.Sprintf("bare|%s|%s|warm=%d", name, optsKey(opts), w.warmup)
-	rc.fork(warmKey, func() (*core.Checkpoint, error) {
-		inst := build(name, opts)
-		inst.Locks().Reset()
-		return core.CaptureWarmup(inst, w.warmup)
-	}, func(cp *core.Checkpoint) {
-		read(cp.Runnable(), cp.ForkMemo(w.measure))
-	})
+		return &finishedRun{inst: inst, res: inst.Run(w.warmup, w.measure)}
+	}, func(r *finishedRun) { read(r.inst, r.res) })
 }

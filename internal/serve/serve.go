@@ -510,8 +510,8 @@ func (s *Server) runExperiment(name string, quick bool, progress func(exp.Event)
 	}
 	defer s.release()
 	s.simulations.Add(1)
-	// WarmStart shares warmup checkpoints across the experiment's internal
-	// runs; the output is byte-identical to a cold engine run.
+	// WarmStart runs each distinct configuration among the experiment's
+	// internal runs once; the output is byte-identical to a cold engine run.
 	res, err := exp.Run(s.ctx, name, exp.Options{Quick: quick, Workers: 1, Progress: progress, WarmStart: true})
 	if err != nil {
 		return nil, err
