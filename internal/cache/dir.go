@@ -48,7 +48,9 @@ func (d *dirTable) andNot(line uint64, bits uint64) uint64 {
 func (d *dirTable) fetchOr(line uint64, bits uint64) uint64 {
 	i, ok := d.Find(line)
 	if !ok {
-		d.InsertAt(i, line, bits)
+		if d.InsertAt(i, line, bits) {
+			d.Grow()
+		}
 		return 0
 	}
 	m := d.At(i)
@@ -64,7 +66,9 @@ func (d *dirTable) fetchOr(line uint64, bits uint64) uint64 {
 func (d *dirTable) swap(line uint64, mask uint64) uint64 {
 	i, ok := d.Find(line)
 	if !ok {
-		d.InsertAt(i, line, mask)
+		if d.InsertAt(i, line, mask) {
+			d.Grow()
+		}
 		return 0
 	}
 	m := d.At(i)

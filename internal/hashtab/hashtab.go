@@ -14,7 +14,8 @@
 //
 // The probe is exposed as find-slot / insert-at / delete-at, so a caller's
 // fused read-modify-write (the directory's swap, fetch-or and and-not) stays
-// one probe.
+// one probe; an insert that fills the table past 3/4 tells its caller to
+// Grow.
 package hashtab
 
 import (
@@ -84,15 +85,15 @@ func (t *Table[V]) Find(key uint64) (uint64, bool) {
 // At returns the value in slot i, which Find reported present.
 func (t *Table[V]) At(i uint64) *V { return &t.entries[i].val }
 
-// InsertAt stores key and v in slot i, the empty slot Find returned for key.
-// The table grows past 3/4 occupancy, which moves entries: slots found
-// before an InsertAt are stale after it.
-func (t *Table[V]) InsertAt(i, key uint64, v V) {
+// InsertAt stores key and v in slot i, the empty slot Find returned for key,
+// and reports whether the table is now past 3/4 occupancy. When it is, the
+// caller must call Grow before any other operation on the table. The grow is
+// the caller's so that InsertAt stays within the inliner's budget: the
+// coherence directory inserts on every private miss.
+func (t *Table[V]) InsertAt(i, key uint64, v V) (full bool) {
 	t.entries[i] = Entry[V]{key: key + 1, val: v}
 	t.n++
-	if t.n*4 > len(t.entries)*3 {
-		t.grow()
-	}
+	return t.n*4 > len(t.entries)*3
 }
 
 // DeleteAt removes the entry in slot i, which Find reported present, by
@@ -134,8 +135,8 @@ func (t *Table[V]) Get(key uint64) V {
 func (t *Table[V]) Set(key uint64, v V) {
 	if i, ok := t.Find(key); ok {
 		t.entries[i].val = v
-	} else {
-		t.InsertAt(i, key, v)
+	} else if t.InsertAt(i, key, v) {
+		t.Grow()
 	}
 }
 
@@ -149,9 +150,10 @@ func (t *Table[V]) Delete(key uint64) (v V, ok bool) {
 	return v, ok
 }
 
-// grow doubles the table, reinserting in slot order. The outgrown array
-// goes to the GC, not the recycler: only Release feeds it.
-func (t *Table[V]) grow() {
+// Grow doubles the table, reinserting in slot order, which moves entries:
+// slots found before a Grow are stale after it. The outgrown array goes to
+// the GC, not the recycler: only Release feeds it.
+func (t *Table[V]) Grow() {
 	old := t.entries
 	t.entries = t.arrays.Get(2 * len(old))
 	t.setSize(len(t.entries))

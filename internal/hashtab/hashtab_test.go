@@ -52,8 +52,8 @@ func testMatchesMap[V comparable](t *testing.T, val func(*rand.Rand) V) {
 				v := val(r)
 				if slot, ok := tab.Find(k); ok {
 					*tab.At(slot) = v
-				} else {
-					tab.InsertAt(slot, k, v)
+				} else if tab.InsertAt(slot, k, v) {
+					tab.Grow()
 				}
 				ref[k] = v
 			case 4:

@@ -16,6 +16,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"dprof/internal/core"
 	"dprof/internal/sym"
@@ -181,18 +182,38 @@ func (b *builder) build() []byte {
 	return p.b
 }
 
+// gzipper is a reusable gzip writer and the buffer it compresses into.
+type gzipper struct {
+	zw  *gzip.Writer
+	out bytes.Buffer
+}
+
+// gzippers recycles compressors: a fresh flate writer allocates ~800 KB of
+// window and hash tables, many times the size of a profile, so building one
+// per export made the allocation the largest cost of a pprof conversion.
+// Reset gives the same output as a new writer.
+var gzippers = sync.Pool{New: func() any {
+	g := new(gzipper)
+	g.zw = gzip.NewWriter(&g.out)
+	return g
+}}
+
 // gzipped wraps a serialized profile in the gzip framing `go tool pprof`
-// expects on disk.
+// expects on disk. The compressor comes from a pool and the result is
+// copied out of its buffer, so the bytes are byte-identical to a fresh
+// gzip.NewWriter's and the caller owns them.
 func gzipped(raw []byte) ([]byte, error) {
-	var out bytes.Buffer
-	zw := gzip.NewWriter(&out)
-	if _, err := zw.Write(raw); err != nil {
+	g := gzippers.Get().(*gzipper)
+	defer gzippers.Put(g)
+	g.out.Reset()
+	g.zw.Reset(&g.out)
+	if _, err := g.zw.Write(raw); err != nil {
 		return nil, err
 	}
-	if err := zw.Close(); err != nil {
+	if err := g.zw.Close(); err != nil {
 		return nil, err
 	}
-	return out.Bytes(), nil
+	return bytes.Clone(g.out.Bytes()), nil
 }
 
 // dataFrame renders the leaf "data location" frame for a type and offset.

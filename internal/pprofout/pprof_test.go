@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dprof/internal/core"
@@ -192,5 +193,108 @@ func TestGoToolPprofReadsExport(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "ring_buffer") {
 		t.Fatalf("pprof -top output missing hot type:\n%s", out)
+	}
+}
+
+// freshGzip is the reference the pooled compressor must match: a new
+// gzip.Writer per call.
+func freshGzip(t testing.TB, raw []byte) []byte {
+	var out bytes.Buffer
+	zw := gzip.NewWriter(&out)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestPooledGzipMatchesFresh: a compressor reused from the pool writes the
+// bytes a fresh gzip.NewWriter writes, for inputs of different sizes in
+// turn (so a reused writer carries state from a larger or smaller input)
+// and from concurrent goroutines.
+func TestPooledGzipMatchesFresh(t *testing.T) {
+	inputs := [][]byte{nil, []byte("x")}
+	for _, n := range []int{1 << 10, 96 << 10, 16 << 10} {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*i>>5) ^ byte(i>>9)
+		}
+		inputs = append(inputs, b)
+	}
+	want := make([][]byte, len(inputs))
+	for i, in := range inputs {
+		want[i] = freshGzip(t, in)
+	}
+	for round := range 3 {
+		for i, in := range inputs {
+			got, err := gzipped(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("round %d input %d: pooled output differs from a fresh writer's", round, i)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 20 {
+				i := (g + r) % len(inputs)
+				got, err := gzipped(inputs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("goroutine %d input %d: pooled output differs from a fresh writer's", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// goldenDocument is the memcached document golden: all five views, so the
+// export carries both data-profile rows and path-trace stacks.
+func goldenDocument(b *testing.B) *core.ProfileDocument {
+	raw, err := os.ReadFile(filepath.Join("..", "app", "workload", "testdata", "doc_goldens", "memcached.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var golden struct {
+		Document json.RawMessage `json:"document"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		b.Fatal(err)
+	}
+	doc, err := core.ParseDocument(golden.Document)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return doc
+}
+
+// BenchmarkEncodeDocument times one document's pprof conversion, the work
+// dprofd does on the first ?format=pprof request for a resident document.
+// Its allocations are the profile tables and the output: a fresh flate
+// compressor per call would add ~800 KB/op. One conversion before the
+// timed loop stocks the compressor pool, as any earlier request would.
+func BenchmarkEncodeDocument(b *testing.B) {
+	doc := goldenDocument(b)
+	meta := Meta{Comments: []string{"dprofd: " + doc.Workload}}
+	if _, err := EncodeDocument(doc, meta); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := EncodeDocument(doc, meta); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -12,17 +12,24 @@ import (
 
 // lru is the profile store: finished response bodies keyed by content
 // address. Bodies are immutable once inserted, so readers share the slice.
+// Each entry also memoizes its body's pprof form (see pprof).
 type lru struct {
 	mu        sync.Mutex
 	cap       int
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
 	evictions uint64
+	encodes   uint64 // pprof forms derived (GET /stats "pprof_encodes")
+	memoHits  uint64 // pprof forms served from a memo ("pprof_memo_hits")
 }
 
 type lruItem struct {
 	key  string
 	body []byte
+	// pprof is body's pprof form, derived on the first pprof request while
+	// the entry is resident; nil until then. It lives and dies with the
+	// entry: replacing the body or evicting the entry drops it.
+	pprof []byte
 }
 
 func newLRU(capacity int) *lru {
@@ -47,7 +54,8 @@ func (c *lru) put(key string, body []byte) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*lruItem).body = body
+		it := el.Value.(*lruItem)
+		it.body, it.pprof = body, nil
 		return
 	}
 	c.items[key] = c.ll.PushFront(&lruItem{key: key, body: body})
@@ -59,12 +67,56 @@ func (c *lru) put(key string, body []byte) {
 	}
 }
 
-// evicted reports how many bodies have been pushed out of the cold end
-// (for GET /stats).
-func (c *lru) evicted() uint64 {
+// pprof returns the pprof form of body, a body fetched for key: the
+// entry's memo when key's entry holds this very slice, else a fresh
+// encodePprof, which is memoized if the entry still holds it. A body that
+// is not resident (evicted since it was fetched) is encoded on every call,
+// and a failed encode is never kept. Concurrent first requests for one key
+// may each encode; the memo keeps one of the identical results.
+func (c *lru) pprof(key string, body []byte) ([]byte, error) {
+	c.mu.Lock()
+	if it := c.holding(key, body); it != nil && it.pprof != nil {
+		c.memoHits++
+		gz := it.pprof
+		c.mu.Unlock()
+		return gz, nil
+	}
+	c.mu.Unlock()
+	gz, err := encodePprof(body)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evictions
+	c.encodes++
+	if it := c.holding(key, body); it != nil {
+		it.pprof = gz
+	}
+	return gz, nil
+}
+
+// holding returns key's entry when it holds body itself, not an equal
+// copy, so a memo always belongs to the bytes it was derived from. c.mu
+// must be held.
+func (c *lru) holding(key string, body []byte) *lruItem {
+	el, ok := c.items[key]
+	if !ok {
+		return nil
+	}
+	it := el.Value.(*lruItem)
+	if len(it.body) != len(body) || len(body) > 0 && &it.body[0] != &body[0] {
+		return nil
+	}
+	return it
+}
+
+// counters reports how many bodies have been pushed out of the cold end,
+// how many pprof forms were derived and how many were served from a memo
+// (for GET /stats).
+func (c *lru) counters() (evictions, encodes, memoHits uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.evictions, c.encodes, c.memoHits
 }
 
 // len reports the resident entry count (for /healthz).

@@ -157,28 +157,40 @@ func (e *ExportError) Error() string { return fmt.Sprintf("pprof export: %v", e.
 
 func (e *ExportError) Unwrap() error { return e.Err }
 
-// writeNegotiated writes a finished body, converting a profile document
-// (doc) to a gzipped pprof protobuf when the client negotiated that. The
-// conversion reads the canonical JSON bytes — the cache, store, and peers
-// keep serving one representation; pprof is derived at the edge.
-func writeNegotiated(w http.ResponseWriter, r *http.Request, doc bool, body []byte, disposition string) {
-	if !doc || !wantsPprof(r) {
+// writeNegotiated writes a finished body fetched for j, converting a
+// profile document (j.doc) to a gzipped pprof protobuf when the client
+// negotiated that. The cache, store and peers keep one representation, the
+// canonical JSON; the pprof form is derived from it at the edge, once per
+// LRU residency: the entry holding the body memoizes it until the entry is
+// evicted or replaced. It is never stored on disk or forwarded, and a body
+// no longer resident converts again on every request.
+func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, j job, body []byte, disposition string) {
+	if !j.doc || !wantsPprof(r) {
 		writeBody(w, body, disposition)
 		return
 	}
-	d, err := core.ParseDocument(body)
+	gz, err := s.cache.pprof(j.addr, body)
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	gz, err := pprofout.EncodeDocument(d, pprofout.Meta{
-		Comments: []string{"dprofd: " + d.Workload},
-	})
-	if err != nil {
-		writeError(w, &ExportError{Err: err})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-DProf-Cache", disposition)
 	w.Write(gz)
+}
+
+// encodePprof converts canonical document bytes to a gzipped pprof
+// protobuf. A document whose views cannot export is an ExportError.
+func encodePprof(body []byte) ([]byte, error) {
+	d, err := core.ParseDocument(body)
+	if err != nil {
+		return nil, err
+	}
+	gz, err := pprofout.EncodeDocument(d, pprofout.Meta{
+		Comments: []string{"dprofd: " + d.Workload},
+	})
+	if err != nil {
+		return nil, &ExportError{Err: err}
+	}
+	return gz, nil
 }

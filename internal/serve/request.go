@@ -42,7 +42,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, j job) {
 	if replica != "" {
 		w.Header().Set(replicaHeader, replica)
 	}
-	writeNegotiated(w, r, j.doc, body, disposition)
+	s.writeNegotiated(w, r, j, body, disposition)
 }
 
 // fetch resolves a job to its body: the LRU, then the owner when another

@@ -36,6 +36,9 @@
 // (this request ran it), "dedup" (it joined another request's flight), or
 // "proxy:<d>" (the owner answered with disposition d). /diff sides and
 // /ingest route exactly like /profile; a /diff itself runs where it lands.
+// Every layer holds a profile document as its canonical JSON; a negotiated
+// pprof answer is converted at the edge, once per LRU residency (see
+// writeNegotiated).
 //
 // Config.StoreDir backs the LRU with a disk content-addressed store
 // (internal/store) so finished documents survive restarts, and
@@ -384,13 +387,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // ingestion, the disk store, the checkpoint pool and the replica ring. The
 // README's "Scaling dprofd" section documents the schema.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	evictions, encodes, memoHits := s.cache.counters()
 	out := map[string]any{
 		"cache": map[string]any{
-			"entries":   s.cache.len(),
-			"capacity":  s.cfg.CacheEntries,
-			"hits":      s.hits.Load(),
-			"misses":    s.misses.Load(),
-			"evictions": s.cache.evicted(),
+			"entries":         s.cache.len(),
+			"capacity":        s.cfg.CacheEntries,
+			"hits":            s.hits.Load(),
+			"misses":          s.misses.Load(),
+			"evictions":       evictions,
+			"pprof_encodes":   encodes,
+			"pprof_memo_hits": memoHits,
 		},
 		"singleflight": map[string]any{
 			"deduplicated": s.dedups.Load(),
