@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,6 +59,51 @@ func benchEngine(b *testing.B, workers int) {
 
 func BenchmarkEngineSerial(b *testing.B)   { benchEngine(b, 1) }
 func BenchmarkEngineParallel(b *testing.B) { benchEngine(b, 0) }
+
+// engineSuiteList is perfbench's engine-suite experiment list, copied from
+// suiteList in perfbench/suite.go: perfbench is its own module, so this
+// package cannot import it.
+var engineSuiteList = []string{
+	"table6.1", "figure6.1", "table6.2", "table6.3", "fix-memcached",
+	"table6.4", "table6.5", "table6.6", "fix-apache",
+	"figure6.2", "table6.9",
+	"diff-falseshare", "diff-conflict", "diff-trueshare", "diff-alienping", "diff-numaremote",
+	"ext-oracle", "ext-widewatch", "ext-pebs", "ext-ptu", "ablation-merge",
+	"falseshare", "conflict", "trueshare", "alienping", "numaremote",
+}
+
+// BenchmarkEngineRetainedHeap runs the engine-suite list as perfbench's
+// engine-suite workload does (Quick, one worker, WarmStart) and forces a
+// garbage collection as each experiment finishes. retained-MB is the
+// largest HeapAlloc read right after those collections: what the engine
+// keeps live across the suite, chiefly the memoized sessions and their
+// cache hierarchies. Unlike a process's peak RSS it does not depend on
+// when the collector happens to run. Progress runs on the engine's event
+// goroutine while the worker starts the next experiment, so a reading can
+// include that experiment's first allocations; runs repeat to about 1 MB.
+func BenchmarkEngineRetainedHeap(b *testing.B) {
+	var peak uint64
+	for b.Loop() {
+		_, err := exp.RunAll(context.Background(), engineSuiteList, exp.Options{
+			Quick:     true,
+			Workers:   1,
+			WarmStart: true,
+			Progress: func(ev exp.Event) {
+				if ev.Kind != exp.EventFinished {
+					return
+				}
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				peak = max(peak, ms.HeapAlloc)
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(peak)/(1<<20), "retained-MB")
+}
 
 // --- one benchmark per paper table/figure ---
 

@@ -165,15 +165,15 @@ const (
 	modified
 )
 
-// way is one cache way, packed to 16 bytes: the MESI state lives in the low
+// way is one cache way, packed to 8 bytes: the MESI state lives in the low
 // two bits of tag and the line address (addr >> lineShift) in the rest, so
-// tag == line<<2 | state and a zero tag means invalid. Halving a 16-way L2
-// set scan from six cache lines to four (and an L3 scan proportionally) is
-// worth the two-bit shift on every tag compare — the set scans are among
-// the hottest loops in the simulator.
+// tag == line<<2 | state and a zero tag means invalid. A way carries no LRU
+// stamp — its position in the set is its recency (see bank) — so a 16-way
+// L2 set scan reads two cache lines and a 32-way L3 scan four. The set
+// scans are among the hottest loops in the simulator, and the way arrays
+// are most of the memory a memoized or checkpointed machine holds.
 type way struct {
 	tag uint64
-	lru uint64
 }
 
 // wayTag builds the packed tag for line held in state st.
@@ -194,13 +194,21 @@ func (w *way) setState(st mesi) { w.tag = w.tag&^3 | uint64(st) }
 // occupies ways[i*nways : (i+1)*nways] — so a set probe is one indexed load
 // into a single contiguous allocation instead of a pointer chase through a
 // slice of slices; the hot fastHit slot-0 probe and every set scan benefit.
+//
+// Every set is kept in recency order: slot 0 holds the most recently
+// touched way and the last slot the least recently touched, so position
+// replaces an LRU stamp. A hit or a fill puts its line at slot 0 and shifts
+// the ways that were above it down one slot; an invalidation leaves an
+// invalid way in place, which the next fill into the set takes first. The
+// order of the valid ways is therefore exactly the order of their last
+// touches, and the last slot of a full set is the LRU victim.
+//
 // Banks carry no presence index of their own (see newBank); the hierarchy's
 // l3pres table answers L3 presence for all sockets with one probe.
 type bank struct {
 	ways    []way
 	setMask uint64
 	nways   uint64
-	tick    uint64
 }
 
 // set returns the ways of line's set.
@@ -230,76 +238,68 @@ func newBank(size uint64, ways int, lineSize uint64) bank {
 	}
 }
 
-// lookup returns the way holding line, or nil. A hit is swapped to slot 0
-// (move-to-front) so repeat lookups of hot lines touch one slot instead of
-// scanning the whole set; eviction order is unaffected because LRU is
-// tracked by the lru tick, not by position.
+// lookup returns the way holding line, or nil. A hit becomes the most
+// recent way: it moves to slot 0 and the ways above it shift down one
+// slot, so repeat lookups of hot lines touch one slot instead of scanning
+// the whole set.
 func (b *bank) lookup(line uint64) *way {
 	set := b.set(line)
 	base := line << 2
 	for i := range set {
 		if set[i].matches(base) {
-			b.tick++
-			set[i].lru = b.tick
 			if i != 0 {
-				set[0], set[i] = set[i], set[0]
-				return &set[0]
+				w := set[i]
+				for j := i; j > 0; j-- {
+					set[j] = set[j-1]
+				}
+				set[0] = w
 			}
-			return &set[i]
+			return &set[0]
 		}
 	}
 	return nil
 }
 
-// victimSlot picks the slot a new line takes in set: the first invalid slot,
-// else the LRU way. minLRU is kept in a register so the scan does one load
-// per way, not two.
-func victimSlot(set []way) int {
-	vi := 0
-	minLRU := set[0].lru
-	if set[0].tag&3 != 0 {
-		for i := 1; i < len(set); i++ {
-			if set[i].tag&3 == 0 {
-				return i
-			}
-			if set[i].lru < minLRU {
-				minLRU = set[i].lru
-				vi = i
-			}
+// place writes tag at slot 0 of set, as the set's most recent way. The
+// victim is the first invalid slot, else the last slot, which holds the
+// least recently touched way: the ways above it shift down one, in the same
+// single pass that finds it, and place returns the way it displaced (an
+// invalid one when a free slot took the shift).
+func place(set []way, tag uint64) way {
+	prev := way{tag: tag}
+	for i := range set {
+		cur := set[i]
+		set[i] = prev
+		if cur.tag&3 == 0 {
+			return cur
 		}
+		prev = cur
 	}
-	return vi
+	return prev
 }
 
-// insert places line into its set with the given state and returns the evicted
-// victim (state != invalid) if one was displaced.
+// insert places line into its set with the given state, as the set's most
+// recent way, and returns the evicted victim (state != invalid) if one was
+// displaced.
 func (b *bank) insert(line uint64, st mesi) (victim way) {
-	set := b.set(line)
-	b.tick++
-	vi := victimSlot(set)
-	victim = set[vi]
-	set[vi] = way{tag: wayTag(line, st), lru: b.tick}
+	victim = place(b.set(line), wayTag(line, st))
 	if victim.tag&3 == 0 {
 		return way{}
 	}
 	return victim
 }
 
-// promote installs line, which the bank does not hold, the way insert
-// followed by lookup would, in one scan: the same victim slot is taken, the
-// tick advances twice, and the line ends at slot 0 with the slot-0 way moved
-// into the victim's place. The victim is dropped (an L1 victim stays in the
-// inclusive L2). It returns the line's way.
+// promote installs line, which the bank does not hold, as insert does, and
+// returns the line's way at slot 0. The victim is dropped (an L1 victim
+// stays in the inclusive L2).
 func (b *bank) promote(line uint64, st mesi) *way {
 	set := b.set(line)
-	vi := victimSlot(set)
-	b.tick += 2
-	set[vi] = set[0]
-	set[0] = way{tag: wayTag(line, st), lru: b.tick}
+	place(set, wayTag(line, st))
 	return &set[0]
 }
 
-// invalidate removes line if present and returns its previous state.
+// invalidate removes line if present and returns its previous state. The
+// invalid way keeps its slot; the next fill into the set takes it.
 func (b *bank) invalidate(line uint64) mesi {
 	set := b.set(line)
 	base := line << 2
@@ -653,18 +653,18 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 }
 
 // fastHit is the hot-line fast path: one probe of slot 0 of the line's L1
-// set — slot 0 is where every slow-path hit leaves a line, via
-// move-to-front — decides whether the set scans and coherence branches of
-// the slow path can matter. On a probe hit it replays
-// exactly the mutations the slow path would make: the per-bank LRU tick
-// bumps, the M-state transitions and the counters. Reads are served from
-// any valid state — an L1 read hit is state-blind, and a line invalidated
-// under a foreign write fails the state check. Writes additionally need
-// Modified/Exclusive at slot 0 of both levels (a Shared write must pay the
-// slow path's upgrade, and a write whose line sits deeper in a set must pay
-// the scans that move it up). The probe validates itself against the bank
-// contents; any check failing falls back to the slow path with no state
-// touched.
+// set — slot 0 holds the set's most recent way, where every slow-path hit
+// and fill leaves a line — decides whether the set scans and coherence
+// branches of the slow path can matter. On a probe hit it replays exactly
+// the mutations the slow path would make: the M-state transitions and the
+// counters. A hit at slot 0 is already the most recent way, so the recency
+// order needs no write. Reads are served from any valid state — an L1 read
+// hit is state-blind, and a line invalidated under a foreign write fails
+// the state check. Writes additionally need Modified/Exclusive at slot 0 of
+// both levels (a Shared write must pay the slow path's upgrade, and a write
+// whose line sits deeper in a set must pay the scans that move it up). The
+// probe validates itself against the bank contents; any check failing
+// falls back to the slow path with no state touched.
 func (h *Hierarchy) fastHit(core int, line uint64, write bool) (Result, bool) {
 	p := &h.cores[core]
 	base := line << 2
@@ -675,8 +675,6 @@ func (h *Hierarchy) fastHit(core int, line uint64, write bool) (Result, bool) {
 	st := &h.stats[core]
 	if !write {
 		st.Accesses++
-		p.l1.tick++
-		w1.lru = p.l1.tick
 		st.L1Hits++
 		st.LatencySum += uint64(h.lat[L1Hit])
 		return Result{Level: L1Hit, Latency: h.lat[L1Hit]}, true
@@ -692,10 +690,6 @@ func (h *Hierarchy) fastHit(core int, line uint64, write bool) (Result, bool) {
 	}
 	st.Accesses++
 	st.Writes++
-	p.l1.tick++
-	w1.lru = p.l1.tick
-	p.l2.tick++
-	w2.lru = p.l2.tick
 	w1.tag |= 3 // Exclusive or Modified -> Modified
 	w2.tag |= 3
 	st.L1Hits++
@@ -773,12 +767,13 @@ func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) R
 	// instead of a per-socket probe cascade (on the DRAM-bound misses that
 	// dominate this path, every skipped probe is a skipped cache miss).
 	// The banks remain authoritative: a set presence bit still goes through
-	// the bank's own lookup, which performs the LRU touch a hit implies.
+	// the bank's own scan. A hit leaves the victim cache for the private
+	// side, so the scan invalidates it in place; the recency order of the
+	// set's other ways is unchanged either way.
 	if l3mask := h.l3pres.Get(line); l3mask != 0 {
 		// The chip's own victim L3.
 		if l3mask&(1<<uint(socket)) != 0 {
-			if w := h.l3s[socket].lookup(line); w != nil {
-				h.l3s[socket].invalidate(line) // victim cache: line moves to the private side
+			if h.l3s[socket].invalidate(line) != invalid {
 				h.l3pres.andNot(line, 1<<uint(socket))
 				if write {
 					h.fill(core, line, modified)
@@ -793,8 +788,7 @@ func (h *Hierarchy) slowAccess(core int, addr uint64, line uint64, write bool) R
 		for m := l3mask &^ (1 << uint(socket)); m != 0; {
 			s := bits.TrailingZeros64(m)
 			m &^= 1 << uint(s)
-			if w := h.l3s[s].lookup(line); w != nil {
-				h.l3s[s].invalidate(line)
+			if h.l3s[s].invalidate(line) != invalid {
 				h.l3pres.andNot(line, 1<<uint(s))
 				if write {
 					h.fill(core, line, modified)
@@ -876,7 +870,7 @@ func (h *Hierarchy) hitUpgrade(core int, line uint64, w1, w2 *way, lv Level, lat
 	return h.finish(core, st, lv, l)
 }
 
-// peek is lookup without LRU side effects.
+// peek is lookup without moving the way.
 func (b *bank) peek(line uint64) *way {
 	set := b.set(line)
 	base := line << 2

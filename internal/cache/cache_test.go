@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -348,4 +350,88 @@ func TestMaxCoresBound(t *testing.T) {
 		}
 	}()
 	New(testConfig(), MaxCores+1)
+}
+
+// TestSetRecencyOrder walks one L2 set of a 2-core hierarchy through every
+// operation that reorders a set and checks, after each, that the set lists
+// its lines from most to least recently touched, that the next fill would
+// take the right slot, and that the hierarchy is consistent. Lines are
+// named by their index k in the set (address base + k*stride) and a state
+// letter; "-" is an invalid slot.
+func TestSetRecencyOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.L2Size, cfg.L2Ways = 32<<10, 8 // 64 sets of 8 ways; L1 stays 32 sets of 2
+	h := New(cfg, 2)
+	stride := cfg.L2Size / uint64(cfg.L2Ways) // one L2 (and L1) set apart
+	const base = 0x100000
+	addr := func(k int) uint64 { return base + uint64(k)*stride }
+	set0 := addr(0) / cfg.LineSize
+	name := func(w way) string {
+		if w.state() == invalid {
+			return "-"
+		}
+		k := (w.line()*cfg.LineSize - base) / stride
+		return fmt.Sprintf("%d%c", k, "-SEM"[w.state()])
+	}
+	slots := func(b *bank) string {
+		var out []string
+		for _, w := range b.set(set0) {
+			out = append(out, name(w))
+		}
+		return strings.Join(out, " ")
+	}
+	// check compares core 0's L1 and L2 sets with their expected slot
+	// orders, and the way the next fill into the L2 set would displace
+	// (placed into a copy of the set) with victim.
+	check := func(step, l2, l1, victim string) {
+		t.Helper()
+		p := &h.cores[0]
+		if got := slots(&p.l2); got != l2 {
+			t.Fatalf("%s: L2 set = %q, want %q", step, got, l2)
+		}
+		if got := slots(&p.l1); got != l1 {
+			t.Fatalf("%s: L1 set = %q, want %q", step, got, l1)
+		}
+		probe := append([]way(nil), p.l2.set(set0)...)
+		if got := name(place(probe, wayTag(addr(99)/cfg.LineSize, exclusive))); got != victim {
+			t.Fatalf("%s: the next L2 fill displaces %q, want %q", step, got, victim)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	access := func(core, k int, write bool, want Level) {
+		t.Helper()
+		if r := h.Access(core, addr(k), write); r.Level != want {
+			t.Fatalf("core %d access to line %d = %v, want %v", core, k, r.Level, want)
+		}
+	}
+
+	for k := 0; k < 8; k++ {
+		access(0, k, false, DRAM)
+	}
+	check("fill", "7E 6E 5E 4E 3E 2E 1E 0E", "7E 6E", "0E")
+
+	access(0, 2, false, L2Hit) // depth 5: moves to slot 0, slots 0-4 shift down
+	check("hit at depth 5", "2E 7E 6E 5E 4E 3E 1E 0E", "2E 7E", "0E")
+
+	access(1, 5, true, ForeignHit) // invalidates core 0's copy in place
+	check("foreign write", "2E 7E 6E - 4E 3E 1E 0E", "2E 7E", "-")
+
+	access(0, 8, false, DRAM) // takes the invalid slot: nothing is evicted
+	check("fill into invalid slot", "8E 2E 7E 6E 4E 3E 1E 0E", "8E 2E", "0E")
+
+	access(0, 9, false, DRAM) // full set: evicts line 0, the least recent
+	check("fill into full set", "9E 8E 2E 7E 6E 4E 3E 1E", "9E 8E", "1E")
+	if got := residents(h, addr(0)); len(got) != 1 || got[0].Core != -1 {
+		t.Fatalf("evicted line 0 is resident at %+v, want the L3 alone", got)
+	}
+
+	access(0, 6, false, L2Hit) // promote into L1, evicting line 8 from L1 only
+	check("L2-hit promote", "6E 9E 8E 2E 7E 4E 3E 1E", "6E 9E", "1E")
+
+	if r, ok := h.fastHit(0, addr(6)/cfg.LineSize, true); !ok || r.Level != L1Hit {
+		t.Fatalf("write to line 6 at slot 0 of both levels: fastHit = %v, %v; want an L1 hit", r, ok)
+	}
+	check("fast-path write", "6M 9E 8E 2E 7E 4E 3E 1E", "6M 9E", "1E")
 }

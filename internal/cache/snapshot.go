@@ -8,14 +8,13 @@ import (
 
 // Checkpoint records the hierarchy's mutable state sparsely: only what is
 // live. For each bank (every core's L1 and L2, every socket's victim L3) it
-// keeps the LRU tick and the valid ways with their slot index; for the
-// coherence directory, the L3 presence index and the page-home table it
-// keeps the table size and the used entries with their slot index
-// (hashtab.Snapshot); and it keeps the per-core counters and the directory
-// probe count. Slot positions are exact, so move-to-front order and the
-// table layout come back bit for bit. Invalid ways and empty entries come
-// back as zero, which is safe because no probe or fill reads an invalid
-// way's tag or lru.
+// keeps the valid ways with their slot index; for the coherence directory,
+// the L3 presence index and the page-home table it keeps the table size and
+// the used entries with their slot index (hashtab.Snapshot); and it keeps
+// the per-core counters and the directory probe count. Slot positions are
+// exact, so every set's recency order (see bank) and the table layout come
+// back bit for bit. Invalid ways and empty entries come back as zero, which
+// is safe because no probe or fill reads an invalid way's line.
 //
 // A checkpoint is immutable once taken: Restore copies out of it, so one
 // checkpoint can seed any number of restores.
@@ -27,7 +26,7 @@ import (
 // aliases) stay valid.
 type Checkpoint struct {
 	cores  []privState
-	l3s    []bankState
+	l3s    []hashtab.Sparse[way]
 	dir    hashtab.Snapshot[uint64]
 	l3pres hashtab.Snapshot[uint64]
 	homes  hashtab.Snapshot[uint64]
@@ -36,21 +35,15 @@ type Checkpoint struct {
 	dirProbes uint64
 }
 
-// bankState is a bank's tick and valid ways.
-type bankState struct {
-	tick uint64
-	ways hashtab.Sparse[way]
-}
-
 type privState struct {
-	l1, l2 bankState
+	l1, l2 hashtab.Sparse[way]
 }
 
 // captureBank copies b's valid ways. The copy loop is branch-free, because
 // valid and invalid ways interleave unpredictably in a warmed bank: every
 // way is written at the next free position, which advances only past a
 // valid one.
-func captureBank(b *bank) bankState {
+func captureBank(b *bank) hashtab.Sparse[way] {
 	n := 0
 	for i := range b.ways {
 		n += b.ways[i].valid()
@@ -61,23 +54,22 @@ func captureBank(b *bank) bankState {
 		ways.Set(k, i, w)
 		k += w.valid()
 	}
-	return bankState{tick: b.tick, ways: ways}
+	return ways
 }
 
 // valid is 1 for a way in any valid state, else 0.
 func (w way) valid() int { return int((w.tag | w.tag>>1) & 1) }
 
-func (b *bank) restoreFrom(s *bankState) {
+func (b *bank) restoreFrom(s *hashtab.Sparse[way]) {
 	b.ways = wayArrays.Reuse(b.ways, b.nsets()*int(b.nways))
-	s.ways.Scatter(b.ways)
-	b.tick = s.tick
+	s.Scatter(b.ways)
 }
 
 // Checkpoint captures the hierarchy's live state.
 func (h *Hierarchy) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		cores:     make([]privState, len(h.cores)),
-		l3s:       make([]bankState, len(h.l3s)),
+		l3s:       make([]hashtab.Sparse[way], len(h.l3s)),
 		dir:       h.dir.Capture(),
 		l3pres:    h.l3pres.Capture(),
 		homes:     h.homes.Capture(),
@@ -166,10 +158,10 @@ func (h *Hierarchy) DenseBytes() uint64 {
 func (cp *Checkpoint) Bytes() uint64 {
 	n := cp.dir.Bytes() + cp.l3pres.Bytes() + cp.homes.Bytes()
 	for i := range cp.cores {
-		n += cp.cores[i].l1.ways.Bytes() + cp.cores[i].l2.ways.Bytes()
+		n += cp.cores[i].l1.Bytes() + cp.cores[i].l2.Bytes()
 	}
 	for s := range cp.l3s {
-		n += cp.l3s[s].ways.Bytes()
+		n += cp.l3s[s].Bytes()
 	}
 	return n + uint64(len(cp.stats))*uint64(unsafe.Sizeof(Stats{}))
 }

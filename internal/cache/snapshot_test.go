@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // warmHierarchy drives h with n random accesses over a footprint of lines
@@ -77,20 +78,24 @@ func TestRestoreAfterHomesGrew(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesExact: Bytes is the sparse form's exact size — 16 bytes
-// per valid way or used table entry plus its 4-byte slot index, and 112
-// bytes of counters per core — counted here from the live hierarchy.
+// TestCheckpointBytesExact: Bytes is the sparse form's exact size — 8 bytes
+// per valid way and 16 per used table entry, each plus its 4-byte slot
+// index, and 112 bytes of counters per core — counted here from the live
+// hierarchy.
 func TestCheckpointBytesExact(t *testing.T) {
+	if n := unsafe.Sizeof(way{}); n != 8 {
+		t.Fatalf("a way is %d bytes, want 8 (the packed tag alone)", n)
+	}
 	h := NewTopo(DefaultConfig(), Topology{Sockets: 2, CoresPerSocket: 4})
 	for p := uint64(0); p < 32; p++ {
 		h.SetPageHome(p*HomeGranule, int(p%2))
 	}
 	warmHierarchy(h, rand.New(rand.NewSource(11)), 50_000, 1<<16)
-	live := 0
+	ways := 0
 	countWays := func(b *bank) {
 		for _, w := range b.ways {
 			if w.state() != invalid {
-				live++
+				ways++
 			}
 		}
 	}
@@ -101,10 +106,10 @@ func TestCheckpointBytesExact(t *testing.T) {
 	for s := range h.l3s {
 		countWays(&h.l3s[s])
 	}
-	live += h.dir.Len() + h.l3pres.Len() + h.homes.Len()
-	want := uint64(live)*(16+4) + uint64(len(h.cores))*14*8
+	entries := h.dir.Len() + h.l3pres.Len() + h.homes.Len()
+	want := uint64(ways)*(8+4) + uint64(entries)*(16+4) + uint64(len(h.cores))*14*8
 	if got := h.Checkpoint().Bytes(); got != want {
-		t.Fatalf("Bytes = %d, want %d (%d live ways and entries, %d cores)", got, want, live, len(h.cores))
+		t.Fatalf("Bytes = %d, want %d (%d live ways, %d table entries, %d cores)", got, want, ways, entries, len(h.cores))
 	}
 }
 
