@@ -224,9 +224,11 @@ func BenchmarkNumaRemoteScenario(b *testing.B) { benchExperiment(b, "numaremote"
 // --- dprofd: cached-profile request throughput ---
 
 // BenchmarkServeCachedProfile measures the dprofd hot path: a POST /profile
-// whose content address is already resident, i.e. full HTTP round trip plus
-// LRU lookup but no simulation. This is the request rate the service
-// sustains once a profile is warm — the serving-layer overhead.
+// whose document is already resident, i.e. full HTTP round trip plus LRU
+// lookup but no simulation. Every timed request repeats the warmup's body
+// byte for byte, so it is answered by its spelling: no decode, no
+// normalization and no content address. This is the request rate the
+// service sustains once a profile is warm — the serving-layer overhead.
 func BenchmarkServeCachedProfile(b *testing.B) {
 	s, err := serve.New(serve.Config{Workers: 1, Quick: true})
 	if err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"log"
 	"runtime/debug"
@@ -12,15 +13,25 @@ import (
 
 // lru is the profile store: finished response bodies keyed by content
 // address. Bodies are immutable once inserted, so readers share the slice.
-// Each entry also memoizes its body's pprof form (see pprof).
+// Each entry also memoizes its body's pprof form (see pprof) and the
+// spelling of the request that last resolved to it (see alias).
 type lru struct {
 	mu        sync.Mutex
 	cap       int
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
+	aliases   map[alias]*list.Element // at most one per entry
 	evictions uint64
 	encodes   uint64 // pprof forms derived (GET /stats "pprof_encodes")
 	memoHits  uint64 // pprof forms served from a memo ("pprof_memo_hits")
+	aliasHits uint64 // bodies served by spelling ("alias_hits")
+}
+
+// alias is a request's spelling: its route and the SHA-256 of its raw
+// body.
+type alias struct {
+	route string
+	sum   [sha256.Size]byte
 }
 
 type lruItem struct {
@@ -30,10 +41,21 @@ type lruItem struct {
 	// the entry is resident; nil until then. It lives and dies with the
 	// entry: replacing the body or evicting the entry drops it.
 	pprof []byte
+	// alias is the latest spelling that resolved to key, when aliased; doc
+	// records whether pprof negotiation applies to that route. Like pprof,
+	// it lives and dies with the entry.
+	alias   alias
+	aliased bool
+	doc     bool
 }
 
 func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, ll: list.New(), items: make(map[string]*list.Element, capacity)}
+	return &lru{
+		cap:     capacity,
+		ll:      list.New(),
+		items:   make(map[string]*list.Element, capacity),
+		aliases: make(map[alias]*list.Element, capacity),
+	}
 }
 
 // get returns the cached body and marks it most recently used.
@@ -56,14 +78,58 @@ func (c *lru) put(key string, body []byte) {
 		c.ll.MoveToFront(el)
 		it := el.Value.(*lruItem)
 		it.body, it.pprof = body, nil
+		c.unalias(it)
 		return
 	}
 	c.items[key] = c.ll.PushFront(&lruItem{key: key, body: body})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruItem).key)
+		it := oldest.Value.(*lruItem)
+		delete(c.items, it.key)
+		c.unalias(it)
 		c.evictions++
+	}
+}
+
+// byAlias returns the entry a spelling last resolved to, marking it most
+// recently used: its address, its body and whether pprof negotiation
+// applies. A hit is counted.
+func (c *lru) byAlias(a alias) (key string, body []byte, doc bool, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.aliases[a]
+	if !ok {
+		return "", nil, false, false
+	}
+	c.ll.MoveToFront(el)
+	c.aliasHits++
+	it := el.Value.(*lruItem)
+	return it.key, it.body, it.doc, true
+}
+
+// alias records a as the spelling of key's entry, replacing the entry's
+// previous one, when the entry is resident; otherwise it does nothing, so
+// an alias never outlives the body it names. The caller must have
+// normalized the very request a spells to key.
+func (c *lru) alias(a alias, key string, doc bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	it := el.Value.(*lruItem)
+	c.unalias(it)
+	it.alias, it.aliased, it.doc = a, true, doc
+	c.aliases[a] = el
+}
+
+// unalias drops the entry's alias, if any. c.mu must be held.
+func (c *lru) unalias(it *lruItem) {
+	if it.aliased {
+		delete(c.aliases, it.alias)
+		it.aliased = false
 	}
 }
 
@@ -110,13 +176,20 @@ func (c *lru) holding(key string, body []byte) *lruItem {
 	return it
 }
 
-// counters reports how many bodies have been pushed out of the cold end,
-// how many pprof forms were derived and how many were served from a memo
-// (for GET /stats).
-func (c *lru) counters() (evictions, encodes, memoHits uint64) {
+// stats reports the LRU's own GET /stats counters: resident entries and
+// aliases, bodies pushed out of the cold end, pprof forms derived and
+// served from a memo, and bodies served by spelling.
+func (c *lru) stats() map[string]any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evictions, c.encodes, c.memoHits
+	return map[string]any{
+		"entries":         c.ll.Len(),
+		"aliases":         len(c.aliases),
+		"evictions":       c.evictions,
+		"pprof_encodes":   c.encodes,
+		"pprof_memo_hits": c.memoHits,
+		"alias_hits":      c.aliasHits,
+	}
 }
 
 // len reports the resident entry count (for /healthz).

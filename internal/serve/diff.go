@@ -22,24 +22,22 @@ type DiffRequest struct {
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	var req DiffRequest
-	if _, ok := readBody(w, r, 1<<20, &req); !ok {
-		return
-	}
-	var keys [2]profileKey
-	for i, side := range [2]*ProfileRequest{&req.A, &req.B} {
-		var err error
-		if keys[i], err = s.normalize(side); err != nil {
-			writeError(w, fmt.Errorf("profile %c: %w", 'a'+i, err))
-			return
+	s.answerRequest(w, r, "/diff", &req, func() (job, error) {
+		var keys [2]profileKey
+		for i, side := range [2]*ProfileRequest{&req.A, &req.B} {
+			var err error
+			if keys[i], err = s.normalize(side); err != nil {
+				return job{}, fmt.Errorf("profile %c: %w", 'a'+i, err)
+			}
+			// The diff runs on the data profile view; make sure both sides
+			// render it (in canonical view order, so the side addresses
+			// stay canonical).
+			ensureDataProfile(&keys[i])
 		}
-		// The diff runs on the data profile view; make sure both sides
-		// render it (in canonical view order, so the side addresses stay
-		// canonical).
-		ensureDataProfile(&keys[i])
-	}
-	s.answer(w, r, job{
-		addr: "diff/" + keys[0].address() + "/" + keys[1].address(),
-		run:  func(func(string, any)) ([]byte, error) { return s.runDiff(keys) },
+		return job{
+			addr: "diff/" + keys[0].address() + "/" + keys[1].address(),
+			run:  func(func(string, any)) ([]byte, error) { return s.runDiff(keys) },
+		}, nil
 	})
 }
 

@@ -42,7 +42,7 @@ func (k ingestKey) address() string { return contentAddress("ingest/", k) }
 // gzipped pprof protobuf when the client negotiates it (?format=pprof or
 // Accept: application/octet-stream).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r, maxIngestBytes, nil)
+	raw, ok := readBody(w, r, maxIngestBytes)
 	if !ok {
 		return
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzRequestNormalize holds POST /profile and POST /diff body
-// normalization to its contract. The body is decoded as readBody decodes
+// normalization to its contract. The body is decoded as answerRequest decodes
 // it, as a ProfileRequest and as a DiffRequest; every decoded request is
 // normalized (a diff side also gains the data profile view, as handleDiff
 // adds it). A rejection must map to a 4xx through statusFor, never a 500

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"net/http"
 )
 
@@ -22,6 +23,44 @@ type job struct {
 	// run computes the body. emit, non-nil only for a stream, relays the
 	// run's live events without ever blocking it.
 	run func(emit func(event string, data any)) ([]byte, error)
+}
+
+// answerRequest is the front half of every handler whose JSON body alone
+// names its answer (/profile and /diff). A byte-identical repeat of a
+// request this server already resolved is answered by its spelling, an
+// alias over route and body kept on the LRU entry it resolved to, with no
+// decode, normalization or content address: normalization is a pure
+// function of the body and the server's fixed config, so an alias hit is
+// exactly an LRU hit. Otherwise the body is decoded into v, resolve builds
+// the job, answer answers it, and the alias is recorded on the entry if
+// the body is now resident. A streamed request bypasses aliases.
+func (s *Server) answerRequest(w http.ResponseWriter, r *http.Request, route string, v any, resolve func() (job, error)) {
+	raw, ok := readBody(w, r, 1<<20)
+	if !ok {
+		return
+	}
+	streams := streamed(r)
+	a := alias{route, sha256.Sum256(raw)}
+	if !streams {
+		if addr, body, doc, ok := s.cache.byAlias(a); ok {
+			s.hits.Add(1)
+			s.writeNegotiated(w, r, job{addr: addr, doc: doc}, body, "hit")
+			return
+		}
+	}
+	if err := decodeBody(raw, v); err != nil {
+		writeBadBody(w, err)
+		return
+	}
+	j, err := resolve()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	s.answer(w, r, j)
+	if !streams {
+		s.cache.alias(a, j.addr, j.doc)
+	}
 }
 
 // answer is the one request path every cacheable endpoint ends in (see the

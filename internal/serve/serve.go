@@ -20,6 +20,8 @@
 // address, how a non-owner forwards it, and how to run it. Then, in order:
 //
 //  1. The LRU. A hit answers at once, with no goroutine and no flight.
+//     /profile and /diff check it by the request's spelling before they
+//     decode anything (see answerRequest), then by its content address.
 //  2. A streamed request (?stream=ndjson|sse) runs locally and relays the
 //     run's live events: engine progress for experiments, window snapshots
 //     for windowed profiles. Streams are never forwarded.
@@ -273,19 +275,19 @@ func writeStatus(w http.ResponseWriter, status int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// readBody reads a request body of at most limit bytes and, when v is
-// non-nil, decodes it into v as JSON that names no unknown field. A failure
-// answers 400 and returns false.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
+// readBody reads a request body of at most limit bytes. A failure answers
+// 400 and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err == nil && v != nil {
-		err = decodeBody(raw, v)
-	}
 	if err != nil {
-		writeStatus(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		writeBadBody(w, err)
 		return nil, false
 	}
 	return raw, true
+}
+
+func writeBadBody(w http.ResponseWriter, err error) {
+	writeStatus(w, http.StatusBadRequest, "bad request body: "+err.Error())
 }
 
 // decodeBody decodes the first JSON value of raw into v, rejecting a field
@@ -387,17 +389,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // ingestion, the disk store, the checkpoint pool and the replica ring. The
 // README's "Scaling dprofd" section documents the schema.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	evictions, encodes, memoHits := s.cache.counters()
+	cache := s.cache.stats()
+	cache["capacity"] = s.cfg.CacheEntries
+	cache["hits"] = s.hits.Load()
+	cache["misses"] = s.misses.Load()
 	out := map[string]any{
-		"cache": map[string]any{
-			"entries":         s.cache.len(),
-			"capacity":        s.cfg.CacheEntries,
-			"hits":            s.hits.Load(),
-			"misses":          s.misses.Load(),
-			"evictions":       evictions,
-			"pprof_encodes":   encodes,
-			"pprof_memo_hits": memoHits,
-		},
+		"cache": cache,
 		"singleflight": map[string]any{
 			"deduplicated": s.dedups.Load(),
 		},
@@ -445,15 +442,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var req ProfileRequest
-	if _, ok := readBody(w, r, 1<<20, &req); !ok {
-		return
-	}
-	k, err := s.normalize(&req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.answer(w, r, s.profileJob(k))
+	s.answerRequest(w, r, "/profile", &req, func() (job, error) {
+		k, err := s.normalize(&req)
+		if err != nil {
+			return job{}, err
+		}
+		return s.profileJob(k), nil
+	})
 }
 
 // --- experiments ---

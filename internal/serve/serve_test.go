@@ -868,7 +868,7 @@ func TestStatsKeySet(t *testing.T) {
 		t.Errorf("top-level keys = %q, want %q", got, want)
 	}
 	blocks := map[string]string{
-		"cache":        "capacity entries evictions hits misses pprof_encodes pprof_memo_hits",
+		"cache":        "alias_hits aliases capacity entries evictions hits misses pprof_encodes pprof_memo_hits",
 		"singleflight": "deduplicated",
 		"ingest":       "drop_reasons files_parsed mappings other_records parse_failures samples_accepted samples_dropped samples_total",
 		"store": "bytes_read bytes_resident bytes_written corrupt_dropped dir entries hits max_bytes misses puts" +

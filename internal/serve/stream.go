@@ -22,11 +22,10 @@ type streamer struct {
 // text/event-stream — and nil for a plain request. It writes the response
 // header, so call it before any status code is set.
 func newStreamer(w http.ResponseWriter, r *http.Request) *streamer {
-	mode := r.URL.Query().Get("stream")
-	sse := mode == "sse" || r.Header.Get("Accept") == "text/event-stream"
-	if mode == "" && !sse {
+	if !streamed(r) {
 		return nil
 	}
+	sse := r.URL.Query().Get("stream") == "sse" || r.Header.Get("Accept") == "text/event-stream"
 	st := &streamer{w: w, sse: sse}
 	st.fl, _ = w.(http.Flusher)
 	if sse {
@@ -38,6 +37,11 @@ func newStreamer(w http.ResponseWriter, r *http.Request) *streamer {
 	w.WriteHeader(http.StatusOK)
 	st.flush()
 	return st
+}
+
+// streamed reports whether r asks for a stream (see newStreamer).
+func streamed(r *http.Request) bool {
+	return r.URL.Query().Get("stream") != "" || r.Header.Get("Accept") == "text/event-stream"
 }
 
 // event emits one named event. NDJSON: {"event":name,"data":...}\n.
