@@ -148,7 +148,7 @@ func benchScenarioRun(b *testing.B, name string, opts map[string]string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		inst := workload.MustBuild(name, opts)
-		r := inst.Run(250_000, 1_500_000)
+		r := core.RunBare(inst, 250_000, 1_500_000)
 		b.ReportMetric(r.Values["throughput"], "sim_tput")
 	}
 }

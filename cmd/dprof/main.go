@@ -437,7 +437,7 @@ func runTopologySweep(stdout, stderr io.Writer, w workload.Workload, setOpts map
 			fmt.Fprintf(stderr, "dprof: building %s on %s: %v\n", w.Name(), topo, err)
 			return 1
 		}
-		res := inst.Run(w.Windows(false).Warmup, measureMs*1_000_000)
+		res := core.RunBare(inst, w.Windows(false).Warmup, measureMs*1_000_000)
 		fmt.Fprintf(stdout, "%-8s %14.0f  %s\n", topo, res.Values["throughput"], res.Summary)
 	}
 	return 0

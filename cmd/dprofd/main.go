@@ -90,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		storeMax = fs.Int64("store-max-bytes", 0, "disk store byte budget; over-budget writes sweep the least recently read profiles (0 = unbounded)")
 		self     = fs.String("self", "", "this replica's URL as peers reach it (required with -peers)")
 		peers    = fs.String("peers", "", "comma-separated replica URLs forming the consistent-hash ring")
-		ckptMax  = fs.Int64("checkpoint-pool-bytes", 0, "warm-start checkpoint pool byte budget, charged by checkpoint size; a parked entry also keeps its workload and profiler objects (0 = 256 MiB default, negative = disable warm-start forking)")
+		ckptMax  = fs.Int64("checkpoint-pool-bytes", 0, "warm-start checkpoint pool byte budget, charged by checkpoint size; a parked entry also keeps its workload and profiler objects (0 = 256 MiB default; must not be negative)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -110,6 +110,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	if *storeMax > 0 && *storeDir == "" {
 		fmt.Fprintln(stderr, "dprofd: -store-max-bytes requires -store-dir")
+		return 2
+	}
+	if *ckptMax < 0 {
+		fmt.Fprintln(stderr, "dprofd: -checkpoint-pool-bytes must not be negative (0 = the 256 MiB default)")
 		return 2
 	}
 	s, err := serve.New(serve.Config{

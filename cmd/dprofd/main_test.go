@@ -86,6 +86,22 @@ func TestRunStoreMaxBytesRequiresStoreDir(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeCheckpointPool: the checkpoint pool is always on,
+// so a negative budget is a usage error rather than a way to switch it off.
+func TestRunRejectsNegativeCheckpointPool(t *testing.T) {
+	var out, errOut strings.Builder
+	code := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-checkpoint-pool-bytes", "-1"}, &out, &errOut)
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2\nstderr:\n%s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "-checkpoint-pool-bytes") {
+		t.Errorf("stderr does not name -checkpoint-pool-bytes:\n%s", errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing: the server must not start", out.String())
+	}
+}
+
 func TestRunPeersRequireSelf(t *testing.T) {
 	var out, errOut strings.Builder
 	code := run(context.Background(), []string{"-peers", "http://a:7071,http://b:7071"}, &out, &errOut)

@@ -67,8 +67,8 @@ func main() {
 	fmt.Println("\n--- step 3: install the local queue selection fix ---")
 	// Compare clean runs (no profiler attached) on both sides, the way the
 	// paper reports its speedup.
-	stClean := workload.MustBuild("memcached", nil).Run(warmup, measure)
-	stFixed := workload.MustBuild("memcached", map[string]string{"fix": "true"}).Run(warmup, measure)
+	stClean := core.RunBare(workload.MustBuild("memcached", nil), warmup, measure)
+	stFixed := core.RunBare(workload.MustBuild("memcached", map[string]string{"fix": "true"}), warmup, measure)
 	fmt.Printf("default (unprofiled): %s\n", stClean.Summary)
 	fmt.Printf("fixed   (unprofiled): %s\n", stFixed.Summary)
 	fmt.Printf("\nimprovement: %+.0f%%  (the paper reports +57%%)\n",

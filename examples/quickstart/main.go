@@ -7,7 +7,10 @@
 // where the message hops between cores.
 //
 // The workload is an ordinary struct implementing core.Runnable — the same
-// contract the registered workloads in internal/app satisfy. To make a
+// contract the registered workloads in internal/app satisfy: a machine, an
+// allocator and a lock registry, plus a run split at the warmup boundary
+// into RunWarmup and RunMeasured (the session calls both; core.RunBare runs
+// them without a profiler). To make a
 // scenario available to cmd/dprof and the experiment engine, wrap a
 // constructor like newPingPong in a workload.Workload and call
 // workload.Register from init (see internal/app/scenarios for examples).
@@ -42,14 +45,16 @@ type pingPong struct {
 }
 
 // newPingPong builds a 4-core machine with the paper's cache hierarchy and
-// a typed allocator, and registers the two object types.
-func newPingPong(rounds int) *pingPong {
+// a typed allocator, and registers the two object types. The generators
+// stop at horizon. It is fixed here, before any run: the streaming core's
+// task starts at cycle zero and reads the horizon while it runs.
+func newPingPong(rounds int, horizon uint64) *pingPong {
 	scfg := sim.DefaultConfig()
 	scfg.Cores = 4
 	m := sim.New(scfg)
 	locks := lockstat.NewRegistry()
 	alloc := mem.New(mem.DefaultConfig(), m.NumCores(), locks)
-	w := &pingPong{m: m, alloc: alloc, locks: locks, rounds: rounds}
+	w := &pingPong{m: m, alloc: alloc, locks: locks, rounds: rounds, stopAt: horizon}
 	w.msgType = alloc.RegisterType("message", 64, "shared message buffer")
 	w.bufType = alloc.RegisterType("stream_buf", 1024, "streaming scratch buffer")
 	return w
@@ -63,13 +68,13 @@ func (w *pingPong) Locks() *lockstat.Registry { return w.locks }
 // Prime schedules the workload without running the machine. Core 0 produces
 // a message, core 1 consumes it — every handoff invalidates the other
 // core's cached copy — while core 2 streams through private buffers far
-// larger than its caches.
-func (w *pingPong) Prime(horizon uint64) {
+// larger than its caches. The generators stop at the horizon newPingPong
+// was given, so Prime's is unused.
+func (w *pingPong) Prime(uint64) {
 	if w.started {
 		return
 	}
 	w.started = true
-	w.stopAt = horizon
 
 	var produce func(c *sim.Ctx)
 	var consume func(c *sim.Ctx, addr uint64)
@@ -116,11 +121,16 @@ func (w *pingPong) Prime(horizon uint64) {
 	})
 }
 
-// Run executes the warmup and measured windows.
-func (w *pingPong) Run(warmup, measure uint64) core.RunResult {
-	w.Prime(warmup + measure)
+// RunWarmup starts the workload and runs it to the warmup boundary, where
+// cache statistics reset.
+func (w *pingPong) RunWarmup(warmup uint64) {
+	w.Prime(w.stopAt)
 	w.m.Run(warmup)
 	w.m.Hier.ResetStats()
+}
+
+// RunMeasured runs the measured window that follows RunWarmup.
+func (w *pingPong) RunMeasured(warmup, measure uint64) core.RunResult {
 	w.m.Run(warmup + measure)
 	return core.RunResult{
 		Summary: fmt.Sprintf("quickstart: %d message handoffs", w.handoffs),
@@ -140,7 +150,7 @@ func main() {
 	// history collection for the dataflow target, then runs the workload.
 	// (Each watched object costs ~220k cycles of setup broadcast, §6.4 —
 	// one set keeps that overhead small next to the run window.)
-	s, err := core.NewSession(newPingPong(rounds), core.SessionConfig{
+	s, err := core.NewSession(newPingPong(rounds, measure), core.SessionConfig{
 		Profiler: core.Config{SampleRate: 50_000, WatchLen: 8},
 		TypeName: "message",
 		Sets:     1,

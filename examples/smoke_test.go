@@ -1,17 +1,24 @@
 // Package examples_test smoke-tests every example binary: each must build
-// and complete a tiny (-quick) run, so the examples cannot silently rot as
-// the APIs underneath them move.
+// and complete a tiny (-quick) run whose stdout matches
+// testdata/<name>.quick.golden byte for byte, so the examples cannot
+// silently rot, or silently change what they print, as the APIs underneath
+// them move. Regenerate the goldens with:
+//
+//	go test ./examples -update
 package examples_test
 
 import (
+	"bytes"
 	"context"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata golden files")
 
 // exampleDirs discovers the example main packages (every subdirectory with
 // a main.go).
@@ -52,14 +59,30 @@ func TestExamplesBuildAndRun(t *testing.T) {
 			// stalling the whole test binary.
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
+			var stdout, stderr bytes.Buffer
 			run := exec.CommandContext(ctx, exe, "-quick")
+			run.Stdout, run.Stderr = &stdout, &stderr
 			run.WaitDelay = 10 * time.Second
-			out, err := run.CombinedOutput()
-			if err != nil {
-				t.Fatalf("%s -quick: %v\n%s", dir, err, out)
+			if err := run.Run(); err != nil {
+				t.Fatalf("%s -quick: %v\n%s%s", dir, err, stdout.Bytes(), stderr.Bytes())
 			}
-			if strings.TrimSpace(string(out)) == "" {
+			out := stdout.Bytes()
+			if len(bytes.TrimSpace(out)) == 0 {
 				t.Fatalf("%s -quick produced no output", dir)
+			}
+			golden := filepath.Join("testdata", dir+".quick.golden")
+			if *update {
+				if err := os.WriteFile(golden, out, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Errorf("%s -quick stdout differs from %s:\n--- got ---\n%s\n--- want ---\n%s", dir, golden, out, want)
 			}
 		})
 	}

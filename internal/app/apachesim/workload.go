@@ -68,10 +68,6 @@ func (i instance) Alloc() *mem.Allocator     { return i.b.K.Alloc }
 func (i instance) Locks() *lockstat.Registry { return i.b.K.Locks }
 func (i instance) Prime(horizon uint64)      { i.b.Prime(horizon) }
 
-func (i instance) Run(warmup, measure uint64) core.RunResult {
-	return result(i.b.Run(warmup, measure))
-}
-
 func (i instance) RunWarmup(warmup uint64) { i.b.RunWarmup(warmup) }
 
 func (i instance) RunMeasured(warmup, measure uint64) core.RunResult {

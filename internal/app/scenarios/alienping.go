@@ -180,12 +180,6 @@ func (a *AlienPing) RunMeasured(warmup, measure uint64) core.RunResult {
 	}
 }
 
-// Run executes warmup then a measured window and reports round throughput.
-func (a *AlienPing) Run(warmup, measure uint64) core.RunResult {
-	a.RunWarmup(warmup)
-	return a.RunMeasured(warmup, measure)
-}
-
 func init() { workload.Register(alienPingWL{}) }
 
 type alienPingWL struct{}

@@ -124,12 +124,6 @@ func (cf *Conflict) RunMeasured(warmup, measure uint64) core.RunResult {
 	}
 }
 
-// Run executes warmup then a measured window and reports sweep throughput.
-func (cf *Conflict) Run(warmup, measure uint64) core.RunResult {
-	cf.RunWarmup(warmup)
-	return cf.RunMeasured(warmup, measure)
-}
-
 func init() { workload.Register(conflictWL{}) }
 
 type conflictWL struct{}

@@ -148,13 +148,6 @@ func (f *FalseShare) RunMeasured(warmup, measure uint64) core.RunResult {
 	}
 }
 
-// Run executes warmup then a measured window and reports counter-update
-// throughput.
-func (f *FalseShare) Run(warmup, measure uint64) core.RunResult {
-	f.RunWarmup(warmup)
-	return f.RunMeasured(warmup, measure)
-}
-
 func init() { workload.Register(falseShareWL{}) }
 
 type falseShareWL struct{}

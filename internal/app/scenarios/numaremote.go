@@ -266,12 +266,6 @@ func (n *NumaRemote) RunMeasured(warmup, measure uint64) core.RunResult {
 	}
 }
 
-// Run executes warmup then a measured window and reports buffer throughput.
-func (n *NumaRemote) Run(warmup, measure uint64) core.RunResult {
-	n.RunWarmup(warmup)
-	return n.RunMeasured(warmup, measure)
-}
-
 func init() { workload.Register(numaRemoteWL{}) }
 
 type numaRemoteWL struct{}

@@ -10,7 +10,7 @@ import (
 // run executes a scenario with small windows and returns its result.
 func run(t *testing.T, inst core.Runnable) core.RunResult {
 	t.Helper()
-	res := inst.Run(250_000, 1_500_000)
+	res := core.RunBare(inst, 250_000, 1_500_000)
 	if res.Values["throughput"] <= 0 {
 		t.Fatalf("no throughput: %+v", res)
 	}

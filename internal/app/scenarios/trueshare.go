@@ -212,12 +212,6 @@ func (t *TrueShare) RunMeasured(warmup, measure uint64) core.RunResult {
 	}
 }
 
-// Run executes warmup then a measured window and reports job throughput.
-func (t *TrueShare) Run(warmup, measure uint64) core.RunResult {
-	t.RunWarmup(warmup)
-	return t.RunMeasured(warmup, measure)
-}
-
 func init() { workload.Register(trueShareWL{}) }
 
 type trueShareWL struct{}

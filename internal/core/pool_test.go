@@ -12,7 +12,7 @@ import (
 	"dprof/internal/sim"
 )
 
-// tickWorkload is a minimal WarmRunnable: one core reading a small ring of
+// tickWorkload is a minimal Runnable: one core reading a small ring of
 // lines every 100 cycles, forever. All of its state lives in the machine, so
 // a checkpoint restore rewinds it completely.
 type tickWorkload struct {
@@ -49,11 +49,6 @@ func (w *tickWorkload) RunMeasured(warmup, measure uint64) core.RunResult {
 		"now":   float64(w.m.Now()),
 		"clock": float64(w.m.Core(0).Now()),
 	}}
-}
-
-func (w *tickWorkload) Run(warmup, measure uint64) core.RunResult {
-	w.RunWarmup(warmup)
-	return w.RunMeasured(warmup, measure)
 }
 
 const tickWarmup = 5_000
@@ -241,18 +236,6 @@ func TestCheckpointPoolConcurrentKeys(t *testing.T) {
 	}
 	if st := p.Stats(); st.Entries != keys || st.Captures != keys || st.Forks != keys*forks {
 		t.Errorf("stats = %+v, want %d entries, %d captures, %d forks", st, keys, keys, keys*forks)
-	}
-}
-
-// TestWarmupRequiresWarmRunnable: a session over a workload without the
-// warm-start contract cannot be checkpointed.
-func TestWarmupRequiresWarmRunnable(t *testing.T) {
-	s, err := core.NewSession(newToyWorkload(), core.SessionConfig{Warmup: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Warmup(); err == nil {
-		t.Error("Warmup of a session over a plain Runnable succeeded, want an error")
 	}
 }
 

@@ -24,7 +24,11 @@ type RunResult struct {
 
 // Runnable is the contract between a profiling Session and a workload
 // instance: the machine and allocator the profilers attach to, the lock
-// registry the lock-stat baseline reads, and the run lifecycle.
+// registry the lock-stat baseline reads, and the run lifecycle, split at the
+// warmup boundary. RunWarmup drives the machine to the boundary with the
+// measured window disarmed; RunMeasured arms it and runs the measured phase,
+// on the same machine or on one restored from a checkpoint taken between
+// the two (Session.Warmup). RunBare runs both back to back.
 //
 // Workload packages register constructors for Runnables in the
 // internal/app/workload registry; Session neither knows nor cares which
@@ -40,8 +44,18 @@ type Runnable interface {
 	// machine, so callers can drive Machine().Run incrementally. horizon
 	// bounds open-loop generators; closed-loop workloads may ignore it.
 	Prime(horizon uint64)
-	// Run executes warmup cycles, then measures for measure cycles.
-	Run(warmup, measure uint64) RunResult
+	// RunWarmup executes the warmup phase and resets cache statistics at
+	// the boundary.
+	RunWarmup(warmup uint64)
+	// RunMeasured executes the measured phase that follows a RunWarmup.
+	RunMeasured(warmup, measure uint64) RunResult
+}
+
+// RunBare runs r's warmup and measured phases back to back with no profiler
+// attached: the paper's clean baseline runs.
+func RunBare(r Runnable, warmup, measure uint64) RunResult {
+	r.RunWarmup(warmup)
+	return r.RunMeasured(warmup, measure)
 }
 
 // KnownViews lists the five DProf views in presentation order (§4).
@@ -103,9 +117,6 @@ type SessionConfig struct {
 	// closes (the streaming half of the windowed pipeline). Called on the
 	// simulating goroutine; it must not retain the snapshot's tables.
 	OnWindow func(*WindowSnapshot)
-	// MaxTraces caps how many path traces the pathtrace view prints
-	// (default 3).
-	MaxTraces int
 }
 
 // Session owns the attach-profilers -> warmup -> measure -> render-views
@@ -131,9 +142,6 @@ type Session struct {
 func NewSession(w Runnable, cfg SessionConfig) (*Session, error) {
 	if cfg.Sets <= 0 {
 		cfg.Sets = 2
-	}
-	if cfg.MaxTraces <= 0 {
-		cfg.MaxTraces = 3
 	}
 	s := &Session{w: w, cfg: cfg, views: make(map[string]bool, len(cfg.Views))}
 	for _, v := range cfg.Views {
@@ -184,13 +192,28 @@ func (s *Session) Run() RunResult {
 	if s.ran {
 		panic("core: Session.Run called twice")
 	}
+	s.warm()
+	return s.measure(s.cfg.Measure)
+}
+
+// windowed reports whether the run splits into accounting windows.
+func (s *Session) windowed() bool { return s.cfg.WindowCycles > 0 || s.cfg.OnWindow != nil }
+
+// warm consumes the session and runs its warmup phase, starting the window
+// pipeline first so windows cover the whole run.
+func (s *Session) warm() {
 	s.ran = true
-	windowed := s.cfg.WindowCycles > 0 || s.cfg.OnWindow != nil
-	if windowed {
+	if s.windowed() {
 		s.p.StartWindows(s.cfg.WindowCycles, s.cfg.Views, s.p.Desc(s.target), s.cfg.OnWindow)
 	}
-	s.result = s.w.Run(s.cfg.Warmup, s.cfg.Measure)
-	if windowed {
+	s.w.RunWarmup(s.cfg.Warmup)
+}
+
+// measure runs the measured phase that follows warm (or a checkpoint
+// restore) and settles the profilers so the views read this run.
+func (s *Session) measure(measure uint64) RunResult {
+	s.result = s.w.RunMeasured(s.cfg.Warmup, measure)
+	if s.windowed() {
 		s.p.FinishWindows()
 	}
 	s.p.Sync()
@@ -256,8 +279,9 @@ func (s *Session) WriteReport(out io.Writer) {
 	}
 	if s.views["pathtrace"] && s.target != nil {
 		fmt.Fprintln(out, "== path traces ==")
+		const maxTraces = 3
 		for i, tr := range s.p.PathTraces(s.p.Desc(s.target)) {
-			if i == s.cfg.MaxTraces {
+			if i == maxTraces {
 				break
 			}
 			fmt.Fprintln(out, tr.String())

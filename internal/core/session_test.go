@@ -67,10 +67,16 @@ func (w *toyWorkload) Prime(horizon uint64) {
 	w.m.Schedule(0, 0, produce)
 }
 
-func (w *toyWorkload) Run(warmup, measure uint64) core.RunResult {
-	w.Prime(warmup + measure)
+// RunWarmup runs with the stop horizon open; RunMeasured closes it at the
+// end of the measured window.
+func (w *toyWorkload) RunWarmup(warmup uint64) {
+	w.Prime(^uint64(0))
 	w.m.Run(warmup)
 	w.m.Hier.ResetStats()
+}
+
+func (w *toyWorkload) RunMeasured(warmup, measure uint64) core.RunResult {
+	w.stopAt = warmup + measure
 	w.m.Run(warmup + measure)
 	return core.RunResult{
 		Summary: "toy workload run",

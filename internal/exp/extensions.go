@@ -127,7 +127,7 @@ func runExtPEBS(rc RunCfg) Result {
 	ibsRun := buildMemcached(false)
 	pIBS := core.Attach(ibsRun.Machine(), ibsRun.Alloc(), core.Config{SampleRate: rate})
 	pIBS.StartSampling()
-	ibsRun.Run(w.warmup, w.measure)
+	core.RunBare(ibsRun, w.warmup, w.measure)
 	pIBS.Sync() // drain the per-core delta buffers before the direct read
 	ibsMissFrac := float64(pIBS.Samples.TotalMisses) / float64(pIBS.Samples.Total)
 
@@ -142,7 +142,7 @@ func runExtPEBS(rc RunCfg) Result {
 		}
 		pPEBS.Samples.Add(pPEBS.Desc(t), uint32(s.Ev.Addr-base), &s.Ev)
 	})
-	pebsRun.Run(w.warmup, w.measure)
+	core.RunBare(pebsRun, w.warmup, w.measure)
 	pebsMissFrac := 0.0
 	if pPEBS.Samples.Total > 0 {
 		pebsMissFrac = float64(pPEBS.Samples.TotalMisses) / float64(pPEBS.Samples.Total)
@@ -171,7 +171,7 @@ func runExtPTU(rc RunCfg) Result {
 	b := buildMemcached(false)
 	p := ptu.Attach(b.Machine(), b.Alloc())
 	p.Start(12000)
-	b.Run(w.warmup, w.measure)
+	core.RunBare(b, w.warmup, w.measure)
 	rep := p.BuildReport(12)
 	var sb strings.Builder
 	sb.WriteString(rep.String())

@@ -125,7 +125,7 @@ func runTable63(rc RunCfg) Result {
 	b := buildMemcached(false)
 	op := oprofile.Attach(b.Machine())
 	op.Start()
-	b.Run(w.warmup, w.measure)
+	core.RunBare(b, w.warmup, w.measure)
 	rep := op.BuildReport(1.0)
 	vals := map[string]float64{"functions_over_1pct": float64(len(rep.Rows))}
 	for i, row := range rep.Rows {

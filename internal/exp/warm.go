@@ -115,6 +115,6 @@ func (rc RunCfg) bare(name string, opts map[string]string, w window, read func(c
 	rc.memo.do(fmt.Sprintf("bare|%s|%s|%+v", name, optsKey(opts), w), func() *finishedRun {
 		inst := build(name, opts)
 		inst.Locks().Reset()
-		return &finishedRun{inst: inst, res: inst.Run(w.warmup, w.measure)}
+		return &finishedRun{inst: inst, res: core.RunBare(inst, w.warmup, w.measure)}
 	}, func(r *finishedRun) { read(r.inst, r.res) })
 }

@@ -119,7 +119,7 @@ func TestRunMemo(t *testing.T) {
 				rc.memo.do("falseshare", func() *finishedRun {
 					runs.Add(1)
 					inst := build("falseshare", nil)
-					return &finishedRun{inst: inst, res: inst.Run(w.warmup, w.measure)}
+					return &finishedRun{inst: inst, res: core.RunBare(inst, w.warmup, w.measure)}
 				}, func(r *finishedRun) { now[i] = r.inst.Machine().Now() })
 			}()
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"dprof/internal/core"
@@ -18,27 +19,54 @@ var warmReqs = []string{
 	`{"workload":"falseshare","views":["dataprofile"],"measure_ms":3,"quick":true}`,
 }
 
+// coldProfile is the cold reference for a /profile body: the request
+// normalized, built and run as one uncheckpointed session, and rendered
+// through the library, newline-terminated as the server writes it.
+func coldProfile(t *testing.T, s *Server, body string) []byte {
+	t.Helper()
+	var req ProfileRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	k, err := s.normalize(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := s.buildSession(k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Run()
+	doc, err := renderProfile(sess, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(doc, '\n')
+}
+
+// checkMatchesCold posts each request and requires a 200 whose body equals
+// the cold library render of the same request.
+func checkMatchesCold(t *testing.T, s *Server, ts *httptest.Server, reqs ...string) {
+	t.Helper()
+	for _, req := range reqs {
+		resp, got := postProfile(t, ts, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d for %s: %s", resp.StatusCode, req, got)
+		}
+		if want := coldProfile(t, s, req); !bytes.Equal(got, want) {
+			t.Errorf("forked profile differs from cold for %s:\n--- cold ---\n%s\n--- forked ---\n%s",
+				req, want, got)
+		}
+	}
+}
+
 // TestProfileWarmForkMatchesCold is the serving half of the warm-start
 // correctness bar: every response forked from a pooled checkpoint must be
 // byte-identical to the same request simulated cold, and the pool must have
 // captured one warmup for the whole family.
 func TestProfileWarmForkMatchesCold(t *testing.T) {
-	_, tsCold := newTestServer(t, Config{CheckpointPoolBytes: -1})
 	warmSrv, tsWarm := newTestServer(t, Config{})
-	if warmSrv.ckpts == nil {
-		t.Fatal("checkpoint pool not enabled by default")
-	}
-	for _, req := range warmReqs {
-		respCold, bodyCold := postProfile(t, tsCold, req)
-		respWarm, bodyWarm := postProfile(t, tsWarm, req)
-		if respCold.StatusCode != http.StatusOK || respWarm.StatusCode != http.StatusOK {
-			t.Fatalf("status cold=%d warm=%d for %s", respCold.StatusCode, respWarm.StatusCode, req)
-		}
-		if !bytes.Equal(bodyCold, bodyWarm) {
-			t.Errorf("forked profile differs from cold for %s:\n--- cold ---\n%s\n--- warm ---\n%s",
-				req, bodyCold, bodyWarm)
-		}
-	}
+	checkMatchesCold(t, warmSrv, tsWarm, warmReqs...)
 
 	resp, err := http.Get(tsWarm.URL + "/stats")
 	if err != nil {
@@ -78,20 +106,21 @@ func TestProfileWarmForkMatchesCold(t *testing.T) {
 // window machinery already started, and its forks must still render the
 // identical document.
 func TestProfileWarmWindowedMatchesCold(t *testing.T) {
-	_, tsCold := newTestServer(t, Config{CheckpointPoolBytes: -1})
-	_, tsWarm := newTestServer(t, Config{})
-	for _, req := range []string{
+	s, ts := newTestServer(t, Config{})
+	checkMatchesCold(t, s, ts,
 		`{"workload":"falseshare","views":["dataprofile"],"options":{"window-ms":"1"},"measure_ms":2,"quick":true}`,
-		`{"workload":"falseshare","views":["dataprofile"],"options":{"window-ms":"1"},"measure_ms":3,"quick":true}`,
-	} {
-		respCold, bodyCold := postProfile(t, tsCold, req)
-		respWarm, bodyWarm := postProfile(t, tsWarm, req)
-		if respCold.StatusCode != http.StatusOK || respWarm.StatusCode != http.StatusOK {
-			t.Fatalf("status cold=%d warm=%d for %s", respCold.StatusCode, respWarm.StatusCode, req)
-		}
-		if !bytes.Equal(bodyCold, bodyWarm) {
-			t.Errorf("windowed forked profile differs from cold for %s", req)
-		}
+		`{"workload":"falseshare","views":["dataprofile"],"options":{"window-ms":"1"},"measure_ms":3,"quick":true}`)
+	if st := s.ckpts.Stats(); st.Captures != 1 || st.Forks != 2 {
+		t.Errorf("pool stats = %+v, want 1 capture and 2 forks", st)
+	}
+}
+
+// TestNewRejectsNegativeCheckpointPool: the pool cannot be switched off, so
+// a negative budget is a configuration error.
+func TestNewRejectsNegativeCheckpointPool(t *testing.T) {
+	if s, err := New(Config{CheckpointPoolBytes: -1}); err == nil {
+		s.Shutdown()
+		t.Fatal("New accepted a negative checkpoint pool budget")
 	}
 }
 
@@ -100,11 +129,7 @@ func TestProfileWarmWindowedMatchesCold(t *testing.T) {
 // accounting reflects it.
 func TestCheckpointPoolEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{CheckpointPoolBytes: 1})
-	for _, req := range warmReqs[:2] {
-		if resp, _ := postProfile(t, ts, req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d for %s", resp.StatusCode, req)
-		}
-	}
+	checkMatchesCold(t, s, ts, warmReqs[:2]...)
 	st := s.ckpts.Stats()
 	if st.Captures != 2 || st.Forks != 2 || st.Evictions != 2 {
 		t.Errorf("captures/forks/evictions = %d/%d/%d, want 2/2/2 (every capture busts the 1-byte budget)",
@@ -153,7 +178,7 @@ func denseCheckpointBytes(s *Server) (entries int, dense uint64) {
 // TestProfileParksPoolEntries: once a profile is rendered, its pool entry is
 // parked, so that no idle entry's machine holds a dense cache array. A
 // parked entry's next fork restores into recycled arrays and serves bytes
-// identical to a fresh server's, one that simulates every request cold.
+// identical to a cold library render of the same request.
 // Eight conflict seeds are eight warm addresses; numaremote adds a
 // two-socket entry, whose working-set view reads the live hierarchy's
 // per-socket occupancy and so must render before the park.
@@ -170,22 +195,14 @@ func TestProfileParksPoolEntries(t *testing.T) {
 	})
 	s, ts := newTestServer(t, Config{})
 	for _, req := range reqs {
-		if resp, body := postProfile(t, ts, req(1)); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
+		checkMatchesCold(t, s, ts, req(1))
 	}
 	if entries, dense := denseCheckpointBytes(s); entries != len(reqs) || dense != 0 {
 		t.Fatalf("%d pool entries hold %d dense cache bytes, want %d entries holding none", entries, dense, len(reqs))
 	}
 
-	_, fresh := newTestServer(t, Config{CheckpointPoolBytes: -1})
 	for _, req := range reqs {
-		_, got := postProfile(t, ts, req(2))
-		_, want := postProfile(t, fresh, req(2))
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: profile forked from a parked entry differs from a fresh server's:\n--- parked ---\n%s\n--- fresh ---\n%s",
-				req(2), got, want)
-		}
+		checkMatchesCold(t, s, ts, req(2))
 	}
 	n := uint64(len(reqs))
 	if st := s.ckpts.Stats(); st.Captures != n || st.Forks != 2*n || st.Evictions != 0 {

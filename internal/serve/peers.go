@@ -3,8 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"net/url"
@@ -57,10 +58,13 @@ type peerSet struct {
 	client *http.Client
 }
 
+// hash64 places vnodes and content addresses on the ring: the first 8
+// bytes of a SHA-256. A replica's vnode names differ only in a short
+// suffix, and a weakly mixed hash (FNV-1a) clusters them, leaving some
+// fleets with a replica that owns almost nothing.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	sum := sha256.Sum256([]byte(s))
+	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // normalizeReplica validates one replica URL and strips the trailing

@@ -102,18 +102,36 @@ func fleetSimulations(reps []replica) int64 {
 	return n
 }
 
+// TestRingSpreadsOwnership: on fixed three-replica fleets every replica
+// owns at least a fifth of 3,000 content addresses (a third is even), so the
+// ring's balance does not hang on the ports a fleet happens to bind. The
+// replicas of a live fleet must also agree on every address's owner.
 func TestRingSpreadsOwnership(t *testing.T) {
-	reps := newRing(t, 3, false)
-	owned := map[string]int{}
-	for seed := 0; seed < 60; seed++ {
-		owned[reps[0].s.peers.owner(addressOf(t, reps[0].s, seed))]++
-	}
-	for _, r := range reps {
-		if owned[r.ts.URL] == 0 {
-			t.Errorf("replica %s owns none of 60 addresses: %v", r.ts.URL, owned)
+	const addrs = 3000
+	for _, fleet := range [][]string{
+		{"http://127.0.0.1:7071", "http://127.0.0.1:7072", "http://127.0.0.1:7073"},
+		{"http://127.0.0.1:34567", "http://127.0.0.1:40123", "http://127.0.0.1:45678"},
+		{"http://10.0.0.1:7071", "http://10.0.0.2:7071", "http://10.0.0.3:7071"},
+		{"http://dprofd-0:7071", "http://dprofd-1:7071", "http://dprofd-2:7071"},
+		{"https://a.example.com", "https://b.example.com", "https://c.example.com"},
+	} {
+		p, err := newPeerSet(fleet[0], fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := map[string]int{}
+		for i := range addrs {
+			owned[p.owner(contentAddress("profile/", i))]++
+		}
+		for _, r := range fleet {
+			if owned[r] < addrs/5 {
+				t.Errorf("fleet %v: %s owns %d of %d addresses, want at least %d: %v",
+					fleet, r, owned[r], addrs, addrs/5, owned)
+			}
 		}
 	}
-	// Every replica must agree on the ownership map.
+
+	reps := newRing(t, 3, false)
 	for seed := 0; seed < 10; seed++ {
 		addr := addressOf(t, reps[0].s, seed)
 		want := reps[0].s.peers.owner(addr)

@@ -302,10 +302,10 @@ func renderProfile(sess *core.Session, k profileKey) ([]byte, error) {
 // under a core.Session, and rendered as canonical document bytes. It is
 // only ever called inside a flight, under the server's lifetime context.
 //
-// With the warm-start checkpoint pool on, the session's warmup runs once
-// per warm address and is captured; every request forks its measured phase
-// from that checkpoint, so requests that differ only in measured length
-// skip the warmup simulation. Between requests the entry is parked
+// The session's warmup runs once per warm address and is captured in the
+// checkpoint pool; every request forks its measured phase from that
+// checkpoint, so requests that differ only in measured length skip the
+// warmup simulation. Between requests the entry is parked
 // (core.Checkpoint.Park): its machine hands its dense cache arrays to the
 // cache package's recycler, and the next fork takes arrays back. Forks are
 // byte-identical to cold runs (the core warm-start contract), so the body
@@ -318,7 +318,7 @@ func (s *Server) runProfile(k profileKey, onWindow func(*core.WindowSnapshot)) (
 	}
 	defer s.release()
 
-	if onWindow == nil && s.ckpts != nil {
+	if onWindow == nil {
 		err = s.ckpts.Do(k.warmAddress(), func() (*core.Checkpoint, error) {
 			sess, err := s.buildSession(k, nil)
 			if err != nil {

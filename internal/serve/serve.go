@@ -104,8 +104,7 @@ type Config struct {
 	// (core.Checkpoint.Bytes). An entry is parked between requests, so its
 	// machine's dense cache arrays are not retained, but a parked entry
 	// also keeps its workload and profiler objects, ~0.4 MB for conflict.
-	// Zero means the 256 MiB default; negative disables warm-start forking
-	// entirely (every request runs cold).
+	// Zero means the 256 MiB default; a negative budget is an error.
 	CheckpointPoolBytes int64
 }
 
@@ -115,9 +114,9 @@ type Server struct {
 	cfg     Config
 	sem     chan struct{}
 	cache   *lru
-	store   *store.Store         // nil = memory only
-	peers   *peerSet             // nil = single-replica mode
-	ckpts   *core.CheckpointPool // nil = warm-start forking disabled
+	store   *store.Store // nil = memory only
+	peers   *peerSet     // nil = single-replica mode
+	ckpts   *core.CheckpointPool
 	flights flightGroup
 	mux     *http.ServeMux
 
@@ -154,6 +153,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxMeasureMs == 0 {
 		cfg.MaxMeasureMs = 60_000
 	}
+	if cfg.CheckpointPoolBytes < 0 {
+		return nil, fmt.Errorf("serve: checkpoint pool budget %d is negative: want 0 (the 256 MiB default) or a byte count", cfg.CheckpointPoolBytes)
+	}
 	if cfg.CheckpointPoolBytes == 0 {
 		cfg.CheckpointPoolBytes = 256 << 20
 	}
@@ -161,9 +163,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		sem:   make(chan struct{}, cfg.Workers),
 		cache: newLRU(cfg.CacheEntries),
-	}
-	if cfg.CheckpointPoolBytes > 0 {
-		s.ckpts = core.NewCheckpointPool(cfg.CheckpointPoolBytes)
+		ckpts: core.NewCheckpointPool(cfg.CheckpointPoolBytes),
 	}
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir)
@@ -422,9 +422,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		out["store"] = s.store.Stats()
 	}
-	if s.ckpts != nil {
-		out["checkpoints"] = s.ckpts.Stats()
-	}
+	out["checkpoints"] = s.ckpts.Stats()
 	if s.peers != nil {
 		out["peers"] = map[string]any{
 			"self":           s.peers.self,

@@ -109,7 +109,7 @@ type Core struct {
 	// access hot path compares the clock against it instead of calling into
 	// every hook.
 	hookArm uint64
-	seed    int64 // the value src was last seeded with (for Snapshot/Reseed)
+	seed    int64 // the value src was seeded with in New (Restore rewinds to it)
 	src     *countedSource
 	rng     *rand.Rand
 	// ev is scratch space for hook dispatch. Hooks receive a pointer into it

@@ -22,8 +22,8 @@ import (
 // observable. rand.NewSource's concrete type implements Source64, and so does
 // the wrapper, so rand.Rand consumes it through the exact same Uint64 path as
 // before — the streams (and every golden profile) are unchanged. A core's RNG
-// state is then fully described by (seed, draws): restore re-seeds and
-// replays that many draws. Int63 and Uint64 each cost exactly one underlying
+// state is then fully described by its fixed seed and its draws: restore
+// re-seeds and replays that many draws. Int63 and Uint64 each cost exactly one underlying
 // Uint64 step, so replaying via Uint64 reproduces the state regardless of
 // which method made the original draws. (rand.Rand.Read buffers half-drawn
 // values internally and would break this accounting; simulation code never
@@ -87,7 +87,6 @@ type coreState struct {
 	idle    uint64
 	retired uint64
 	hookArm uint64
-	seed    int64
 	draws   uint64
 }
 
@@ -157,7 +156,6 @@ func (m *Machine) Snapshot() *Snapshot {
 			idle:    c.idle,
 			retired: c.retired,
 			hookArm: c.hookArm,
-			seed:    c.seed,
 			draws:   c.src.draws,
 		}
 	}
@@ -194,8 +192,7 @@ func (m *Machine) Restore(s *Snapshot) {
 		c.retired = cs.retired
 		c.hookArm = cs.hookArm
 		c.inHook = false
-		c.seed = cs.seed
-		c.src.rewind(cs.seed, cs.draws)
+		c.src.rewind(c.seed, cs.draws)
 	}
 	for k := range m.Overhead {
 		delete(m.Overhead, k)
@@ -213,16 +210,6 @@ func (m *Machine) Restore(s *Snapshot) {
 		if i < len(s.blobs) {
 			sn.RestoreState(s.blobs[i])
 		}
-	}
-}
-
-// Reseed swaps every core onto a fresh RNG stream derived from base (the same
-// seed+core+1 derivation New uses), so a restored fork can diverge from its
-// siblings deterministically. Call it after Restore, before resuming the run.
-func (m *Machine) Reseed(base int64) {
-	for i, c := range m.cores {
-		c.seed = base + int64(i) + 1
-		c.src.rewind(c.seed, 0)
 	}
 }
 

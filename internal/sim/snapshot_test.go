@@ -99,41 +99,6 @@ func TestSnapshotDoubleRestore(t *testing.T) {
 	}
 }
 
-// TestSnapshotReseedDiverges: Reseed after Restore forks a deterministic
-// alternate timeline — different from the original, identical to itself.
-func TestSnapshotReseedDiverges(t *testing.T) {
-	tm := newTraceMachine()
-	tm.m.Run(10_000)
-	snap := tm.m.Snapshot()
-	opsAt := append([]uint64(nil), tm.ops...)
-
-	tm.m.Run(40_000)
-	base := append([]uint64(nil), tm.ops...)
-
-	reseeded := func() []uint64 {
-		tm.m.Restore(snap)
-		copy(tm.ops, opsAt)
-		tm.m.Reseed(9999)
-		tm.m.Run(40_000)
-		return append([]uint64(nil), tm.ops...)
-	}
-	alt1, alt2 := reseeded(), reseeded()
-	if !reflect.DeepEqual(alt1, alt2) {
-		t.Fatalf("reseeded forks are not deterministic: %v vs %v", alt1, alt2)
-	}
-	if reflect.DeepEqual(base, alt1) {
-		t.Fatalf("reseeded fork identical to the original timeline: %v", base)
-	}
-
-	// And the original stream is still reachable: a plain restore replays it.
-	tm.m.Restore(snap)
-	copy(tm.ops, opsAt)
-	tm.m.Run(40_000)
-	if got := tm.ops; !reflect.DeepEqual(base, got) {
-		t.Fatalf("original timeline lost after a reseeded fork: %v vs %v", base, got)
-	}
-}
-
 // TestSnapshotMidWindowTick: a snapshot taken between window ticks restores
 // the tick phase, so a fork sees the remaining boundaries exactly once.
 func TestSnapshotMidWindowTick(t *testing.T) {
