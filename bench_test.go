@@ -9,11 +9,15 @@ package dprof_test
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,6 +74,49 @@ var engineSuiteList = []string{
 	"diff-falseshare", "diff-conflict", "diff-trueshare", "diff-alienping", "diff-numaremote",
 	"ext-oracle", "ext-widewatch", "ext-pebs", "ext-ptu", "ablation-merge",
 	"falseshare", "conflict", "trueshare", "alienping", "numaremote",
+}
+
+// TestEngineSuiteListMatchesPerfbench keeps engineSuiteList equal to the
+// suiteList it copies, so BenchmarkEngineRetainedHeap measures the list
+// engine-suite runs. It parses perfbench/suite.go and only reads it.
+func TestEngineSuiteListMatchesPerfbench(t *testing.T) {
+	const path = "perfbench/suite.go"
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []string
+	found := false
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || len(spec.Names) != 1 || spec.Names[0].Name != "suiteList" || len(spec.Values) != 1 {
+			return true
+		}
+		lit, ok := spec.Values[0].(*ast.CompositeLit)
+		if !ok {
+			t.Fatalf("%s: suiteList is not a composite literal", path)
+		}
+		found = true
+		for _, elt := range lit.Elts {
+			bl, ok := elt.(*ast.BasicLit)
+			if !ok || bl.Kind != token.STRING {
+				t.Fatalf("%s: suiteList element %T is not a string literal", path, elt)
+			}
+			name, err := strconv.Unquote(bl.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			list = append(list, name)
+		}
+		return false
+	})
+	if !found {
+		t.Fatalf("%s declares no suiteList", path)
+	}
+	if !slices.Equal(list, engineSuiteList) {
+		t.Errorf("engineSuiteList differs from %s's suiteList:\n  bench_test.go: %v\n  %s: %v",
+			path, engineSuiteList, path, list)
+	}
 }
 
 // BenchmarkEngineRetainedHeap runs the engine-suite list as perfbench's

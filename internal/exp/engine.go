@@ -24,8 +24,11 @@ type Options struct {
 	// WarmStart shares finished runs across the experiments of this run:
 	// a run whose full configuration (workload, options, profiler and
 	// session settings, warmup and measured lengths) already ran is read
-	// from that run's finished state instead of simulating again. Results
-	// are byte-identical to unshared runs at any worker count.
+	// from that run's finished state instead of simulating again. A
+	// finished run is kept only until the last experiment of this run
+	// that shares it has read it (memoShares in warm.go), so a single
+	// experiment gains nothing. Results are byte-identical to unshared
+	// runs at any worker count.
 	WarmStart bool
 	// Progress, if non-nil, receives one Event when an experiment starts and
 	// one when it finishes or fails. Delivery never blocks experiment
@@ -108,6 +111,13 @@ func Run(ctx context.Context, name string, opts Options) (Result, error) {
 // The first failure is returned; results of experiments that completed are
 // still filled in.
 func RunAll(ctx context.Context, names []string, opts Options) ([]Result, error) {
+	results, _, err := runAll(ctx, names, opts)
+	return results, err
+}
+
+// runAll is RunAll that also returns its run memo (nil without WarmStart),
+// so tests can read the memo's census of shared runs.
+func runAll(ctx context.Context, names []string, opts Options) ([]Result, *runMemo, error) {
 	if len(names) == 0 {
 		names = Names()
 	}
@@ -115,7 +125,7 @@ func RunAll(ctx context.Context, names []string, opts Options) ([]Result, error)
 	for i, n := range names {
 		e, ok := lookup(n)
 		if !ok {
-			return nil, &UnknownError{Name: n, Known: Names()}
+			return nil, nil, &UnknownError{Name: n, Known: Names()}
 		}
 		runners[i] = e
 	}
@@ -169,9 +179,9 @@ func RunAll(ctx context.Context, names []string, opts Options) ([]Result, error)
 		}
 	}
 
-	rc := RunCfg{Quick: opts.Quick}
+	var memo *runMemo
 	if opts.WarmStart {
-		rc.memo = newRunMemo()
+		memo = newRunMemo(names)
 	}
 
 	runOne := func(i int) {
@@ -186,7 +196,12 @@ func RunAll(ctx context.Context, names []string, opts Options) ([]Result, error)
 					Total: len(runners), Elapsed: time.Since(start), Err: err})
 			}
 		}()
-		r := e.run(rc)
+		// The memo drops the runs no later experiment reads before the
+		// finished event goes out, whether the body returned or panicked.
+		r := func() Result {
+			defer memo.finish(e.name)
+			return e.run(RunCfg{Quick: opts.Quick, name: e.name, memo: memo})
+		}()
 		r.Name = e.name
 		r.Title = e.title
 		results[i] = r
@@ -251,10 +266,10 @@ dispatch:
 
 	for _, err := range errs {
 		if err != nil {
-			return results, err
+			return results, memo, err
 		}
 	}
-	return results, nil
+	return results, memo, nil
 }
 
 // ParseNames parses a CLI experiment argument: "all" means the full registry

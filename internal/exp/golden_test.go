@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -54,15 +56,17 @@ func TestGoldenProfiles(t *testing.T) {
 	// Apache session, the memcached pairs, fix-apache's bare runs) is read
 	// from the one finished run and must still reproduce the checked-in
 	// paper bytes — not merely agree with a cold run of the same build.
+	// The same RunAll takes the census that holds memoShares to the reads.
 	got := make(map[string]map[string]float64)
 	if os.Getenv("DPROF_GOLDEN_WARMSTART") != "" {
-		rs, err := RunAll(context.Background(), names, Options{Quick: true, WarmStart: true})
+		rs, memo, err := runAll(context.Background(), names, Options{Quick: true, WarmStart: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rs {
 			got[r.Name] = r.Values
 		}
+		checkShareCensus(t, memo, names)
 	} else {
 		for _, name := range names {
 			r, err := Run(context.Background(), name, Options{Quick: true})
@@ -101,6 +105,45 @@ func TestGoldenProfiles(t *testing.T) {
 			t.Errorf("%s: values drifted from pre-refactor golden:\n%s", name, diff)
 		}
 	}
+}
+
+// checkShareCensus holds memoShares to what one warm RunAll over names
+// read: the pairs of experiments that read a common key must be exactly
+// the listed pairs within names, and every key must have run once (a pair
+// missing from the table would run its key twice).
+func checkShareCensus(t *testing.T, m *runMemo, names []string) {
+	t.Helper()
+	want := map[string]bool{}
+	for _, p := range memoShares {
+		if slices.Contains(names, p[0]) && slices.Contains(names, p[1]) {
+			want[sortedPair(p[0], p[1])] = true
+		}
+	}
+	got := map[string]bool{}
+	for key, c := range m.reads {
+		if c.runs != 1 {
+			t.Errorf("warm RunAll ran %s %d times, want once", key, c.runs)
+		}
+		switch len(c.readers) {
+		case 1:
+		case 2:
+			got[sortedPair(c.readers[0], c.readers[1])] = true
+		default:
+			t.Errorf("%s was read by %v; memoShares holds pairs only", key, c.readers)
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("experiments that read a common run: %v; memoShares within this RunAll: %v",
+			slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+	}
+}
+
+// sortedPair names a pair of experiments in either read order.
+func sortedPair(a, b string) string {
+	if b < a {
+		a, b = b, a
+	}
+	return a + "+" + b
 }
 
 // diffValues reports exact (bit-level) float mismatches between golden and

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -10,33 +11,64 @@ import (
 )
 
 // RunCfg is what the engine hands each experiment body. Quick selects the
-// small run windows; the unexported memo, when present, shares finished runs
-// between experiments of the same RunAll.
+// small run windows; name is the experiment the body runs for; the
+// unexported memo, when present, shares finished runs between experiments
+// of the same RunAll.
 //
 // Experiments reach simulation through the session and bare helpers below.
 // Every run takes the one cold path: build, run, read. With a memo, a run
 // whose full configuration (workload, options, every session field and the
-// run windows) already ran in this RunAll is not run again: the caller
-// reads the finished session or instance that run left behind. Either
-// way the observable results are byte-identical to unshared runs, enforced
-// by the equivalence and golden tests.
+// run windows) already ran in this RunAll, and is still kept, is not run
+// again: the caller reads the finished session or instance that run left
+// behind. Either way the observable results are byte-identical to unshared
+// runs, enforced by the equivalence and golden tests.
 type RunCfg struct {
 	Quick bool
+	name  string
 	memo  *runMemo
 }
 
-// runMemo maps a run's full configuration to its finished state. Each entry
-// has its own lock, held across the run and every read, so reads of one
-// run never overlap and distinct runs proceed in parallel; the memo lock
-// guards only the index.
+// memoShares lists the pairs of experiments that read one run: each pair
+// runs at least one full configuration in common, and no other two
+// experiments of the registry do. TestGoldenProfiles' warm mode holds the
+// table to the reads of a whole-registry RunAll, so it cannot go stale.
+var memoShares = [][2]string{
+	{"table6.1", "ext-oracle"},
+	{"table6.2", "fix-memcached"},
+	{"table6.4", "table6.5"},
+	{"table6.6", "fix-apache"},
+	{"fix-apache", "figure6.2"},
+}
+
+// runMemo maps a run's full configuration to its finished state, for as
+// long as a later experiment may read it. Each entry has its own lock,
+// held across the run and every read, so reads of one run never overlap
+// and distinct runs proceed in parallel; the memo lock guards the index
+// and the census of reads.
+//
+// An entry lives until its last reader: right after each read, and again
+// as each experiment finishes, an entry is dropped unless some pair of
+// memoShares holds all of its readers and also an experiment of this
+// RunAll that has neither read it nor finished. So a run no other
+// experiment shares goes as soon as it is read, and a shared one when its
+// partner has read it.
 type runMemo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry
+	pending map[string]int       // experiments of the RunAll not yet finished, by name
+	reads   map[string]*keyReads // every key ever looked up, kept or dropped
 }
 
 type memoEntry struct {
 	mu  sync.Mutex
 	run *finishedRun // nil until a run completes
+}
+
+// keyReads is the census of one key: the experiments that have read it,
+// which the drop rule weighs, and how many times it ran.
+type keyReads struct {
+	readers []string
+	runs    int
 }
 
 // finishedRun is one run's state after its measured phase: the session for
@@ -47,13 +79,25 @@ type finishedRun struct {
 	res  core.RunResult
 }
 
-func newRunMemo() *runMemo { return &runMemo{entries: make(map[string]*memoEntry)} }
+// newRunMemo returns the memo of one RunAll over names.
+func newRunMemo(names []string) *runMemo {
+	m := &runMemo{
+		entries: make(map[string]*memoEntry),
+		pending: make(map[string]int),
+		reads:   make(map[string]*keyReads),
+	}
+	for _, n := range names {
+		m.pending[n]++
+	}
+	return m
+}
 
 // do hands read the finished run for key, running it first when no earlier
-// caller finished it. A nil memo runs every call cold. A run that panics is
+// caller finished it or its entry was dropped, then records reader as one
+// of its readers. A nil memo runs every call cold. A run that panics is
 // never kept: the next caller runs it afresh on a new instance. read must
 // not retain the run's state: later callers read it too.
-func (m *runMemo) do(key string, run func() *finishedRun, read func(*finishedRun)) {
+func (m *runMemo) do(reader, key string, run func() *finishedRun, read func(*finishedRun)) {
 	if m == nil {
 		read(run())
 		return
@@ -64,13 +108,75 @@ func (m *runMemo) do(key string, run func() *finishedRun, read func(*finishedRun
 		e = new(memoEntry)
 		m.entries[key] = e
 	}
+	c := m.reads[key]
+	if c == nil {
+		c = new(keyReads)
+		m.reads[key] = c
+	}
 	m.mu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.run == nil {
+	ran := e.run == nil
+	if ran {
 		e.run = run()
 	}
 	read(e.run)
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ran {
+		c.runs++
+	}
+	if !slices.Contains(c.readers, reader) {
+		c.readers = append(c.readers, reader)
+	}
+	m.release(key, e)
+}
+
+// finish records that experiment name of the RunAll has finished, passed
+// or failed, and drops every entry that no other experiment will read.
+func (m *runMemo) finish(name string) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pending[name]--
+	for key, e := range m.entries {
+		m.release(key, e)
+	}
+}
+
+// release deletes key's entry e unless a pair of memoShares holds every
+// reader of key and an unfinished experiment that has not read it. A
+// caller already holding e still reads the run it finds there. m.mu is
+// held.
+func (m *runMemo) release(key string, e *memoEntry) {
+	if m.entries[key] != e {
+		return
+	}
+	readers := m.reads[key].readers
+	for _, pair := range memoShares {
+		if !isSubset(readers, pair[:]) {
+			continue
+		}
+		for _, x := range pair {
+			if m.pending[x] > 0 && !slices.Contains(readers, x) {
+				return
+			}
+		}
+	}
+	delete(m.entries, key)
+}
+
+// isSubset reports whether every name of sub is in set.
+func isSubset(sub, set []string) bool {
+	for _, n := range sub {
+		if !slices.Contains(set, n) {
+			return false
+		}
+	}
+	return true
 }
 
 // optsKey canonicalizes a workload option map.
@@ -101,7 +207,7 @@ func (rc RunCfg) session(name string, opts map[string]string, scfg core.SessionC
 	if scfg.OnWindow != nil {
 		m = nil
 	}
-	m.do(sessionKey(name, opts, scfg), func() *finishedRun {
+	m.do(rc.name, sessionKey(name, opts, scfg), func() *finishedRun {
 		s := mustSession(build(name, opts), scfg)
 		return &finishedRun{s: s, res: s.Run()}
 	}, func(r *finishedRun) { read(r.s, r.res) })
@@ -112,7 +218,7 @@ func (rc RunCfg) session(name string, opts map[string]string, scfg core.SessionC
 // before the run, so lock-stat reports cover warmup+measure from a clean
 // slate; callers that don't read locks are unaffected.
 func (rc RunCfg) bare(name string, opts map[string]string, w window, read func(core.Runnable, core.RunResult)) {
-	rc.memo.do(fmt.Sprintf("bare|%s|%s|%+v", name, optsKey(opts), w), func() *finishedRun {
+	rc.memo.do(rc.name, fmt.Sprintf("bare|%s|%s|%+v", name, optsKey(opts), w), func() *finishedRun {
 		inst := build(name, opts)
 		inst.Locks().Reset()
 		return &finishedRun{inst: inst, res: core.RunBare(inst, w.warmup, w.measure)}

@@ -45,24 +45,81 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	}
 }
 
+// runBody runs experiment name's body through m, as RunAll's worker does
+// but without marking it finished.
+func runBody(t *testing.T, m *runMemo, name string) Result {
+	t.Helper()
+	e, ok := lookup(name)
+	if !ok {
+		t.Fatalf("unknown experiment %s", name)
+	}
+	return e.run(RunCfg{Quick: true, name: name, memo: m})
+}
+
 // TestRunMemo checks the engine's memo of finished runs: experiments that
-// run one full configuration share one entry, a run that panics is never
-// kept, and concurrent callers of one key run it once. Run under -race.
+// run one full configuration share one run, an entry is dropped as soon as
+// its last reader has read it, a run that panics is never kept, and
+// concurrent callers of one key run it once. Run under -race.
 func TestRunMemo(t *testing.T) {
 	t.Run("shares", func(t *testing.T) {
-		rc := RunCfg{Quick: true, memo: newRunMemo()}
-		for _, name := range []string{"table6.1", "ext-oracle", "table6.2", "fix-memcached"} {
-			e, ok := lookup(name)
-			if !ok {
-				t.Fatalf("unknown experiment %s", name)
-			}
-			e.run(rc)
+		names := []string{"table6.1", "ext-oracle", "table6.2", "fix-memcached"}
+		m := newRunMemo(names)
+		for _, name := range names {
+			runBody(t, m, name)
+			m.finish(name)
 		}
 		// table6.1 and ext-oracle share one session run; table6.2 and
 		// fix-memcached's default side share one bare run; fix-memcached's
 		// fixed side is its own. Three runs for four experiments.
-		if n := len(rc.memo.entries); n != 3 {
-			t.Errorf("memo entries = %d, want 3 (identical configurations must share)", n)
+		if n := len(m.reads); n != 3 {
+			t.Errorf("memo saw %d keys, want 3 (identical configurations must share)", n)
+		}
+		for key, c := range m.reads {
+			if c.runs != 1 {
+				t.Errorf("%s ran %d times, want once", key, c.runs)
+			}
+		}
+	})
+
+	t.Run("drops", func(t *testing.T) {
+		names := []string{"table6.1", "figure6.1", "ext-oracle", "table6.2", "fix-memcached"}
+		// Entries resident once each experiment's body returns, and again
+		// once it has finished: figure6.1 shares nothing, ext-oracle is
+		// table6.1's last reader, and fix-memcached reads table6.2's bare
+		// run plus an unshared one of its own.
+		want := []int{1, 1, 0, 1, 0}
+		m := newRunMemo(names)
+		resident := map[string]bool{}
+		for i, name := range names {
+			runBody(t, m, name)
+			for key := range m.entries {
+				resident[key] = true
+			}
+			if n := len(m.entries); n != want[i] {
+				t.Errorf("after %s's reads the memo holds %d entries, want %d", name, n, want[i])
+			}
+			m.finish(name)
+			if n := len(m.entries); n != want[i] {
+				t.Errorf("after %s finished the memo holds %d entries, want %d", name, n, want[i])
+			}
+		}
+		// A run no other experiment reads is dropped right after its read,
+		// so the only keys ever left resident are the two shared ones.
+		for key := range resident {
+			if c := m.reads[key]; len(c.readers) != 2 {
+				t.Errorf("key %s was left resident with readers %v", key, c.readers)
+			}
+		}
+		if len(resident) != 2 {
+			t.Errorf("%d keys were left resident, want the 2 shared ones", len(resident))
+		}
+
+		// A partner that is not in the RunAll never reads: table6.1's run
+		// goes as soon as table6.1 has read it.
+		alone := newRunMemo([]string{"table6.1"})
+		runBody(t, alone, "table6.1")
+		if n := len(alone.entries); n != 0 {
+			t.Errorf("without ext-oracle in the list the memo kept %d entries after table6.1's read, want 0", n)
 		}
 	})
 
@@ -71,7 +128,8 @@ func TestRunMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc := RunCfg{Quick: true, memo: newRunMemo()}
+		// ext-oracle is still to come, so table6.1's finished run is kept.
+		rc := RunCfg{Quick: true, name: "table6.1", memo: newRunMemo([]string{"table6.1", "ext-oracle"})}
 		opts := memcachedOpts(false)
 		w := memcachedWindow(true)
 		scfg := core.SessionConfig{Profiler: core.DefaultConfig(), Warmup: w.warmup, Measure: w.measure}
@@ -87,7 +145,7 @@ func TestRunMemo(t *testing.T) {
 					t.Error("the panicking run returned")
 				}
 			}()
-			rc.memo.do(key, func() *finishedRun {
+			rc.memo.do(rc.name, key, func() *finishedRun {
 				s := mustSession(build("memcached", opts), mid)
 				return &finishedRun{s: s, res: s.Run()}
 			}, func(*finishedRun) { t.Error("read a run that panicked") })
@@ -95,8 +153,7 @@ func TestRunMemo(t *testing.T) {
 		if rc.memo.entries[key].run != nil {
 			t.Fatal("the memo kept a run that panicked")
 		}
-		e, _ := lookup("table6.1")
-		got := e.run(rc)
+		got := runBody(t, rc.memo, "table6.1")
 		if got.Text != cold.Text || !reflect.DeepEqual(got.Values, cold.Values) {
 			t.Errorf("rerun after a panic differs from a cold run:\n--- cold ---\n%s\n--- rerun ---\n%s", cold.Text, got.Text)
 		}
@@ -107,7 +164,9 @@ func TestRunMemo(t *testing.T) {
 
 	t.Run("concurrent", func(t *testing.T) {
 		const callers = 4
-		rc := RunCfg{Quick: true, memo: newRunMemo()}
+		// Every caller reads as table6.4 while table6.5 is still to come,
+		// so the entry outlives each read.
+		m := newRunMemo([]string{"table6.4", "table6.5"})
 		w := windowFor("falseshare", true)
 		var runs atomic.Int32
 		var wg sync.WaitGroup
@@ -116,7 +175,7 @@ func TestRunMemo(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rc.memo.do("falseshare", func() *finishedRun {
+				m.do("table6.4", "falseshare", func() *finishedRun {
 					runs.Add(1)
 					inst := build("falseshare", nil)
 					return &finishedRun{inst: inst, res: core.RunBare(inst, w.warmup, w.measure)}

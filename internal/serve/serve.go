@@ -509,9 +509,7 @@ func (s *Server) runExperiment(name string, quick bool, progress func(exp.Event)
 	}
 	defer s.release()
 	s.simulations.Add(1)
-	// WarmStart runs each distinct configuration among the experiment's
-	// internal runs once; the output is byte-identical to a cold engine run.
-	res, err := exp.Run(s.ctx, name, exp.Options{Quick: quick, Workers: 1, Progress: progress, WarmStart: true})
+	res, err := exp.Run(s.ctx, name, exp.Options{Quick: quick, Workers: 1, Progress: progress})
 	if err != nil {
 		return nil, err
 	}
