@@ -9,15 +9,10 @@ package dprof_test
 
 import (
 	"context"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -63,94 +58,6 @@ func benchEngine(b *testing.B, workers int) {
 
 func BenchmarkEngineSerial(b *testing.B)   { benchEngine(b, 1) }
 func BenchmarkEngineParallel(b *testing.B) { benchEngine(b, 0) }
-
-// engineSuiteList is perfbench's engine-suite experiment list, copied from
-// suiteList in perfbench/suite.go: perfbench is its own module, so this
-// package cannot import it.
-var engineSuiteList = []string{
-	"table6.1", "figure6.1", "table6.2", "table6.3", "fix-memcached",
-	"table6.4", "table6.5", "table6.6", "fix-apache",
-	"figure6.2", "table6.9",
-	"diff-falseshare", "diff-conflict", "diff-trueshare", "diff-alienping", "diff-numaremote",
-	"ext-oracle", "ext-widewatch", "ext-pebs", "ext-ptu", "ablation-merge",
-	"falseshare", "conflict", "trueshare", "alienping", "numaremote",
-}
-
-// TestEngineSuiteListMatchesPerfbench keeps engineSuiteList equal to the
-// suiteList it copies, so BenchmarkEngineRetainedHeap measures the list
-// engine-suite runs. It parses perfbench/suite.go and only reads it.
-func TestEngineSuiteListMatchesPerfbench(t *testing.T) {
-	const path = "perfbench/suite.go"
-	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var list []string
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		spec, ok := n.(*ast.ValueSpec)
-		if !ok || len(spec.Names) != 1 || spec.Names[0].Name != "suiteList" || len(spec.Values) != 1 {
-			return true
-		}
-		lit, ok := spec.Values[0].(*ast.CompositeLit)
-		if !ok {
-			t.Fatalf("%s: suiteList is not a composite literal", path)
-		}
-		found = true
-		for _, elt := range lit.Elts {
-			bl, ok := elt.(*ast.BasicLit)
-			if !ok || bl.Kind != token.STRING {
-				t.Fatalf("%s: suiteList element %T is not a string literal", path, elt)
-			}
-			name, err := strconv.Unquote(bl.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			list = append(list, name)
-		}
-		return false
-	})
-	if !found {
-		t.Fatalf("%s declares no suiteList", path)
-	}
-	if !slices.Equal(list, engineSuiteList) {
-		t.Errorf("engineSuiteList differs from %s's suiteList:\n  bench_test.go: %v\n  %s: %v",
-			path, engineSuiteList, path, list)
-	}
-}
-
-// BenchmarkEngineRetainedHeap runs the engine-suite list as perfbench's
-// engine-suite workload does (Quick, one worker, WarmStart) and forces a
-// garbage collection as each experiment finishes. retained-MB is the
-// largest HeapAlloc read right after those collections: what the engine
-// keeps live across the suite, chiefly the memoized sessions and their
-// cache hierarchies. Unlike a process's peak RSS it does not depend on
-// when the collector happens to run. Progress runs on the engine's event
-// goroutine while the worker starts the next experiment, so a reading can
-// include that experiment's first allocations; runs repeat to about 1 MB.
-func BenchmarkEngineRetainedHeap(b *testing.B) {
-	var peak uint64
-	for b.Loop() {
-		_, err := exp.RunAll(context.Background(), engineSuiteList, exp.Options{
-			Quick:     true,
-			Workers:   1,
-			WarmStart: true,
-			Progress: func(ev exp.Event) {
-				if ev.Kind != exp.EventFinished {
-					return
-				}
-				runtime.GC()
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				peak = max(peak, ms.HeapAlloc)
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(peak)/(1<<20), "retained-MB")
-}
 
 // --- one benchmark per paper table/figure ---
 
@@ -321,7 +228,16 @@ func BenchmarkServeCachedProfile(b *testing.B) {
 // alternating), so every request reads the document off the disk store —
 // full HTTP round trip plus store checksum-verify, zero simulation. This
 // is the floor a restarted replica serves at before its LRU re-warms.
-func BenchmarkServeDiskWarmProfile(b *testing.B) {
+func BenchmarkServeDiskWarmProfile(b *testing.B) { benchServeDiskWarm(b, "/profile") }
+
+// BenchmarkServeDiskWarmPprof is the same churn with ?format=pprof: each
+// request re-admits a document evicted by the one before it, so its pprof
+// form survives only in the evicted entry's ghost. Taken back, it costs no
+// conversion; a server that keeps the form only while the body is resident
+// converts on every request.
+func BenchmarkServeDiskWarmPprof(b *testing.B) { benchServeDiskWarm(b, "/profile?format=pprof") }
+
+func benchServeDiskWarm(b *testing.B, uri string) {
 	s, err := serve.New(serve.Config{Workers: 1, Quick: true, CacheEntries: 1, StoreDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
@@ -334,7 +250,7 @@ func BenchmarkServeDiskWarmProfile(b *testing.B) {
 		`{"workload":"trueshare","views":["dataprofile"],"measure_ms":1,"quick":true}`,
 	}
 	post := func(body string) int {
-		resp, err := http.Post(ts.URL+"/profile", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+uri, "application/json", strings.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -108,15 +109,20 @@ func TestGoldenProfiles(t *testing.T) {
 }
 
 // checkShareCensus holds memoShares to what one warm RunAll over names
-// read: the pairs of experiments that read a common key must be exactly
-// the listed pairs within names, and every key must have run once (a pair
-// missing from the table would run its key twice).
+// read: the runs that two experiments read must be exactly the runs the
+// table names for pairs within names, with those pairs; no run that one
+// experiment alone read may be named for a pair holding it (the memo
+// would keep it for the partner); and every key must have run once (a
+// share missing from the table would run its key twice).
 func checkShareCensus(t *testing.T, m *runMemo, names []string) {
 	t.Helper()
+	within := func(sh memoShare) bool {
+		return slices.Contains(names, sh.readers[0]) && slices.Contains(names, sh.readers[1])
+	}
 	want := map[string]bool{}
-	for _, p := range memoShares {
-		if slices.Contains(names, p[0]) && slices.Contains(names, p[1]) {
-			want[sortedPair(p[0], p[1])] = true
+	for _, sh := range memoShares {
+		if within(sh) {
+			want[sh.run+" "+sortedPair(sh.readers[0], sh.readers[1])] = true
 		}
 	}
 	got := map[string]bool{}
@@ -126,14 +132,20 @@ func checkShareCensus(t *testing.T, m *runMemo, names []string) {
 		}
 		switch len(c.readers) {
 		case 1:
+			for _, sh := range memoShares {
+				if within(sh) && sh.shares(key) && slices.Contains(sh.readers[:], c.readers[0]) {
+					t.Errorf("%s was read by %s alone, but memoShares names its run for %v", key, c.readers[0], sh.readers)
+				}
+			}
 		case 2:
-			got[sortedPair(c.readers[0], c.readers[1])] = true
+			run := strings.Join(strings.SplitN(key, "|", 4)[:3], "|")
+			got[run+" "+sortedPair(c.readers[0], c.readers[1])] = true
 		default:
 			t.Errorf("%s was read by %v; memoShares holds pairs only", key, c.readers)
 		}
 	}
 	if !maps.Equal(got, want) {
-		t.Errorf("experiments that read a common run: %v; memoShares within this RunAll: %v",
+		t.Errorf("runs that two experiments read: %v; memoShares within this RunAll: %v",
 			slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
 	}
 }

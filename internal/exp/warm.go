@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"dprof/internal/app/apachesim"
 	"dprof/internal/core"
 )
 
@@ -28,16 +29,29 @@ type RunCfg struct {
 	memo  *runMemo
 }
 
-// memoShares lists the pairs of experiments that read one run: each pair
-// runs at least one full configuration in common, and no other two
-// experiments of the registry do. TestGoldenProfiles' warm mode holds the
-// table to the reads of a whole-registry RunAll, so it cannot go stale.
-var memoShares = [][2]string{
-	{"table6.1", "ext-oracle"},
-	{"table6.2", "fix-memcached"},
-	{"table6.4", "table6.5"},
-	{"table6.6", "fix-apache"},
-	{"fix-apache", "figure6.2"},
+// memoShare is one run that two experiments read: the run by its name
+// (see runName) and the pair of experiments that read it.
+type memoShare struct {
+	run     string
+	readers [2]string
+}
+
+// memoShares lists every run that two experiments of the registry read,
+// with its two readers; no other run is read by more than one experiment,
+// and no other run of either reader matches the name. TestGoldenProfiles'
+// warm mode holds the table to the reads of a whole-registry RunAll, so it
+// cannot go stale.
+var memoShares = []memoShare{
+	{runName("session", "memcached", memcachedOpts(false)), [2]string{"table6.1", "ext-oracle"}},
+	{runName("bare", "memcached", memcachedOpts(false)), [2]string{"table6.2", "fix-memcached"}},
+	{runName("session", "apache", apacheOpts(apachesim.PeakOffered, 0)), [2]string{"table6.4", "table6.5"}},
+	{runName("bare", "apache", apacheOpts(apachesim.DropOffOffered, 0)), [2]string{"table6.6", "fix-apache"}},
+	{runName("bare", "apache", apacheOpts(apachesim.DropOffOffered, apachesim.FixedBacklog)), [2]string{"fix-apache", "figure6.2"}},
+}
+
+// shares reports whether sh names the run of key.
+func (sh memoShare) shares(key string) bool {
+	return strings.HasPrefix(key, sh.run+"|")
 }
 
 // runMemo maps a run's full configuration to its finished state, for as
@@ -47,11 +61,12 @@ var memoShares = [][2]string{
 // and the census of reads.
 //
 // An entry lives until its last reader: right after each read, and again
-// as each experiment finishes, an entry is dropped unless some pair of
-// memoShares holds all of its readers and also an experiment of this
-// RunAll that has neither read it nor finished. So a run no other
-// experiment shares goes as soon as it is read, and a shared one when its
-// partner has read it.
+// as each experiment finishes, an entry is dropped unless memoShares names
+// its run with a pair that holds all of its readers and also an
+// experiment of this RunAll that has neither read it nor finished. So a
+// run no other experiment shares goes as soon as it is read, even while
+// its reader's partner in another share is still to come, and a shared
+// one when its partner has read it.
 type runMemo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry
@@ -147,20 +162,20 @@ func (m *runMemo) finish(name string) {
 	}
 }
 
-// release deletes key's entry e unless a pair of memoShares holds every
-// reader of key and an unfinished experiment that has not read it. A
-// caller already holding e still reads the run it finds there. m.mu is
-// held.
+// release deletes key's entry e unless a share of memoShares names key's
+// run and its pair holds every reader of key and an unfinished experiment
+// that has not read it. A caller already holding e still reads the run it
+// finds there. m.mu is held.
 func (m *runMemo) release(key string, e *memoEntry) {
 	if m.entries[key] != e {
 		return
 	}
 	readers := m.reads[key].readers
-	for _, pair := range memoShares {
-		if !isSubset(readers, pair[:]) {
+	for _, sh := range memoShares {
+		if !sh.shares(key) || !isSubset(readers, sh.readers[:]) {
 			continue
 		}
-		for _, x := range pair {
+		for _, x := range sh.readers {
 			if m.pending[x] > 0 && !slices.Contains(readers, x) {
 				return
 			}
@@ -193,10 +208,16 @@ func optsKey(opts map[string]string) string {
 	return b.String()
 }
 
+// runName names a run by its kind ("session" or "bare"), workload and
+// options: its memo key up to the session configuration or run window.
+func runName(kind, workload string, opts map[string]string) string {
+	return kind + "|" + workload + "|" + optsKey(opts)
+}
+
 // sessionKey is a profiled run's memo key: the workload, its options and
 // the whole session configuration, run windows included.
 func sessionKey(name string, opts map[string]string, scfg core.SessionConfig) string {
-	return fmt.Sprintf("session|%s|%s|%+v", name, optsKey(opts), scfg)
+	return fmt.Sprintf("%s|%+v", runName("session", name, opts), scfg)
 }
 
 // session runs a profiled session and hands it, still locked, to read.
@@ -218,7 +239,7 @@ func (rc RunCfg) session(name string, opts map[string]string, scfg core.SessionC
 // before the run, so lock-stat reports cover warmup+measure from a clean
 // slate; callers that don't read locks are unaffected.
 func (rc RunCfg) bare(name string, opts map[string]string, w window, read func(core.Runnable, core.RunResult)) {
-	rc.memo.do(rc.name, fmt.Sprintf("bare|%s|%s|%+v", name, optsKey(opts), w), func() *finishedRun {
+	rc.memo.do(rc.name, fmt.Sprintf("%s|%+v", runName("bare", name, opts), w), func() *finishedRun {
 		inst := build(name, opts)
 		inst.Locks().Reset()
 		return &finishedRun{inst: inst, res: core.RunBare(inst, w.warmup, w.measure)}

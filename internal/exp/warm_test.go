@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,6 +121,29 @@ func TestRunMemo(t *testing.T) {
 		runBody(t, alone, "table6.1")
 		if n := len(alone.entries); n != 0 {
 			t.Errorf("without ext-oracle in the list the memo kept %d entries after table6.1's read, want 0", n)
+		}
+
+		// With the partner later in the list, only the run the pair shares
+		// waits for it: fix-memcached's fixed-queue run and fix-apache's
+		// deep-backlog run (shared with table6.6, not in the list) go as
+		// soon as they are read.
+		for _, pair := range [][2]string{{"fix-memcached", "table6.2"}, {"fix-apache", "figure6.2"}} {
+			m := newRunMemo(pair[:])
+			runBody(t, m, pair[0])
+			var kept []string
+			for key := range m.entries {
+				kept = append(kept, key)
+			}
+			if len(kept) != 1 || !slices.ContainsFunc(memoShares, func(sh memoShare) bool {
+				return sortedPair(sh.readers[0], sh.readers[1]) == sortedPair(pair[0], pair[1]) && sh.shares(kept[0])
+			}) {
+				t.Errorf("after %s's reads, with %s still to come, the memo keeps %q, want only their shared run", pair[0], pair[1], kept)
+			}
+			m.finish(pair[0])
+			runBody(t, m, pair[1])
+			if n := len(m.entries); n != 0 {
+				t.Errorf("after %s's reads the memo holds %d entries, want 0", pair[1], n)
+			}
 		}
 	})
 

@@ -101,10 +101,11 @@ func libraryDiff(t *testing.T, a, b string) []byte {
 
 // TestRequestAlias: a byte-identical repeat of a /profile or /diff request
 // is answered by its spelling from the LRU entry it last resolved to, and
-// every such answer is the library render byte for byte. An alias lives
-// and dies with its entry, holds only the entry's latest spelling, and is
-// never made for a request that failed, a stream, or a proxied answer the
-// LRU does not hold.
+// every such answer is the library render byte for byte. An alias leaves
+// the resident aliases with its entry (the entry's ghost keeps it, see
+// TestGhostEntries), holds only the entry's latest spelling, and is never
+// made for a request that failed, a stream, or a proxied answer the LRU
+// does not hold.
 func TestRequestAlias(t *testing.T) {
 	// check posts body to uri and holds the answer to want and its
 	// disposition.
@@ -193,6 +194,8 @@ func TestRequestAlias(t *testing.T) {
 		check(t, ts, "repeat", "/profile", quickProfile, "hit", doc)
 		check(t, ts, "evicting", "/profile", other, "miss", otherDoc)
 		counters(t, ts, "evicting", aliasCounters{Hits: 1, Misses: 2, Aliases: 1, AliasHits: 1})
+		// The evicted entry's ghost keeps the spelling: the repeat is read
+		// back from disk, and the re-admitted entry takes the alias back.
 		check(t, ts, "after eviction", "/profile", quickProfile, "disk", doc)
 		counters(t, ts, "after eviction", aliasCounters{Hits: 1, Misses: 2, Aliases: 1, AliasHits: 1})
 		check(t, ts, "re-aliased", "/profile", quickProfile, "hit", doc)

@@ -160,10 +160,10 @@ func (e *ExportError) Unwrap() error { return e.Err }
 // writeNegotiated writes a finished body fetched for j, converting a
 // profile document (j.doc) to a gzipped pprof protobuf when the client
 // negotiated that. The cache, store and peers keep one representation, the
-// canonical JSON; the pprof form is derived from it at the edge, once per
-// LRU residency: the entry holding the body memoizes it until the entry is
-// evicted or replaced. It is never stored on disk or forwarded, and a body
-// no longer resident converts again on every request.
+// canonical JSON; the pprof form is derived from it at the edge and
+// memoized by the entry holding the body (see lru.pprof), and by the
+// entry's ghost after eviction, for a body read back with the same
+// checksum. It is never stored on disk or forwarded.
 func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, j job, body []byte, disposition string) {
 	if !j.doc || !wantsPprof(r) {
 		writeBody(w, body, disposition)

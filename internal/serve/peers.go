@@ -140,14 +140,14 @@ func (s *Server) SetPeers(self string, replicas []string) error {
 	return nil
 }
 
-// routeOwner decides whether a job must be forwarded: multi-replica mode
-// is on, the job can be forwarded, the request did not already arrive
+// routeOwner decides whether a request for addr belongs to another
+// replica: multi-replica mode is on, the request did not already arrive
 // routed, and the content address hashes to another replica.
-func (s *Server) routeOwner(routed bool, j job) (string, bool) {
-	if s.peers == nil || routed || j.request == nil {
+func (s *Server) routeOwner(routed bool, addr string) (string, bool) {
+	if s.peers == nil || routed {
 		return "", false
 	}
-	owner := s.peers.owner(j.addr)
+	owner := s.peers.owner(addr)
 	if owner == s.peers.self {
 		return "", false
 	}
@@ -171,7 +171,7 @@ func (s *Server) proxy(owner string, j job) func(src *string) ([]byte, error) {
 			return nil, fmt.Errorf("peer %s: %w", owner, err)
 		}
 		s.peerProxied.Add(1)
-		s.cache.put(j.addr, b)
+		s.cache.put(j.addr, b, nil)
 		*src = "proxy"
 		if d := hdr.Get("X-DProf-Cache"); d != "" {
 			*src = "proxy:" + d

@@ -28,13 +28,22 @@ type replica struct {
 // ring once every URL is known.
 func newRing(t *testing.T, n int, withStore bool) []replica {
 	t.Helper()
-	reps := make([]replica, n)
-	urls := make([]string, n)
-	for i := range reps {
-		cfg := Config{Workers: 2}
+	cfgs := make([]Config, n)
+	for i := range cfgs {
+		cfgs[i] = Config{Workers: 2}
 		if withStore {
-			cfg.StoreDir = t.TempDir()
+			cfgs[i].StoreDir = t.TempDir()
 		}
+	}
+	return newFleet(t, cfgs...)
+}
+
+// newFleet starts one replica per config and joins them in one ring.
+func newFleet(t *testing.T, cfgs ...Config) []replica {
+	t.Helper()
+	reps := make([]replica, len(cfgs))
+	urls := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -31,9 +31,13 @@ type job struct {
 // alias over route and body kept on the LRU entry it resolved to, with no
 // decode, normalization or content address: normalization is a pure
 // function of the body and the server's fixed config, so an alias hit is
-// exactly an LRU hit. Otherwise the body is decoded into v, resolve builds
-// the job, answer answers it, and the alias is recorded on the entry if
-// the body is now resident. A streamed request bypasses aliases.
+// exactly an LRU hit. A spelling kept by a ghost names the address of an
+// evicted entry: its body is read back through stored, and answered with
+// that source's disposition, unless this replica does not hold it or
+// another replica owns the address. Otherwise the body is decoded into v,
+// resolve builds the job, answer answers it, and the alias is recorded on
+// the entry if the body is now resident. A streamed request bypasses
+// aliases and ghosts.
 func (s *Server) answerRequest(w http.ResponseWriter, r *http.Request, route string, v any, resolve func() (job, error)) {
 	raw, ok := readBody(w, r, 1<<20)
 	if !ok {
@@ -42,9 +46,18 @@ func (s *Server) answerRequest(w http.ResponseWriter, r *http.Request, route str
 	streams := streamed(r)
 	a := alias{route, sha256.Sum256(raw)}
 	if !streams {
-		if addr, body, doc, ok := s.cache.byAlias(a); ok {
-			s.hits.Add(1)
-			s.writeNegotiated(w, r, job{addr: addr, doc: doc}, body, "hit")
+		addr, body, doc, resident, ok := s.cache.byAlias(a)
+		disposition := "hit"
+		if ok && !resident {
+			if _, remote := s.routeOwner(r.Header.Get(routedHeader) != "", addr); !remote {
+				body, disposition, resident = s.stored(addr)
+			}
+		}
+		if resident {
+			if disposition == "hit" {
+				s.hits.Add(1)
+			}
+			s.writeNegotiated(w, r, job{addr: addr, doc: doc}, body, disposition)
 			return
 		}
 	}
@@ -85,14 +98,14 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, j job) {
 }
 
 // fetch resolves a job to its body: the LRU, then the owner when another
-// replica owns the address and routed is false (replica names it), then a
-// local flight. A failed owner counts a fallback: availability beats
-// strict ownership.
+// replica owns the address, routed is false and the job can be forwarded
+// (replica names it), then a local flight. A failed owner counts a
+// fallback: availability beats strict ownership.
 func (s *Server) fetch(ctx context.Context, routed bool, j job) (body []byte, disposition, replica string, err error) {
 	if body, ok := s.lookup(j.addr); ok {
 		return body, "hit", "", nil
 	}
-	if owner, ok := s.routeOwner(routed, j); ok {
+	if owner, ok := s.routeOwner(routed, j.addr); ok && j.request != nil {
 		body, disposition, err := s.flight(ctx, j.addr, s.proxy(owner, j))
 		if err == nil {
 			return body, disposition, owner, nil
@@ -159,21 +172,22 @@ func (s *Server) lookup(addr string) ([]byte, bool) {
 // adopt puts a finished body in the LRU and, best-effort, the disk store:
 // persistence failing must not fail the request the body answers.
 func (s *Server) adopt(addr string, body []byte) {
-	s.cache.put(addr, body)
+	s.cache.put(addr, body, nil)
 	if s.store != nil {
 		s.store.Put(addr, body)
 	}
 }
 
 // stored returns a finished body this replica already holds: from the LRU
-// ("hit") or from the disk store ("disk"), promoting it into the LRU.
+// ("hit") or from the disk store ("disk"), promoting it into the LRU with
+// the SHA-256 the store verified.
 func (s *Server) stored(addr string) (body []byte, from string, ok bool) {
 	if body, ok := s.cache.get(addr); ok {
 		return body, "hit", true
 	}
 	if s.store != nil {
-		if body, ok := s.store.Get(addr); ok {
-			s.cache.put(addr, body)
+		if body, sum, ok := s.store.GetSum(addr); ok {
+			s.cache.put(addr, body, &sum)
 			return body, "disk", true
 		}
 	}

@@ -22,6 +22,8 @@
 //  1. The LRU. A hit answers at once, with no goroutine and no flight.
 //     /profile and /diff check it by the request's spelling before they
 //     decode anything (see answerRequest), then by its content address.
+//     A spelling an evicted entry's ghost kept reads the body back from
+//     the disk store, just as undecoded, unless step 3 would forward it.
 //  2. A streamed request (?stream=ndjson|sse) runs locally and relays the
 //     run's live events: engine progress for experiments, window snapshots
 //     for windowed profiles. Streams are never forwarded.
@@ -39,8 +41,8 @@
 // "proxy:<d>" (the owner answered with disposition d). /diff sides and
 // /ingest route exactly like /profile; a /diff itself runs where it lands.
 // Every layer holds a profile document as its canonical JSON; a negotiated
-// pprof answer is converted at the edge, once per LRU residency (see
-// writeNegotiated).
+// pprof answer is converted at the edge and kept on the LRU entry, and on
+// its ghost for one generation after eviction (see writeNegotiated).
 //
 // Config.StoreDir backs the LRU with a disk content-addressed store
 // (internal/store) so finished documents survive restarts, and

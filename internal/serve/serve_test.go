@@ -747,12 +747,12 @@ func TestNewRejectsUnusableStoreDir(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
+	c.put("a", []byte("A"), nil)
+	c.put("b", []byte("B"), nil)
 	if _, ok := c.get("a"); !ok { // touch a: b becomes coldest
 		t.Fatal("a missing")
 	}
-	c.put("c", []byte("C"))
+	c.put("c", []byte("C"), nil)
 	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted")
 	}
@@ -868,7 +868,7 @@ func TestStatsKeySet(t *testing.T) {
 		t.Errorf("top-level keys = %q, want %q", got, want)
 	}
 	blocks := map[string]string{
-		"cache":        "alias_hits aliases capacity entries evictions hits misses pprof_encodes pprof_memo_hits",
+		"cache":        "alias_hits aliases capacity entries evictions ghost_hits ghosts hits misses pprof_encodes pprof_memo_hits",
 		"singleflight": "deduplicated",
 		"ingest":       "drop_reasons files_parsed mappings other_records parse_failures samples_accepted samples_dropped samples_total",
 		"store": "bytes_read bytes_resident bytes_written corrupt_dropped dir entries hits max_bytes misses puts" +

@@ -206,24 +206,31 @@ func (s *Store) path(address string) string {
 	return filepath.Join(s.dir, name[:2], name)
 }
 
-// Get returns the stored body for a content address. A file that fails
-// validation — short, torn, flipped bits, or written under the wrong
-// name — is deleted so the next Put can repair the entry, and reported
-// as a miss; the caller falls back to recomputing.
+// Get returns the stored body for a content address, as GetSum does.
+func (s *Store) Get(address string) ([]byte, bool) {
+	body, _, ok := s.GetSum(address)
+	return body, ok
+}
+
+// GetSum returns the stored body for a content address and its SHA-256,
+// the checksum the read verified against the file's header. A file that
+// fails validation — short, torn, flipped bits, or written under the
+// wrong name — is deleted so the next Put can repair the entry, and
+// reported as a miss; the caller falls back to recomputing.
 //
 // A hit bumps the file's mtime, so the sweep's oldest-mtime order is
 // true access order: a profile that is still being served survives
 // budget pressure, and eviction lands on objects nothing has read.
 // The bump is best-effort — a racing sweep can delete the file first,
 // and serving the bytes we already read is still correct.
-func (s *Store) Get(address string) ([]byte, bool) {
+func (s *Store) GetSum(address string) (body []byte, sum [sha256.Size]byte, ok bool) {
 	p := s.path(address)
 	raw, err := os.ReadFile(p)
 	if err != nil {
 		s.misses.Add(1)
-		return nil, false
+		return nil, sum, false
 	}
-	body, ok := decode(raw, address)
+	body, sum, ok = decode(raw, address)
 	if !ok {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
@@ -231,17 +238,18 @@ func (s *Store) Get(address string) ([]byte, bool) {
 			s.entries.Add(-1)
 			s.resident.Add(-int64(len(raw)))
 		}
-		return nil, false
+		return nil, sum, false
 	}
 	now := time.Now()
 	os.Chtimes(p, now, now)
 	s.hits.Add(1)
 	s.bytesOut.Add(int64(len(body)))
-	return body, true
+	return body, sum, true
 }
 
-// decode splits an object file into header and body and validates both.
-func decode(raw []byte, address string) ([]byte, bool) {
+// decode splits an object file into header and body, validates both and
+// returns the body with its SHA-256.
+func decode(raw []byte, address string) (body []byte, sum [sha256.Size]byte, ok bool) {
 	nl := -1
 	for i, b := range raw {
 		if b == '\n' {
@@ -250,21 +258,21 @@ func decode(raw []byte, address string) ([]byte, bool) {
 		}
 	}
 	if nl < 0 {
-		return nil, false
+		return nil, sum, false
 	}
 	var h header
 	if err := json.Unmarshal(raw[:nl], &h); err != nil {
-		return nil, false
+		return nil, sum, false
 	}
-	body := raw[nl+1:]
+	body = raw[nl+1:]
 	if h.V != 1 || h.Address != address || h.Len != len(body) {
-		return nil, false
+		return nil, sum, false
 	}
-	sum := sha256.Sum256(body)
+	sum = sha256.Sum256(body)
 	if hex.EncodeToString(sum[:]) != h.SHA256 {
-		return nil, false
+		return nil, sum, false
 	}
-	return body, true
+	return body, sum, true
 }
 
 // Put stores a body under its content address, write-once: if the object

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,6 +65,41 @@ func TestWriteOnce(t *testing.T) {
 	st := s.Stats()
 	if st.Puts != 1 || st.Rejected != 1 || st.Entries != 1 {
 		t.Errorf("stats = %+v; want 1 put, 1 rejected, 1 entry", st)
+	}
+}
+
+// TestGetSum: GetSum hands back the SHA-256 its read verified, which is
+// the body's, and drops and counts a corrupt file as Get does.
+func TestGetSum(t *testing.T) {
+	s := open(t, t.TempDir())
+	body := []byte(`{"workload":"falseshare"}`)
+	if err := s.Put("k", body); err != nil {
+		t.Fatal(err)
+	}
+	got, sum, ok := s.GetSum("k")
+	if !ok || !bytes.Equal(got, body) {
+		t.Fatalf("GetSum = %q, %v", got, ok)
+	}
+	if sum != sha256.Sum256(body) {
+		t.Errorf("GetSum sum = %x, want the body's SHA-256 %x", sum, sha256.Sum256(body))
+	}
+
+	raw, err := os.ReadFile(s.path("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x40
+	if err := os.WriteFile(s.path("k"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, ok := s.GetSum("k"); ok {
+		t.Fatalf("corrupt object served: %q", got)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Entries != 0 {
+		t.Errorf("corrupt_dropped %d, entries %d, want 1, 0", st.Corrupt, st.Entries)
+	}
+	if _, err := os.Stat(s.path("k")); !os.IsNotExist(err) {
+		t.Error("corrupt file not dropped")
 	}
 }
 
