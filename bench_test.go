@@ -503,6 +503,29 @@ func BenchmarkBuildWorkingSet(b *testing.B) {
 	}
 }
 
+// BenchmarkAddressSetRecord records 600,000 allocations through the
+// profiler's address-set hooks under the default record cap (500,000), each
+// freed 1,024 allocations later, as a profiled session's churn does. Few
+// objects are live at once, so the per-record storage dominates B/op.
+func BenchmarkAddressSetRecord(b *testing.B) {
+	const allocs, lag = 600_000, 1024
+	types := []*core.TypeDesc{{Name: "a", ObjSize: 64}, {Name: "b", ObjSize: 256}, {Name: "c", ObjSize: 1024}}
+	addr := func(i uint64) uint64 { return 1<<32 + i*1024 }
+	b.ReportAllocs()
+	for b.Loop() {
+		as := core.NewAddressSet()
+		as.MaxObjects = core.DefaultConfig().MaxAddrRecords
+		for i := uint64(1); i <= allocs+lag; i++ {
+			if i <= allocs {
+				as.RecordAlloc(i, int32(i%16), types[i%3], addr(i))
+			}
+			if i > lag {
+				as.RecordFree(i, types[(i-lag)%3], addr(i-lag))
+			}
+		}
+	}
+}
+
 // --- microbenchmarks of the substrate hot paths ---
 
 func BenchmarkSimAccess(b *testing.B) {

@@ -7,13 +7,14 @@ import (
 )
 
 // ObjRecord is one allocation in the address set: the address and type of an
-// object plus its lifetime (§4, "address set").
+// object plus its lifetime (§4, "address set"). Type indexes the set's
+// Types, so a record holds no pointer and is 32 bytes.
 type ObjRecord struct {
-	Type      *TypeDesc
 	Addr      uint64
 	AllocAt   uint64
 	FreeAt    uint64 // 0 while live
 	AllocCore int32
+	Type      uint32
 }
 
 // Live reports whether the object was still allocated when profiling ended.
@@ -29,16 +30,55 @@ type typeUsage struct {
 	lastTouch uint64
 }
 
+// Records are stored in fixed chunks of chunkLen, appended in place and
+// never moved: record i is entry i&chunkMask of chunk i>>chunkShift.
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
+// objFixed is the part of a record that never changes once written.
+type objFixed struct {
+	addr    uint64
+	allocAt uint64
+	core    int32
+	typ     uint32
+}
+
+// recBlock holds one chunk's fixed fields. A full block is never written
+// again, so checkpoints share it with the live set (see snapshot.go).
+type recBlock [chunkLen]objFixed
+
+// freeBlock is one chunk's FreeAt column, the only field a free mutates.
+// The live set owns its columns; checkpoints copy them.
+type freeBlock [chunkLen]uint64
+
+// chunk is one slot of the live set: a fixed-field block, possibly shared
+// with checkpoints, and the set's own FreeAt column for it.
+type chunk struct {
+	recs *recBlock
+	free *freeBlock
+}
+
 // AddressSet records the address and type of every object allocated during
 // profiling, plus static objects. DProf uses it to map objects to cache
 // associativity sets and to estimate working-set contents.
 type AddressSet struct {
-	objects []ObjRecord
+	chunks []chunk
+	n      int // retained records
+	// owned is the first chunk slot from which every block is the set's
+	// alone: blocks below it may be shared with checkpoints.
+	owned   int
 	liveIdx hashtab.Table[int] // addr -> index of the live record
 
-	// usage is a move-to-front list rather than a map: a run touches a few
-	// dozen types at most, and the lookup runs on every alloc and free.
-	usage []typeUsageEntry
+	// types holds the descriptors records refer to, in first-recorded
+	// order; usage is parallel to it. mtf orders the type indexes
+	// move-to-front rather than through a map: a run touches a few dozen
+	// types at most, and the lookup runs on every alloc and free.
+	types []*TypeDesc
+	usage []typeUsage
+	mtf   []uint32
 
 	start uint64
 	end   uint64
@@ -49,11 +89,6 @@ type AddressSet struct {
 	dropped    uint64
 }
 
-type typeUsageEntry struct {
-	t *TypeDesc
-	u *typeUsage
-}
-
 // NewAddressSet returns an empty address set.
 func NewAddressSet() *AddressSet {
 	return &AddressSet{liveIdx: hashtab.New[int](3<<10, nil)} // 4096 slots
@@ -61,28 +96,51 @@ func NewAddressSet() *AddressSet {
 
 // AddStatic records a static (always-live) object.
 func (as *AddressSet) AddStatic(t *TypeDesc, addr uint64) {
-	as.objects = append(as.objects, ObjRecord{Type: t, Addr: addr, AllocCore: -1})
-	as.liveIdx.Set(addr, len(as.objects)-1)
-	u := as.usageFor(t)
+	ti := as.typeIndex(t)
+	as.push(objFixed{addr: addr, core: -1, typ: ti})
+	as.liveIdx.Set(addr, as.n-1)
+	u := &as.usage[ti]
 	u.live++
 	if u.live > u.peak {
 		u.peak = u.live
 	}
 }
 
-func (as *AddressSet) usageFor(t *TypeDesc) *typeUsage {
-	s := as.usage
-	for i := range s {
-		if s[i].t == t {
+// typeIndex returns t's index in the set, adding it on first use.
+func (as *AddressSet) typeIndex(t *TypeDesc) uint32 {
+	s := as.mtf
+	for i, ti := range s {
+		if as.types[ti] == t {
 			if i > 0 {
 				s[0], s[i] = s[i], s[0]
 			}
-			return s[0].u
+			return ti
 		}
 	}
-	u := &typeUsage{}
-	as.usage = append(s, typeUsageEntry{t, u})
-	return u
+	ti := uint32(len(as.types))
+	as.types = append(as.types, t)
+	as.usage = append(as.usage, typeUsage{})
+	as.mtf = append(s, ti)
+	return ti
+}
+
+// push appends a record with FreeAt 0, starting a chunk slot when the last
+// one is full.
+func (as *AddressSet) push(r objFixed) {
+	c, j := as.n>>chunkShift, as.n&chunkMask
+	if c == len(as.chunks) {
+		as.chunks = append(as.chunks, chunk{})
+	}
+	ch := &as.chunks[c]
+	if ch.recs == nil {
+		ch.recs = new(recBlock)
+	}
+	if ch.free == nil {
+		ch.free = new(freeBlock)
+	}
+	ch.recs[j] = r
+	ch.free[j] = 0
+	as.n++
 }
 
 // advance accrues the live-count integral for a type up to time now. Only
@@ -114,45 +172,51 @@ func (as *AddressSet) RecordAlloc(now uint64, core int32, t *TypeDesc, addr uint
 		as.start = now
 	}
 	as.end = now
-	u := as.usageFor(t)
+	ti := as.typeIndex(t)
+	u := &as.usage[ti]
 	u.advance(now)
 	u.allocs++
 	u.live++
 	if u.live > u.peak {
 		u.peak = u.live
 	}
-	if as.MaxObjects > 0 && len(as.objects) >= as.MaxObjects {
+	if as.MaxObjects > 0 && as.n >= as.MaxObjects {
 		as.dropped++
 		return
 	}
-	as.objects = append(as.objects, ObjRecord{
-		Type:      t,
-		Addr:      addr,
-		AllocAt:   now,
-		AllocCore: core,
-	})
-	as.liveIdx.Set(addr, len(as.objects)-1)
+	as.push(objFixed{addr: addr, allocAt: now, core: core, typ: ti})
+	as.liveIdx.Set(addr, as.n-1)
 }
 
 // RecordFree records a deallocation at time now.
 func (as *AddressSet) RecordFree(now uint64, t *TypeDesc, addr uint64) {
 	as.end = now
-	u := as.usageFor(t)
+	u := &as.usage[as.typeIndex(t)]
 	u.advance(now)
 	u.frees++
 	if u.live > 0 {
 		u.live--
 	}
 	if i, ok := as.liveIdx.Delete(addr); ok {
-		as.objects[i].FreeAt = now
+		as.chunks[i>>chunkShift].free[i&chunkMask] = now
 	}
 }
 
 // Dropped returns how many records were discarded due to MaxObjects.
 func (as *AddressSet) Dropped() uint64 { return as.dropped }
 
-// Objects returns all retained records (most recent last).
-func (as *AddressSet) Objects() []ObjRecord { return as.objects }
+// Len returns the number of retained records.
+func (as *AddressSet) Len() int { return as.n }
+
+// At returns retained record i (0 ≤ i < Len, oldest first).
+func (as *AddressSet) At(i int) ObjRecord {
+	ch := &as.chunks[i>>chunkShift]
+	f := &ch.recs[i&chunkMask]
+	return ObjRecord{Addr: f.addr, AllocAt: f.allocAt, FreeAt: ch.free[i&chunkMask], AllocCore: f.core, Type: f.typ}
+}
+
+// Types returns the descriptors that records' Type fields index.
+func (as *AddressSet) Types() []*TypeDesc { return as.types }
 
 // TypeUsage summarizes one type's footprint.
 type TypeUsage struct {
@@ -169,9 +233,9 @@ type TypeUsage struct {
 // Usage returns per-type footprint summaries, largest peak bytes first.
 func (as *AddressSet) Usage() []TypeUsage {
 	span := as.end - as.start
-	out := make([]TypeUsage, 0, len(as.usage))
-	for _, e := range as.usage {
-		t, u := e.t, e.u
+	out := make([]TypeUsage, 0, len(as.mtf))
+	for _, ti := range as.mtf {
+		t, u := as.types[ti], &as.usage[ti]
 		tu := TypeUsage{
 			Type:      t,
 			PeakCount: u.peak,

@@ -48,9 +48,10 @@ type Profiler struct {
 	// types interns the value descriptors the analysis stack keys on;
 	// descs/mems map between live allocator types (which the simulator-side
 	// machinery — collector targeting, debug registers — still needs) and
-	// their descriptors.
+	// their descriptors. descs is indexed by mem.Type.Index, so the alloc
+	// and free hooks resolve a type without hashing.
 	types *TypeSet
-	descs map[*mem.Type]*TypeDesc
+	descs []typeBridge
 	mems  map[*TypeDesc]*mem.Type
 
 	// pending holds each core's samples since the last merge, in delivery
@@ -84,13 +85,27 @@ func (p *Profiler) Desc(t *mem.Type) *TypeDesc {
 	if t == nil {
 		return nil
 	}
-	if d, ok := p.descs[t]; ok {
-		return d
+	i := t.Index()
+	if i < len(p.descs) && p.descs[i].t == t {
+		return p.descs[i].d
 	}
 	d := p.types.Intern(t.Name, t.Desc, t.Size, t.ObjSize())
-	p.descs[t] = d
 	p.mems[d] = t
+	if i >= len(p.descs) {
+		p.descs = append(p.descs, make([]typeBridge, i+1-len(p.descs))...)
+	}
+	if p.descs[i].t == nil {
+		p.descs[i] = typeBridge{t, d}
+	}
 	return d
+}
+
+// typeBridge pairs a live allocator type with its descriptor. The type is
+// kept to tell apart a type of another allocator with the same index, which
+// takes the interning path every time.
+type typeBridge struct {
+	t *mem.Type
+	d *TypeDesc
 }
 
 // memOf maps a descriptor back to its live allocator type (nil when the
@@ -151,7 +166,6 @@ func Attach(m *sim.Machine, alloc *mem.Allocator, cfg Config) *Profiler {
 		AddrSet:    NewAddressSet(),
 		cfg:        cfg,
 		types:      NewTypeSet(),
-		descs:      make(map[*mem.Type]*TypeDesc),
 		mems:       make(map[*TypeDesc]*mem.Type),
 		traceCache: make(map[*TypeDesc][]*PathTrace),
 	}

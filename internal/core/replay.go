@@ -286,25 +286,37 @@ func CacheResidencyOf(src ProfileSource, maxObjects int) *ResidencyView {
 	capLines := int((cfg.L2Size*uint64(src.Topology().NumCores()) + cfg.L3Size) / cfg.LineSize)
 	v := &ResidencyView{CapacityLines: capLines}
 
-	objs := src.AddressSet().Objects()
+	as := src.AddressSet()
+	nobj := as.Len()
 	step := 1
-	if maxObjects > 0 && len(objs) > maxObjects {
-		step = (len(objs) + maxObjects - 1) / maxObjects
+	if maxObjects > 0 && nobj > maxObjects {
+		step = (nobj + maxObjects - 1) / maxObjects
 	}
 	// One sequential pass computes every sampled object's lines, so the
 	// replay below never revisits the records.
-	n := (len(objs) + step - 1) / step
+	n := (nobj + step - 1) / step
 	sampled := make([]replayObj, 0, n)
 	allocs := make([]replayEvent, 0, n)
 	frees := make([]replayEvent, 0, n)
 	var types typeIDs
-	for i := 0; i < len(objs); i += step {
-		rec := &objs[i]
+	// A record's type index maps to its replay id once per type, on first
+	// sight, so ids keep first-seen record order.
+	descs := as.Types()
+	idOf := make([]int32, len(descs))
+	for i := range idOf {
+		idOf[i] = -1
+	}
+	for i := 0; i < nobj; i += step {
+		rec := as.At(i)
+		t := descs[rec.Type]
+		if idOf[rec.Type] < 0 {
+			idOf[rec.Type] = types.id(t.Name)
+		}
 		k := uint64(len(sampled))
 		sampled = append(sampled, replayObj{
 			lo:  rec.Addr / cfg.LineSize,
-			hi:  (rec.Addr + rec.Type.ObjSize - 1) / cfg.LineSize,
-			typ: types.id(rec.Type.Name),
+			hi:  (rec.Addr + t.ObjSize - 1) / cfg.LineSize,
+			typ: idOf[rec.Type],
 		})
 		allocs = append(allocs, replayEvent{at: rec.AllocAt, ord: k})
 		if !rec.Live() {

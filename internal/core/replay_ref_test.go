@@ -77,14 +77,14 @@ func refCacheResidencyOf(src ProfileSource, maxObjects int) *ResidencyView {
 	capLines := int((cfg.L2Size*uint64(src.Topology().NumCores()) + cfg.L3Size) / cfg.LineSize)
 	v := &ResidencyView{CapacityLines: capLines}
 
-	objs := src.AddressSet().Objects()
+	as := src.AddressSet()
 	step := 1
-	if maxObjects > 0 && len(objs) > maxObjects {
-		step = (len(objs) + maxObjects - 1) / maxObjects
+	if maxObjects > 0 && as.Len() > maxObjects {
+		step = (as.Len() + maxObjects - 1) / maxObjects
 	}
 	var events []refEvent
-	for i := 0; i < len(objs); i += step {
-		rec := &objs[i]
+	for i := 0; i < as.Len(); i += step {
+		rec := as.At(i)
 		v.ReplayedObjs++
 		events = append(events, refEvent{at: rec.AllocAt, alloc: true, obj: i})
 		if !rec.Live() {
@@ -118,19 +118,20 @@ func refCacheResidencyOf(src ProfileSource, maxObjects int) *ResidencyView {
 	}
 	for _, ev := range events {
 		accrue(ev.at)
-		rec := &objs[ev.obj]
+		rec := as.At(ev.obj)
+		typ := as.Types()[rec.Type]
 		lineLo := rec.Addr / cfg.LineSize
-		lineHi := (rec.Addr + rec.Type.ObjSize - 1) / cfg.LineSize
+		lineHi := (rec.Addr + typ.ObjSize - 1) / cfg.LineSize
 		for l := lineLo; l <= lineHi; l++ {
 			if ev.alloc {
-				cache.insert(l, rec.Type.Name)
+				cache.insert(l, typ.Name)
 			} else {
 				cache.remove(l)
 			}
 		}
 		if ev.alloc {
-			if n := cache.byType[rec.Type.Name]; n > maxSeen[rec.Type.Name] {
-				maxSeen[rec.Type.Name] = n
+			if n := cache.byType[typ.Name]; n > maxSeen[typ.Name] {
+				maxSeen[typ.Name] = n
 			}
 		}
 	}
@@ -193,18 +194,18 @@ func refBuildWorkingSet(addrs *AddressSet, traces map[*TypeDesc][]*PathTrace, ge
 	rangeCache := make(map[*TypeDesc][]offRange)
 
 	perSet := make([]map[uint64]string, geo.Sets)
-	objs := addrs.Objects()
 	step := 1
-	if maxObjects > 0 && len(objs) > maxObjects {
-		step = (len(objs) + maxObjects - 1) / maxObjects
+	if maxObjects > 0 && addrs.Len() > maxObjects {
+		step = (addrs.Len() + maxObjects - 1) / maxObjects
 	}
-	for i := 0; i < len(objs); i += step {
-		rec := &objs[i]
+	for i := 0; i < addrs.Len(); i += step {
+		rec := addrs.At(i)
+		typ := addrs.Types()[rec.Type]
 		v.SampledObjects++
-		rs, ok := rangeCache[rec.Type]
+		rs, ok := rangeCache[typ]
 		if !ok {
-			rs = rangesFor(rec.Type)
-			rangeCache[rec.Type] = rs
+			rs = rangesFor(typ)
+			rangeCache[typ] = rs
 		}
 		for _, r := range rs {
 			for off := r.lo &^ (geo.LineSize - 1); off < r.hi; off += geo.LineSize {
@@ -214,7 +215,7 @@ func refBuildWorkingSet(addrs *AddressSet, traces map[*TypeDesc][]*PathTrace, ge
 					perSet[set] = make(map[uint64]string)
 				}
 				if _, dup := perSet[set][line]; !dup {
-					perSet[set][line] = rec.Type.Name
+					perSet[set][line] = typ.Name
 				}
 			}
 		}

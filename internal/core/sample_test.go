@@ -193,10 +193,10 @@ func TestAddressSetRecordsLifetimes(t *testing.T) {
 	})
 	m.RunAll()
 	var rec *ObjRecord
-	for i := range as.Objects() {
-		r := &as.Objects()[i]
-		if r.Type == descFor(typ) {
-			rec = r
+	for i := 0; i < as.Len(); i++ {
+		r := as.At(i)
+		if as.Types()[r.Type] == descFor(typ) {
+			rec = &r
 		}
 	}
 	if rec == nil || rec.Live() {
@@ -234,8 +234,8 @@ func TestAddressSetMaxObjects(t *testing.T) {
 		}
 	})
 	m.RunAll()
-	if len(as.Objects()) != 5 {
-		t.Fatalf("retained %d records, want 5", len(as.Objects()))
+	if as.Len() != 5 {
+		t.Fatalf("retained %d records, want 5", as.Len())
 	}
 	// At least the 5 over-cap object allocations were dropped (slab
 	// bookkeeping allocations are also reported through the hook).

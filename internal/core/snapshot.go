@@ -52,44 +52,94 @@ func (s *sampleTableState) restoreInto(st *SampleTable) {
 	st.Unresolved = s.unresolved
 }
 
-type usageState struct {
-	t *TypeDesc
-	u typeUsage
-}
-
+// addrSetState is an address set at a checkpoint. Full chunks' fixed
+// fields never change again, so the checkpoint shares those blocks with the
+// live set and copies only what a later run can write: every FreeAt, and the
+// fixed fields of the partly filled last chunk, both at exact size.
 type addrSetState struct {
-	objects    []ObjRecord
+	n          int
+	recs       []*recBlock // the full chunks, shared
+	tail       []objFixed  // records past the last full chunk
+	free       []uint64    // FreeAt of all n records
 	liveIdx    hashtab.Snapshot[int]
-	usage      []usageState
+	types      []*TypeDesc
+	usage      []typeUsage
+	mtf        []uint32
 	start, end uint64
 	maxObjects int
 	dropped    uint64
 }
 
 func captureAddrSet(as *AddressSet) addrSetState {
+	full := as.n >> chunkShift
 	st := addrSetState{
-		objects:    append([]ObjRecord(nil), as.objects...),
+		n:          as.n,
+		recs:       make([]*recBlock, full),
+		tail:       make([]objFixed, as.n&chunkMask),
+		free:       make([]uint64, as.n),
 		liveIdx:    as.liveIdx.Capture(),
-		usage:      make([]usageState, len(as.usage)),
+		types:      append([]*TypeDesc(nil), as.types...),
+		usage:      append([]typeUsage(nil), as.usage...),
+		mtf:        append([]uint32(nil), as.mtf...),
 		start:      as.start,
 		end:        as.end,
 		maxObjects: as.MaxObjects,
 		dropped:    as.dropped,
 	}
-	for i, e := range as.usage {
-		st.usage[i] = usageState{t: e.t, u: *e.u}
+	for c := range as.chunks {
+		lo := c << chunkShift
+		if lo >= as.n {
+			break
+		}
+		ch := &as.chunks[c]
+		copy(st.free[lo:], ch.free[:min(chunkLen, as.n-lo)])
+		if c < full {
+			st.recs[c] = ch.recs
+		} else {
+			copy(st.tail, ch.recs[:])
+		}
 	}
+	// The shared blocks are no longer the live set's alone.
+	as.owned = full
 	return st
 }
 
 func (st *addrSetState) restoreInto(as *AddressSet) {
-	as.objects = append(as.objects[:0], st.objects...)
-	as.liveIdx.Restore(&st.liveIdx)
-	as.usage = as.usage[:0]
-	for i := range st.usage {
-		u := st.usage[i].u
-		as.usage = append(as.usage, typeUsageEntry{t: st.usage[i].t, u: &u})
+	full := len(st.recs)
+	slots := (st.n + chunkMask) >> chunkShift
+	for len(as.chunks) < slots {
+		as.chunks = append(as.chunks, chunk{})
 	}
+	for c := range as.chunks {
+		ch := &as.chunks[c]
+		switch {
+		case c < full:
+			ch.recs = st.recs[c]
+		case c < as.owned:
+			// Shared with another checkpoint: writing it would corrupt that.
+			ch.recs = nil
+		}
+		lo := c << chunkShift
+		if lo >= st.n {
+			continue
+		}
+		if ch.free == nil {
+			ch.free = new(freeBlock)
+		}
+		copy(ch.free[:], st.free[lo:])
+		if c == full {
+			if ch.recs == nil {
+				ch.recs = new(recBlock)
+			}
+			copy(ch.recs[:], st.tail)
+		}
+	}
+	as.n = st.n
+	as.owned = full
+	as.liveIdx.Restore(&st.liveIdx)
+	as.types = append(as.types[:0], st.types...)
+	as.usage = append(as.usage[:0], st.usage...)
+	as.mtf = append(as.mtf[:0], st.mtf...)
 	as.start = st.start
 	as.end = st.end
 	as.MaxObjects = st.maxObjects

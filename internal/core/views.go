@@ -193,12 +193,14 @@ func BuildWorkingSet(addrs *AddressSet, traces map[*TypeDesc][]*PathTrace, geo G
 		offs []uint64
 		id   int32
 	}
-	byDesc := make(map[*TypeDesc]*wsType)
+	descs := addrs.Types()
+	byIndex := make([]*wsType, len(descs))
 	var types typeIDs
-	typeOf := func(t *TypeDesc) *wsType {
-		if wt, ok := byDesc[t]; ok {
+	typeOf := func(ti uint32) *wsType {
+		if wt := byIndex[ti]; wt != nil {
 			return wt
 		}
+		t := descs[ti]
 		wt := &wsType{id: types.id(t.Name)}
 		addRange := func(lo, hi uint64) {
 			for off := lo &^ (geo.LineSize - 1); off < hi; off += geo.LineSize {
@@ -219,20 +221,20 @@ func BuildWorkingSet(addrs *AddressSet, traces map[*TypeDesc][]*PathTrace, geo G
 		}
 		slices.Sort(wt.offs)
 		wt.offs = slices.Compact(wt.offs)
-		byDesc[t] = wt
+		byIndex[ti] = wt
 		return wt
 	}
 
 	// Every distinct line any sampled object touches, named by the first
 	// object (in record order) to claim it: line -> type id+1.
 	lines := newLineTable()
-	objs := addrs.Objects()
+	nobj := addrs.Len()
 	step := 1
-	if maxObjects > 0 && len(objs) > maxObjects {
-		step = (len(objs) + maxObjects - 1) / maxObjects
+	if maxObjects > 0 && nobj > maxObjects {
+		step = (nobj + maxObjects - 1) / maxObjects
 	}
-	for i := 0; i < len(objs); i += step {
-		rec := &objs[i]
+	for i := 0; i < nobj; i += step {
+		rec := addrs.At(i)
 		v.SampledObjects++
 		wt := typeOf(rec.Type)
 		base, page := int32(0), ^uint64(0)

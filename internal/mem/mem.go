@@ -115,10 +115,15 @@ type Type struct {
 	objSize  uint64 // Size rounded up to the pool's alignment
 	pool     *pool
 	internal bool // allocator-internal (slab, array_cache) or static
+	index    int  // registration order within the allocator
 }
 
 // ObjSize returns the aligned per-object footprint.
 func (t *Type) ObjSize() uint64 { return t.objSize }
+
+// Index returns the type's dense registration index within its allocator
+// (its position in Types), so per-type state can live in a slice.
+func (t *Type) Index() int { return t.index }
 
 // slabInfo is the bookkeeping for one slab (a contiguous run of objects of a
 // single type). For dynamic slabs, metaAddr is the simulated address of the
@@ -283,7 +288,7 @@ func (a *Allocator) registerRaw(name string, size uint64, desc string, align uin
 		align = DefaultAlign
 	}
 	objSize := (size + align - 1) &^ (align - 1)
-	t := &Type{Name: name, Desc: desc, Size: size, objSize: objSize, internal: internal}
+	t := &Type{Name: name, Desc: desc, Size: size, objSize: objSize, internal: internal, index: len(a.typeOrder)}
 	a.types[name] = t
 	a.typeOrder = append(a.typeOrder, t)
 	return t
