@@ -84,10 +84,16 @@ type AddressSet struct {
 	end   uint64
 
 	// MaxObjects caps the retained per-object records; accounting counters
-	// keep running after the cap. 0 means unlimited.
+	// keep running after the cap. 0 means unlimited, and a negative value
+	// (NoAddrRecords) keeps no records at all, statics included: only the
+	// per-type usage counters run.
 	MaxObjects int
 	dropped    uint64
 }
+
+// NoAddrRecords is the MaxObjects (and Config.MaxAddrRecords) value that
+// keeps no per-object records. Dropped then counts every allocation.
+const NoAddrRecords = -1
 
 // NewAddressSet returns an empty address set.
 func NewAddressSet() *AddressSet {
@@ -97,8 +103,10 @@ func NewAddressSet() *AddressSet {
 // AddStatic records a static (always-live) object.
 func (as *AddressSet) AddStatic(t *TypeDesc, addr uint64) {
 	ti := as.typeIndex(t)
-	as.push(objFixed{addr: addr, core: -1, typ: ti})
-	as.liveIdx.Set(addr, as.n-1)
+	if as.MaxObjects >= 0 {
+		as.push(objFixed{addr: addr, core: -1, typ: ti})
+		as.liveIdx.Set(addr, as.n-1)
+	}
 	u := &as.usage[ti]
 	u.live++
 	if u.live > u.peak {
@@ -180,7 +188,8 @@ func (as *AddressSet) RecordAlloc(now uint64, core int32, t *TypeDesc, addr uint
 	if u.live > u.peak {
 		u.peak = u.live
 	}
-	if as.MaxObjects > 0 && as.n >= as.MaxObjects {
+	// A negative cap (NoAddrRecords) is below every n.
+	if as.MaxObjects != 0 && as.n >= as.MaxObjects {
 		as.dropped++
 		return
 	}
@@ -197,12 +206,19 @@ func (as *AddressSet) RecordFree(now uint64, t *TypeDesc, addr uint64) {
 	if u.live > 0 {
 		u.live--
 	}
+	// With no live record (none kept, or every kept one freed) the free
+	// cannot be indexed: skip the probe.
+	if as.liveIdx.Len() == 0 {
+		return
+	}
 	if i, ok := as.liveIdx.Delete(addr); ok {
 		as.chunks[i>>chunkShift].free[i&chunkMask] = now
 	}
 }
 
-// Dropped returns how many records were discarded due to MaxObjects.
+// Dropped returns how many allocations' records were discarded due to
+// MaxObjects: those past a positive cap, or all of them under NoAddrRecords.
+// Statics are never counted.
 func (as *AddressSet) Dropped() uint64 { return as.dropped }
 
 // Len returns the number of retained records.

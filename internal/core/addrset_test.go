@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"dprof/internal/cache"
 )
 
 // recorder drives an address set with distinct allocations: every call
@@ -185,4 +187,83 @@ func TestAddressSetChunks(t *testing.T) {
 		}
 		restore(t, "third fork", r.as, cp)
 	})
+}
+
+// TestAddressSetNoRecords feeds one alloc/free stream, statics included, to
+// a recording set and to a NoAddrRecords set: the usage counters must agree
+// while the second set keeps, indexes and replays nothing.
+func TestAddressSetNoRecords(t *testing.T) {
+	ts := NewTypeSet()
+	types := []*TypeDesc{
+		ts.Intern("a", "", 64, 64),
+		ts.Intern("b", "", 128, 128),
+		ts.Intern("static", "", 4096, 4096),
+	}
+	full, none := NewAddressSet(), NewAddressSet()
+	none.MaxObjects = NoAddrRecords
+	both := func(f func(as *AddressSet)) { f(full); f(none) }
+
+	const statics, allocs = 3, 2000
+	for i := range statics {
+		both(func(as *AddressSet) { as.AddStatic(types[2], 0x1000_0000+uint64(i)*4096) })
+	}
+	var now uint64
+	for i := range allocs {
+		now += 10
+		typ, addr := types[i%2], addrOf(uint64(i))
+		both(func(as *AddressSet) { as.RecordAlloc(now, int32(i%4), typ, addr) })
+		if i%3 == 0 {
+			now += 5
+			both(func(as *AddressSet) { as.RecordFree(now, typ, addr) })
+		}
+	}
+	// A free of an address no set ever saw.
+	both(func(as *AddressSet) { as.RecordFree(now+1, types[0], 0x7777_0000) })
+
+	if got, want := none.Usage(), full.Usage(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("usage = %+v, want %+v", got, want)
+	}
+	for _, typ := range types {
+		if got, want := none.UsageFor(typ), full.UsageFor(typ); got != want {
+			t.Fatalf("UsageFor(%s) = %+v, want %+v", typ.Name, got, want)
+		}
+	}
+	if full.Len() != statics+allocs || full.Dropped() != 0 {
+		t.Fatalf("recording set: %d records, %d dropped; want %d, 0", full.Len(), full.Dropped(), statics+allocs)
+	}
+	if none.Len() != 0 || none.liveIdx.Len() != 0 || len(none.chunks) != 0 {
+		t.Fatalf("no-records set: %d records, %d indexed, %d chunks; want none", none.Len(), none.liveIdx.Len(), len(none.chunks))
+	}
+	if none.Dropped() != allocs {
+		t.Fatalf("no-records set dropped %d, want every allocation (%d)", none.Dropped(), allocs)
+	}
+
+	cfg := cache.DefaultConfig()
+	geo := GeometryFromCache(cfg)
+	ws, wantWS := BuildWorkingSet(none, nil, geo, DefaultReplayObjects), BuildWorkingSet(full, nil, geo, DefaultReplayObjects)
+	if ws.SampledObjects != 0 || ws.MeanLines != 0 || len(ws.Overloaded) != 0 {
+		t.Fatalf("working set over no records: %d objects, %.2f mean lines, %d overloaded sets", ws.SampledObjects, ws.MeanLines, len(ws.Overloaded))
+	}
+	// The usage half of the view does not read records.
+	if !reflect.DeepEqual(ws.Rows, wantWS.Rows) {
+		t.Fatalf("working-set rows = %+v, want %+v", ws.Rows, wantWS.Rows)
+	}
+	rv := CacheResidencyOf(NewStaticProfile(ts, nil, none, nil, cfg, cache.SingleSocket(1)), DefaultReplayObjects)
+	if rv.ReplayedObjs != 0 || len(rv.Rows) != 0 {
+		t.Fatalf("residency over no records: %d objects, %d rows", rv.ReplayedObjs, len(rv.Rows))
+	}
+
+	st := captureAddrSet(none)
+	wantTypes, wantUsage := append([]*TypeDesc(nil), none.Types()...), none.Usage()
+	none.RecordAlloc(now+2, 0, types[1], 0x8888_0000)
+	none.AddStatic(types[2], 0x9999_0000)
+	st.restoreInto(none)
+	sameSet(t, "restored in place", none, nil, wantTypes, wantUsage, allocs)
+	fresh := NewAddressSet()
+	st.restoreInto(fresh)
+	sameSet(t, "restored into a new set", fresh, nil, wantTypes, wantUsage, allocs)
+	fresh.RecordAlloc(now+2, 0, types[1], 0x8888_0000)
+	if fresh.Len() != 0 || fresh.Dropped() != allocs+1 {
+		t.Fatalf("restored set recorded an allocation: %d records, %d dropped", fresh.Len(), fresh.Dropped())
+	}
 }

@@ -12,7 +12,10 @@ type Config struct {
 	// SampleRate is the IBS rate in samples per second per core. The paper
 	// sweeps 1,000-18,000 (Figure 6-2).
 	SampleRate float64
-	// MaxAddrRecords caps retained address-set records (0 = unlimited).
+	// MaxAddrRecords caps retained address-set records (0 = unlimited;
+	// NoAddrRecords, any negative value, keeps none, so the working-set and
+	// cache-residency views come out empty while the data profile's usage
+	// figures stay exact).
 	MaxAddrRecords int
 	// WatchLen is the debug-register window in bytes (1..8).
 	WatchLen uint32

@@ -35,6 +35,26 @@ func newWorkload(app string, horizon uint64) *liveWorkload {
 	return &liveWorkload{name: app, m: m, alloc: inst.Alloc()}
 }
 
+// historyAttached, when set, sees every profiler attachHistoryProfiler
+// attaches. Tests use it to inspect a history run's profiler afterwards.
+var historyAttached func(*core.Profiler)
+
+// attachHistoryProfiler attaches a sampling profiler for history collection
+// on w, with the full 8-byte debug-register window. It keeps no per-object
+// address records: only the working-set views (§4.2) read them, and no
+// history experiment renders those.
+func attachHistoryProfiler(w *liveWorkload) *core.Profiler {
+	cfg := core.DefaultConfig()
+	cfg.WatchLen = 8
+	cfg.MaxAddrRecords = core.NoAddrRecords
+	p := core.Attach(w.m, w.alloc, cfg)
+	p.StartSampling()
+	if historyAttached != nil {
+		historyAttached(p)
+	}
+	return p
+}
+
 // driveUntilDone steps the machine until the collector's queue empties or
 // the simulated-time budget runs out. It returns true when collection
 // finished.
@@ -74,10 +94,7 @@ func collectSingles(app string, typeNames []string, sets int, quick bool) []coll
 		budget = 250_000_000
 	}
 	w := newWorkload(app, budget)
-	cfg := core.DefaultConfig()
-	cfg.WatchLen = 8
-	p := core.Attach(w.m, w.alloc, cfg)
-	p.StartSampling()
+	p := attachHistoryProfiler(w)
 	var types []*mem.Type
 	for _, n := range typeNames {
 		t := w.alloc.TypeByName(n)
@@ -223,10 +240,7 @@ func runFigure63(rc RunCfg) Result {
 		budget = 400_000_000
 	}
 	w := newWorkload("memcached", budget)
-	cfg := core.DefaultConfig()
-	cfg.WatchLen = 8
-	p := core.Attach(w.m, w.alloc, cfg)
-	p.StartSampling()
+	p := attachHistoryProfiler(w)
 	skb := w.alloc.TypeByName("skbuff")
 	// Watch the header region only (the paper's "profile just the bytes
 	// that cover the chosen members", §6.4): path identity lives there.
@@ -284,10 +298,7 @@ func runTable610(rc RunCfg) Result {
 			types = types[:1]
 		}
 		w := newWorkload(c.app, budget)
-		cfg := core.DefaultConfig()
-		cfg.WatchLen = 8
-		p := core.Attach(w.m, w.alloc, cfg)
-		p.StartSampling()
+		p := attachHistoryProfiler(w)
 		// Sample long enough to know the hot members before queueing pairs.
 		w.m.Run(5_000_000)
 		for _, n := range types {
