@@ -594,6 +594,44 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	})
 }
 
+// BenchmarkParkedFork is one fork of a pooled checkpoint, as dprofd serves
+// it: park the warmed memcached session (Checkpoint.Park hands the
+// hierarchy's, the profiler's and the allocator's rewritable arrays to
+// recyclers), then fork a measured phase, which restores into arrays taken
+// back from them. The measured phase's own allocations (packets, samples,
+// records) are most of B/op; an array the restore makes afresh instead of
+// recycling adds its whole size. CI runs it once and gates B/op.
+func BenchmarkParkedFork(b *testing.B) {
+	w, err := workload.Lookup("memcached")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := w.Build(workload.Defaults(w).WithQuick(true))
+	if err != nil {
+		b.Fatal(err)
+	}
+	win := w.Windows(true)
+	s, err := core.NewSession(inst, core.SessionConfig{
+		Profiler: core.DefaultConfig(),
+		Views:    []string{"dataprofile", "missclass"},
+		Warmup:   win.Warmup,
+		Measure:  win.Measure,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp, err := s.Warmup()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp.Fork(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		cp.Park()
+		cp.Fork(0)
+	}
+}
+
 func BenchmarkAllocFree(b *testing.B) {
 	scfg := sim.DefaultConfig()
 	scfg.Cores = 1

@@ -90,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		storeMax = fs.Int64("store-max-bytes", 0, "disk store byte budget; over-budget writes sweep the least recently read profiles (0 = unbounded)")
 		self     = fs.String("self", "", "this replica's URL as peers reach it (required with -peers)")
 		peers    = fs.String("peers", "", "comma-separated replica URLs forming the consistent-hash ring")
-		ckptMax  = fs.Int64("checkpoint-pool-bytes", 0, "warm-start checkpoint pool byte budget, charged by checkpoint size; a parked entry also keeps its workload and profiler objects (0 = 256 MiB default; must not be negative)")
+		ckptMax  = fs.Int64("checkpoint-pool-bytes", 0, "warm-start checkpoint pool byte budget, charged by what each parked entry keeps: its snapshot and its live workload, kernel, allocator and profiler objects (0 = 256 MiB default; must not be negative)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

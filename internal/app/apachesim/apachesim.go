@@ -14,6 +14,7 @@ package apachesim
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"dprof/internal/kernel"
 	"dprof/internal/mem"
@@ -326,8 +327,26 @@ type benchState struct {
 	started     bool
 }
 
+// Bytes implements sim.State.
+func (st *benchState) Bytes() uint64 {
+	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.rr) + sim.SliceBytes(st.appQueued) + sim.SliceBytes(st.completed)
+}
+
+// LiveBytes implements sim.Snapshotter: the bench, its per-core tables and
+// its tasks. The listeners are the kernel's.
+func (b *Bench) LiveBytes() uint64 {
+	n := uint64(unsafe.Sizeof(*b)) + sim.SliceBytes(b.listeners) + sim.SliceBytes(b.listTask) +
+		sim.SliceBytes(b.workers) + sim.SliceBytes(b.rr) + sim.SliceBytes(b.appQueued) + sim.SliceBytes(b.completed)
+	tasks := len(b.listTask)
+	for _, ws := range b.workers {
+		n += sim.SliceBytes(ws)
+		tasks += len(ws)
+	}
+	return n + uint64(tasks)*uint64(unsafe.Sizeof(kernel.Task{}))
+}
+
 // SnapshotState implements sim.Snapshotter.
-func (b *Bench) SnapshotState() any {
+func (b *Bench) SnapshotState() sim.State {
 	return &benchState{
 		rr:          append([]int(nil), b.rr...),
 		appQueued:   append([]bool(nil), b.appQueued...),
@@ -342,7 +361,7 @@ func (b *Bench) SnapshotState() any {
 }
 
 // RestoreState implements sim.Snapshotter.
-func (b *Bench) RestoreState(state any) {
+func (b *Bench) RestoreState(state sim.State) {
 	st := state.(*benchState)
 	copy(b.rr, st.rr)
 	copy(b.appQueued, st.appQueued)

@@ -14,6 +14,7 @@ package memcachedsim
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dprof/internal/kernel"
 	"dprof/internal/mem"
@@ -259,8 +260,20 @@ type benchState struct {
 	started     bool
 }
 
+// Bytes implements sim.State.
+func (st *benchState) Bytes() uint64 {
+	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.appQueued) + sim.SliceBytes(st.completed)
+}
+
+// LiveBytes implements sim.Snapshotter: the bench and its per-core tables.
+// The sockets are the kernel's.
+func (b *Bench) LiveBytes() uint64 {
+	return uint64(unsafe.Sizeof(*b)) + sim.SliceBytes(b.socks) + sim.SliceBytes(b.appQueued) +
+		sim.SliceBytes(b.hashAddrs) + sim.SliceBytes(b.completed)
+}
+
 // SnapshotState implements sim.Snapshotter.
-func (b *Bench) SnapshotState() any {
+func (b *Bench) SnapshotState() sim.State {
 	return &benchState{
 		appQueued:   append([]bool(nil), b.appQueued...),
 		completed:   append([]uint64(nil), b.completed...),
@@ -271,7 +284,7 @@ func (b *Bench) SnapshotState() any {
 }
 
 // RestoreState implements sim.Snapshotter.
-func (b *Bench) RestoreState(state any) {
+func (b *Bench) RestoreState(state sim.State) {
 	st := state.(*benchState)
 	copy(b.appQueued, st.appQueued)
 	copy(b.completed, st.completed)

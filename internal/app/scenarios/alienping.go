@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/cache"
@@ -73,13 +74,23 @@ type alienPingState struct {
 	rounds []uint64
 }
 
+// Bytes implements sim.State.
+func (st *alienPingState) Bytes() uint64 {
+	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.rounds)
+}
+
+// LiveBytes implements sim.Snapshotter.
+func (a *AlienPing) LiveBytes() uint64 {
+	return uint64(unsafe.Sizeof(*a)) + a.bench.liveBytes() + sim.SliceBytes(a.rounds)
+}
+
 // SnapshotState implements sim.Snapshotter.
-func (a *AlienPing) SnapshotState() any {
+func (a *AlienPing) SnapshotState() sim.State {
 	return &alienPingState{bench: a.state(), rounds: append([]uint64(nil), a.rounds...)}
 }
 
 // RestoreState implements sim.Snapshotter.
-func (a *AlienPing) RestoreState(state any) {
+func (a *AlienPing) RestoreState(state sim.State) {
 	st := state.(*alienPingState)
 	a.setState(st.bench)
 	copy(a.rounds, st.rounds)

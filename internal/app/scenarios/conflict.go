@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/core"
@@ -60,13 +61,21 @@ type conflictState struct {
 	sweeps uint64
 }
 
+// Bytes implements sim.State.
+func (st *conflictState) Bytes() uint64 { return uint64(unsafe.Sizeof(*st)) }
+
+// LiveBytes implements sim.Snapshotter.
+func (cf *Conflict) LiveBytes() uint64 {
+	return uint64(unsafe.Sizeof(*cf)) + cf.bench.liveBytes() + sim.SliceBytes(cf.addrs)
+}
+
 // SnapshotState implements sim.Snapshotter.
-func (cf *Conflict) SnapshotState() any {
+func (cf *Conflict) SnapshotState() sim.State {
 	return &conflictState{bench: cf.state(), sweeps: cf.sweeps}
 }
 
 // RestoreState implements sim.Snapshotter.
-func (cf *Conflict) RestoreState(state any) {
+func (cf *Conflict) RestoreState(state sim.State) {
 	st := state.(*conflictState)
 	cf.setState(st.bench)
 	cf.sweeps = st.sweeps

@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/core"
@@ -60,8 +61,18 @@ type falseShareState struct {
 	ops   []uint64
 }
 
+// Bytes implements sim.State.
+func (st *falseShareState) Bytes() uint64 {
+	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.addrs) + sim.SliceBytes(st.ops)
+}
+
+// LiveBytes implements sim.Snapshotter.
+func (f *FalseShare) LiveBytes() uint64 {
+	return uint64(unsafe.Sizeof(*f)) + f.bench.liveBytes() + sim.SliceBytes(f.addrs) + sim.SliceBytes(f.ops)
+}
+
 // SnapshotState implements sim.Snapshotter.
-func (f *FalseShare) SnapshotState() any {
+func (f *FalseShare) SnapshotState() sim.State {
 	return &falseShareState{
 		bench: f.state(),
 		addrs: append([]uint64(nil), f.addrs...),
@@ -70,7 +81,7 @@ func (f *FalseShare) SnapshotState() any {
 }
 
 // RestoreState implements sim.Snapshotter.
-func (f *FalseShare) RestoreState(state any) {
+func (f *FalseShare) RestoreState(state sim.State) {
 	st := state.(*falseShareState)
 	f.setState(st.bench)
 	copy(f.addrs, st.addrs)

@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/cache"
@@ -107,13 +108,23 @@ type numaRemoteState struct {
 	consumed []uint64
 }
 
+// Bytes implements sim.State.
+func (st *numaRemoteState) Bytes() uint64 {
+	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.consumed)
+}
+
+// LiveBytes implements sim.Snapshotter.
+func (n *NumaRemote) LiveBytes() uint64 {
+	return uint64(unsafe.Sizeof(*n)) + n.bench.liveBytes() + sim.SliceBytes(n.consumers) + sim.SliceBytes(n.consumed)
+}
+
 // SnapshotState implements sim.Snapshotter.
-func (n *NumaRemote) SnapshotState() any {
+func (n *NumaRemote) SnapshotState() sim.State {
 	return &numaRemoteState{bench: n.state(), consumed: append([]uint64(nil), n.consumed...)}
 }
 
 // RestoreState implements sim.Snapshotter.
-func (n *NumaRemote) RestoreState(state any) {
+func (n *NumaRemote) RestoreState(state sim.State) {
 	st := state.(*numaRemoteState)
 	n.setState(st.bench)
 	copy(n.consumed, st.consumed)

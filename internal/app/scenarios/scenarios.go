@@ -12,6 +12,8 @@
 package scenarios
 
 import (
+	"unsafe"
+
 	"dprof/internal/lockstat"
 	"dprof/internal/mem"
 	"dprof/internal/sim"
@@ -103,6 +105,9 @@ func (b *bench) setState(st benchState) {
 	b.stopAt = st.stopAt
 	b.started = st.started
 }
+
+// liveBytes is the size of the bench a scenario embeds.
+func (b *bench) liveBytes() uint64 { return uint64(unsafe.Sizeof(*b)) }
 
 // seconds converts simulated cycles to seconds.
 func seconds(cycles uint64) float64 { return float64(cycles) / float64(sim.Freq) }

@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/core"
@@ -86,8 +87,20 @@ type trueShareState struct {
 	locks []lockstat.LockState
 }
 
+// Bytes implements sim.State.
+func (st *trueShareState) Bytes() uint64 {
+	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.completed) + sim.SliceBytes(st.locks)
+}
+
+// LiveBytes implements sim.Snapshotter.
+func (t *TrueShare) LiveBytes() uint64 {
+	return uint64(unsafe.Sizeof(*t)) + t.bench.liveBytes() + sim.SliceBytes(t.counterAddrs) +
+		sim.SliceBytes(t.locks) + sim.SliceBytes(t.completed) +
+		uint64(len(t.locks))*uint64(unsafe.Sizeof(lockstat.Lock{}))
+}
+
 // SnapshotState implements sim.Snapshotter.
-func (t *TrueShare) SnapshotState() any {
+func (t *TrueShare) SnapshotState() sim.State {
 	st := &trueShareState{
 		bench:     t.state(),
 		completed: append([]uint64(nil), t.completed...),
@@ -100,7 +113,7 @@ func (t *TrueShare) SnapshotState() any {
 }
 
 // RestoreState implements sim.Snapshotter.
-func (t *TrueShare) RestoreState(state any) {
+func (t *TrueShare) RestoreState(state sim.State) {
 	st := state.(*trueShareState)
 	t.setState(st.bench)
 	copy(t.completed, st.completed)

@@ -97,18 +97,16 @@ func TestWarmForkEquivalence(t *testing.T) {
 				cp.Fork(0)
 				diffViews(t, tc.label+"/fork-after-divergence", cold, exportAllViews(t, name, s))
 
-				// Park between forks, as dprofd does: the hierarchy hands
-				// its dense arrays to the recycler, and the next fork
-				// restores into arrays taken back from it.
-				cp.Park()
-				if n := cp.Runnable().Machine().Hier.DenseBytes(); n != 0 {
-					t.Errorf("%s: parked machine holds %d dense cache bytes, want 0", tc.label, n)
-				}
+				// Park between forks, as dprofd does: the hierarchy, the
+				// profiler and the allocator hand their releasable arrays
+				// to recyclers, and the next fork restores into arrays
+				// taken back from them.
+				parkAndCheck(t, tc.label, cp)
 				cp.Fork(0)
 				diffViews(t, tc.label+"/parked-fork", cold, exportAllViews(t, name, s))
 
 				cp.Fork(win.Measure / 2)
-				cp.Park()
+				parkAndCheck(t, tc.label+"/after-divergence", cp)
 				cp.Fork(0)
 				diffViews(t, tc.label+"/parked-after-divergence", cold, exportAllViews(t, name, s))
 
@@ -117,5 +115,22 @@ func TestWarmForkEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// parkAndCheck parks cp and requires the parked machine to hold no array
+// that a restore rewrites in full: no dense cache array, and none of the
+// profiler's or the allocator's releasable arrays, which it requires to be
+// there before the park.
+func parkAndCheck(t *testing.T, label string, cp *core.Checkpoint) {
+	t.Helper()
+	m, p, a := cp.Runnable().Machine(), cp.Session().Profiler(), cp.Runnable().Alloc()
+	if p.DenseBytes() == 0 || a.DenseBytes() == 0 {
+		t.Fatalf("%s: before the park, profiler holds %d and allocator %d releasable bytes, want both nonzero",
+			label, p.DenseBytes(), a.DenseBytes())
+	}
+	cp.Park()
+	if h, p, a := m.Hier.DenseBytes(), p.DenseBytes(), a.DenseBytes(); h != 0 || p != 0 || a != 0 || m.DenseBytes() != 0 {
+		t.Errorf("%s: parked machine holds %d dense cache, %d profiler and %d allocator bytes, want none", label, h, p, a)
 	}
 }

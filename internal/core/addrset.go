@@ -2,8 +2,10 @@ package core
 
 import (
 	"sort"
+	"unsafe"
 
 	"dprof/internal/hashtab"
+	"dprof/internal/sim"
 )
 
 // ObjRecord is one allocation in the address set: the address and type of an
@@ -54,6 +56,14 @@ type recBlock [chunkLen]objFixed
 // The live set owns its columns; checkpoints copy them.
 type freeBlock [chunkLen]uint64
 
+// Recyclers for the arrays a parked set releases (see release): record
+// blocks, FreeAt columns and live-index tables.
+var (
+	recBlocks     hashtab.Recycler[recBlock]
+	freeBlocks    hashtab.Recycler[freeBlock]
+	liveIdxArrays hashtab.Recycler[hashtab.Entry[int]]
+)
+
 // chunk is one slot of the live set: a fixed-field block, possibly shared
 // with checkpoints, and the set's own FreeAt column for it.
 type chunk struct {
@@ -97,7 +107,7 @@ const NoAddrRecords = -1
 
 // NewAddressSet returns an empty address set.
 func NewAddressSet() *AddressSet {
-	return &AddressSet{liveIdx: hashtab.New[int](3<<10, nil)} // 4096 slots
+	return &AddressSet{liveIdx: hashtab.New(3<<10, &liveIdxArrays)} // 4096 slots
 }
 
 // AddStatic records a static (always-live) object.
@@ -141,10 +151,10 @@ func (as *AddressSet) push(r objFixed) {
 	}
 	ch := &as.chunks[c]
 	if ch.recs == nil {
-		ch.recs = new(recBlock)
+		ch.recs = recBlocks.GetOne()
 	}
 	if ch.free == nil {
-		ch.free = new(freeBlock)
+		ch.free = freeBlocks.GetOne()
 	}
 	ch.recs[j] = r
 	ch.free[j] = 0
@@ -214,6 +224,47 @@ func (as *AddressSet) RecordFree(now uint64, t *TypeDesc, addr uint64) {
 	if i, ok := as.liveIdx.Delete(addr); ok {
 		as.chunks[i>>chunkShift].free[i&chunkMask] = now
 	}
+}
+
+// release hands every array that a restore rewrites in full to its
+// recycler: each FreeAt column, the record blocks from slot owned on (those
+// below may be shared with checkpoints, which keep them), and the live
+// index. The set is unusable until the next restoreInto.
+func (as *AddressSet) release() {
+	for c := range as.chunks {
+		ch := &as.chunks[c]
+		if ch.free != nil {
+			freeBlocks.PutOne(ch.free)
+			ch.free = nil
+		}
+		if c >= as.owned && ch.recs != nil {
+			recBlocks.PutOne(ch.recs)
+			ch.recs = nil
+		}
+	}
+	as.liveIdx.Release()
+}
+
+// denseBytes is the size of what release drops; zero once released.
+func (as *AddressSet) denseBytes() uint64 {
+	n := as.liveIdx.DenseBytes()
+	for c := range as.chunks {
+		ch := &as.chunks[c]
+		if ch.free != nil {
+			n += uint64(unsafe.Sizeof(freeBlock{}))
+		}
+		if c >= as.owned && ch.recs != nil {
+			n += uint64(unsafe.Sizeof(recBlock{}))
+		}
+	}
+	return n
+}
+
+// liveBytes is the set's resident size, less the record blocks below owned,
+// which the checkpoint that shares them counts.
+func (as *AddressSet) liveBytes() uint64 {
+	return uint64(unsafe.Sizeof(*as)) + sim.SliceBytes(as.chunks) + as.denseBytes() +
+		sim.SliceBytes(as.types) + sim.SliceBytes(as.usage) + sim.SliceBytes(as.mtf)
 }
 
 // Dropped returns how many allocations' records were discarded due to

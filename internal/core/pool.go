@@ -18,10 +18,13 @@ import (
 // guards only the index, the recency list and the byte accounting — never a
 // simulation — so a long warmup on one key never blocks forks on another.
 //
-// Retained checkpoint bytes are bounded by an LRU budget. A checkpoint
-// larger than the whole budget is evicted as soon as it is captured — the
-// bound is hard — but the fork that captured it still runs: eviction only
-// forgets a checkpoint, it never invalidates one a caller is using.
+// Retained bytes are bounded by an LRU budget. After every fn an entry is
+// charged what it keeps between calls (Checkpoint.Bytes: the snapshot and
+// the live session behind it, far less once fn parks it); an entry holds
+// no charge until its first fn returns. A checkpoint larger than the whole
+// budget is evicted as soon as it is charged — the bound is hard — but the
+// fork that captured it has run: eviction only forgets a checkpoint, it
+// never invalidates one a caller is using.
 type CheckpointPool struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -88,12 +91,18 @@ func (p *CheckpointPool) Do(key string, capture func() (*Checkpoint, error), fn 
 			return err
 		}
 		e.cp = cp
-		p.captured(e, int64(cp.Bytes()))
+		p.mu.Lock()
+		p.captures++
+		p.mu.Unlock()
 	}
 	before := e.cp.Forks()
 	err := fn(e.cp)
+	// Charge what the entry keeps now that fn is done with it: parked, a
+	// checkpoint keeps far less than while it forks.
+	bytes := int64(e.cp.Bytes())
 	p.mu.Lock()
 	p.forks += uint64(e.cp.Forks() - before)
+	p.charge(e, bytes)
 	p.mu.Unlock()
 	kept = true
 	return err
@@ -121,16 +130,16 @@ func (p *CheckpointPool) lock(key string) *poolEntry {
 	}
 }
 
-// captured accounts a fresh checkpoint's bytes and evicts from the cold end
-// until the pool fits its budget again. Entries still capturing hold no
-// bytes yet and are skipped: evicting one would free nothing and discard
-// the warmup it is running.
-func (p *CheckpointPool) captured(e *poolEntry, bytes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.captures++
+// charge sets a resident entry's bytes and evicts from the cold end until
+// the pool fits its budget again. An entry already evicted is not charged.
+// Entries not yet charged (capturing, or in their first fn) are skipped:
+// evicting one would discard the warmup it is running. Callers hold p.mu.
+func (p *CheckpointPool) charge(e *poolEntry, bytes int64) {
+	if e.el == nil {
+		return
+	}
+	p.bytes += bytes - e.bytes
 	e.bytes = bytes
-	p.bytes += bytes
 	for el := p.ll.Back(); el != nil && p.bytes > p.maxBytes; {
 		victim := el.Value.(*poolEntry)
 		el = el.Prev()

@@ -20,6 +20,7 @@ package core
 
 import (
 	"sort"
+	"unsafe"
 
 	"dprof/internal/cache"
 	"dprof/internal/sim"
@@ -65,8 +66,17 @@ type SampleTable struct {
 
 // NewSampleTable returns an empty table.
 func NewSampleTable() *SampleTable {
-	return &SampleTable{byKey: make(map[SampleKey]*SampleStats, 1<<12)}
+	return &SampleTable{byKey: make(map[SampleKey]*SampleStats)}
 }
+
+// denseBytes is the size of the table's map and its stats blocks, one per
+// key.
+func (st *SampleTable) denseBytes() uint64 {
+	return sim.MapBytes(st.byKey) + uint64(len(st.byKey))*uint64(unsafe.Sizeof(SampleStats{}))
+}
+
+// liveBytes is the table's resident size.
+func (st *SampleTable) liveBytes() uint64 { return uint64(unsafe.Sizeof(*st)) + st.denseBytes() }
 
 // Add records one access sample resolved to (t, offset); t may be nil.
 func (st *SampleTable) Add(t *TypeDesc, offset uint32, ev *sim.AccessEvent) {

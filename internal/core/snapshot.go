@@ -1,8 +1,11 @@
 package core
 
 import (
+	"unsafe"
+
 	"dprof/internal/hashtab"
 	"dprof/internal/mem"
+	"dprof/internal/sim"
 )
 
 // Profiler implements sim.Snapshotter. A warm-start checkpoint at the warmup
@@ -20,32 +23,44 @@ import (
 // Type interning (types/descs/mems) is append-only and keyed by name, so it
 // is deliberately not rewound: descriptors interned after the checkpoint are
 // simply re-used when the re-run interns them again.
+//
+// Profiler is also a sim.Releaser: RestoreState rebuilds the sample table's
+// map and rewrites the address set's FreeAt columns, its unshared record
+// blocks and its live index in full, so a parked profiler drops them.
 
 type sampleTableState struct {
-	byKey       map[SampleKey]SampleStats
+	entries     []sampleEntry
 	total       uint64
 	totalMisses uint64
 	unresolved  uint64
 }
 
+type sampleEntry struct {
+	k SampleKey
+	v SampleStats
+}
+
 func captureSampleTable(st *SampleTable) sampleTableState {
 	s := sampleTableState{
-		byKey:       make(map[SampleKey]SampleStats, len(st.byKey)),
+		entries:     make([]sampleEntry, 0, len(st.byKey)),
 		total:       st.Total,
 		totalMisses: st.TotalMisses,
 		unresolved:  st.Unresolved,
 	}
 	for k, v := range st.byKey {
-		s.byKey[k] = *v
+		s.entries = append(s.entries, sampleEntry{k, *v})
 	}
 	return s
 }
 
+// restoreInto rebuilds the table's map at the snapshot's size, its stats
+// blocks in one array.
 func (s *sampleTableState) restoreInto(st *SampleTable) {
-	st.byKey = make(map[SampleKey]*SampleStats, len(s.byKey))
-	for k, v := range s.byKey {
-		cp := v
-		st.byKey[k] = &cp
+	st.byKey = make(map[SampleKey]*SampleStats, len(s.entries))
+	stats := make([]SampleStats, len(s.entries))
+	for i := range s.entries {
+		stats[i] = s.entries[i].v
+		st.byKey[s.entries[i].k] = &stats[i]
 	}
 	st.Total = s.total
 	st.TotalMisses = s.totalMisses
@@ -124,12 +139,12 @@ func (st *addrSetState) restoreInto(as *AddressSet) {
 			continue
 		}
 		if ch.free == nil {
-			ch.free = new(freeBlock)
+			ch.free = freeBlocks.GetOne()
 		}
 		copy(ch.free[:], st.free[lo:])
 		if c == full {
 			if ch.recs == nil {
-				ch.recs = new(recBlock)
+				ch.recs = recBlocks.GetOne()
 			}
 			copy(ch.recs[:], st.tail)
 		}
@@ -234,7 +249,11 @@ func (st *collectorState) restoreInto(col *Collector) {
 		}
 	}
 	for t, n := range st.byTypeLens {
-		col.byType[t] = col.byType[t][:n]
+		// Clear the rewound tail, so that the histories a later run
+		// collected do not stay reachable through the backing array.
+		hs := col.byType[t]
+		clear(hs[n:])
+		col.byType[t] = hs[:n]
 	}
 	col.order = col.order[:st.orderLen]
 	for t := range col.stats {
@@ -281,7 +300,7 @@ type profilerState struct {
 }
 
 // SnapshotState implements sim.Snapshotter.
-func (p *Profiler) SnapshotState() any {
+func (p *Profiler) SnapshotState() sim.State {
 	st := &profilerState{
 		samples:  captureSampleTable(p.Samples),
 		addr:     captureAddrSet(p.AddrSet),
@@ -309,7 +328,7 @@ func (p *Profiler) SnapshotState() any {
 }
 
 // RestoreState implements sim.Snapshotter.
-func (p *Profiler) RestoreState(state any) {
+func (p *Profiler) RestoreState(state sim.State) {
 	st := state.(*profilerState)
 	st.samples.restoreInto(p.Samples)
 	st.addr.restoreInto(p.AddrSet)
@@ -330,10 +349,109 @@ func (p *Profiler) RestoreState(state any) {
 		} else {
 			pipe.delta = nil
 		}
+		clear(pipe.snaps[ps.snapsLen:]) // the later windows, as for histories
 		pipe.snaps = pipe.snaps[:ps.snapsLen]
 	}
 	p.traceCache = make(map[*TypeDesc][]*PathTrace, len(st.traces))
 	for t, tr := range st.traces {
 		p.traceCache[t] = tr
 	}
+}
+
+// bytes is the state's resident size.
+func (s *sampleTableState) bytes() uint64 { return sim.SliceBytes(s.entries) }
+
+// bytes is the state's resident size, the full record blocks it shares
+// with the live set included: the checkpoint keeps them alive.
+func (st *addrSetState) bytes() uint64 {
+	return sim.SliceBytes(st.recs) + uint64(len(st.recs))*uint64(unsafe.Sizeof(recBlock{})) +
+		sim.SliceBytes(st.tail) + sim.SliceBytes(st.free) + st.liveIdx.Bytes() +
+		sim.SliceBytes(st.types) + sim.SliceBytes(st.usage) + sim.SliceBytes(st.mtf)
+}
+
+// bytes is the state's resident size.
+func (st *collectorState) bytes() uint64 {
+	n := sim.SliceBytes(st.queue) + sim.SliceBytes(st.activeElems) + sim.MapBytes(st.byTypeLens) + sim.MapBytes(st.stats)
+	for _, cs := range st.stats {
+		n += sim.MapBytes(cs.overhead) + sim.MapBytes(cs.overheadStart)
+	}
+	return n
+}
+
+// Bytes implements sim.State.
+func (st *profilerState) Bytes() uint64 {
+	n := uint64(unsafe.Sizeof(*st)) + st.samples.bytes() + st.addr.bytes() + st.col.bytes() +
+		sim.SliceBytes(st.pending) + sim.MapBytes(st.traces)
+	for _, buf := range st.pending {
+		n += sim.SliceBytes(buf)
+	}
+	if st.pipe != nil {
+		n += uint64(unsafe.Sizeof(*st.pipe)) + st.pipe.delta.bytes()
+	}
+	return n
+}
+
+// Release implements sim.Releaser: it drops the sample table's map and
+// releases the address set's FreeAt columns, unshared record blocks and
+// live index (AddressSet.release).
+func (p *Profiler) Release() {
+	p.Samples.byKey = nil
+	p.AddrSet.release()
+}
+
+// DenseBytes implements sim.Releaser.
+func (p *Profiler) DenseBytes() uint64 {
+	return p.Samples.denseBytes() + p.AddrSet.denseBytes()
+}
+
+// LiveBytes implements sim.Snapshotter: the profiler's tables, sample
+// table, address set, collector with its histories, per-core sample
+// buffers, window pipeline and path traces.
+func (p *Profiler) LiveBytes() uint64 {
+	n := uint64(unsafe.Sizeof(*p)) + p.Samples.liveBytes() + p.AddrSet.liveBytes() +
+		p.Collector.liveBytes() + sim.MapBytes(p.types.byName) + sim.SliceBytes(p.types.order) +
+		uint64(len(p.types.order))*uint64(unsafe.Sizeof(TypeDesc{})) + sim.SliceBytes(p.descs) +
+		sim.MapBytes(p.mems) + sim.SliceBytes(p.pending) + sim.MapBytes(p.traceCache)
+	for _, buf := range p.pending {
+		n += sim.SliceBytes(buf)
+	}
+	for _, trs := range p.traceCache {
+		n += sim.SliceBytes(trs)
+		for _, tr := range trs {
+			n += uint64(unsafe.Sizeof(*tr)) + sim.SliceBytes(tr.Steps)
+		}
+	}
+	if pipe := p.pipe; pipe != nil {
+		n += uint64(unsafe.Sizeof(*pipe)) + sim.SliceBytes(pipe.snaps)
+		if pipe.delta != nil {
+			n += pipe.delta.liveBytes()
+		}
+		for _, ws := range pipe.snaps {
+			n += uint64(unsafe.Sizeof(*ws)) + sim.MapBytes(ws.Views)
+			if ws.Delta != nil {
+				n += ws.Delta.liveBytes()
+			}
+			for _, v := range ws.Views {
+				n += uint64(cap(v))
+			}
+		}
+	}
+	return n
+}
+
+// liveBytes is the collector's resident size: its queue, tables and every
+// history it keeps.
+func (col *Collector) liveBytes() uint64 {
+	n := uint64(unsafe.Sizeof(*col)) + sim.SliceBytes(col.queue) + sim.MapBytes(col.byType) +
+		sim.SliceBytes(col.order) + sim.MapBytes(col.stats)
+	for _, hs := range col.byType {
+		n += sim.SliceBytes(hs)
+		for _, h := range hs {
+			n += uint64(unsafe.Sizeof(*h)) + sim.SliceBytes(h.Offsets) + sim.SliceBytes(h.Elems)
+		}
+	}
+	for _, cs := range col.stats {
+		n += uint64(unsafe.Sizeof(*cs)) + sim.MapBytes(cs.Overhead) + sim.MapBytes(cs.overheadStart)
+	}
+	return n
 }

@@ -20,8 +20,8 @@ type Checkpoint struct {
 	s     *Session
 	snap  *sim.Snapshot
 	forks int
-	// parked is set by Park: the machine's cache hierarchy is released,
-	// and the next fork must restore it.
+	// parked is set by Park: the machine is released, and the next fork
+	// must restore it.
 	parked bool
 }
 
@@ -55,14 +55,16 @@ func (cp *Checkpoint) Fork(measure uint64) RunResult {
 	return cp.s.measure(measure)
 }
 
-// Park releases the machine's cache hierarchy (cache.Hierarchy.Release)
-// between forks, so that an idle checkpoint keeps its sparse snapshot but
-// not the machine's dense cache arrays. The next Fork restores the
-// hierarchy, as every fork after the first does. Nothing may read the
-// hierarchy between Park and that Fork: call Park only once the previous
+// Park releases the machine (sim.Machine.Release) between forks: the cache
+// hierarchy's dense arrays, the profiler's sample map, FreeAt columns,
+// unshared record blocks and live index, and the allocator's page table and
+// slab freelists, all of which the next restore rewrites in full. An idle
+// checkpoint then keeps its snapshot and what no fork rebuilds. The next
+// Fork restores, as every fork after the first does. Nothing may read the
+// session between Park and that Fork: call Park only once the previous
 // fork's views are rendered.
 func (cp *Checkpoint) Park() {
-	cp.s.w.Machine().Hier.Release()
+	cp.s.w.Machine().Release()
 	cp.parked = true
 }
 
@@ -76,5 +78,10 @@ func (cp *Checkpoint) Runnable() Runnable { return cp.s.w }
 // Forks reports how many measured phases have run from this checkpoint.
 func (cp *Checkpoint) Forks() int { return cp.forks }
 
-// Bytes estimates the checkpoint's retained size (for checkpoint pools).
-func (cp *Checkpoint) Bytes() uint64 { return cp.snap.Bytes() }
+// Bytes is the memory the checkpoint keeps, for checkpoint pools: its
+// snapshot (sim.Snapshot.Bytes) and its live session, the machine with
+// every attached component (sim.Machine.LiveBytes). A parked checkpoint
+// keeps far less than one between Fork and Park.
+func (cp *Checkpoint) Bytes() uint64 {
+	return cp.snap.Bytes() + cp.s.w.Machine().LiveBytes()
+}

@@ -54,6 +54,13 @@ func (r *Recycler[T]) Put(a []T) {
 	}
 }
 
+// GetOne returns a zeroed *T, for owners of fixed-size blocks: Get(1)'s
+// element.
+func (r *Recycler[T]) GetOne() *T { return &r.Get(1)[0] }
+
+// PutOne stocks p, dirty, for a later GetOne.
+func (r *Recycler[T]) PutOne(p *T) { r.Put(unsafe.Slice(p, 1)) }
+
 // Reuse returns dense cleared when it already has length n, else a zeroed
 // array of length n from Get: dense was released, or it is a table that
 // grew (or a fresh one) and goes to the GC.

@@ -1,5 +1,11 @@
 package hw
 
+import (
+	"unsafe"
+
+	"dprof/internal/sim"
+)
+
 // Warm-start snapshot support: each PMU unit registers itself as a
 // sim.Snapshotter at attach time, so a machine checkpoint carries the
 // sampling deadlines, enablement, and delivery counters a resumed measured
@@ -14,8 +20,14 @@ type ibsState struct {
 	delivered       uint64
 }
 
+// Bytes implements sim.State.
+func (st *ibsState) Bytes() uint64 { return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.next) }
+
+// LiveBytes implements sim.Snapshotter.
+func (u *IBS) LiveBytes() uint64 { return uint64(unsafe.Sizeof(*u)) + sim.SliceBytes(u.next) }
+
 // SnapshotState implements sim.Snapshotter.
-func (u *IBS) SnapshotState() any {
+func (u *IBS) SnapshotState() sim.State {
 	return &ibsState{
 		handler:         u.handler,
 		enabled:         u.enabled,
@@ -27,7 +39,7 @@ func (u *IBS) SnapshotState() any {
 }
 
 // RestoreState implements sim.Snapshotter.
-func (u *IBS) RestoreState(state any) {
+func (u *IBS) RestoreState(state sim.State) {
 	st := state.(*ibsState)
 	u.handler = st.handler
 	u.enabled = st.enabled
@@ -47,8 +59,14 @@ type debugState struct {
 	setups     uint64
 }
 
+// Bytes implements sim.State.
+func (st *debugState) Bytes() uint64 { return uint64(unsafe.Sizeof(*st)) }
+
+// LiveBytes implements sim.Snapshotter.
+func (d *DebugRegs) LiveBytes() uint64 { return uint64(unsafe.Sizeof(*d)) }
+
 // SnapshotState implements sim.Snapshotter.
-func (d *DebugRegs) SnapshotState() any {
+func (d *DebugRegs) SnapshotState() sim.State {
 	return &debugState{
 		watches:    d.watches,
 		inUse:      d.inUse,
@@ -61,7 +79,7 @@ func (d *DebugRegs) SnapshotState() any {
 }
 
 // RestoreState implements sim.Snapshotter.
-func (d *DebugRegs) RestoreState(state any) {
+func (d *DebugRegs) RestoreState(state sim.State) {
 	st := state.(*debugState)
 	d.watches = st.watches
 	d.inUse = st.inUse
@@ -83,8 +101,14 @@ type pebsState struct {
 	skipped         uint64
 }
 
+// Bytes implements sim.State.
+func (st *pebsState) Bytes() uint64 { return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.next) }
+
+// LiveBytes implements sim.Snapshotter.
+func (p *PEBS) LiveBytes() uint64 { return uint64(unsafe.Sizeof(*p)) + sim.SliceBytes(p.next) }
+
 // SnapshotState implements sim.Snapshotter.
-func (p *PEBS) SnapshotState() any {
+func (p *PEBS) SnapshotState() sim.State {
 	return &pebsState{
 		handler:         p.handler,
 		enabled:         p.enabled,
@@ -98,7 +122,7 @@ func (p *PEBS) SnapshotState() any {
 }
 
 // RestoreState implements sim.Snapshotter.
-func (p *PEBS) RestoreState(state any) {
+func (p *PEBS) RestoreState(state sim.State) {
 	st := state.(*pebsState)
 	p.handler = st.handler
 	p.enabled = st.enabled

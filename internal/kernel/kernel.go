@@ -79,6 +79,10 @@ type Kernel struct {
 
 	udpPorts map[int]*UDPSock
 	tcpPorts map[int]*Listener
+
+	// liveSKBs and liveConns count the packets and connections allocated
+	// and not yet freed (or closed), whose Go objects the kernel keeps.
+	liveSKBs, liveConns int
 }
 
 // New builds a kernel on top of a fresh machine.

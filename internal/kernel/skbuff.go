@@ -46,6 +46,7 @@ func (k *Kernel) AllocSKB(c *sim.Ctx, fclone bool) *SKB {
 	// Initialize the head of the skb and link the payload.
 	c.Write(addr, 64)
 	c.Write(addr+SkbOffData, 8)
+	k.liveSKBs++
 	return &SKB{Addr: addr, Data: data, Type: t}
 }
 
@@ -71,6 +72,7 @@ func (k *Kernel) KfreeSKB(c *sim.Ctx, skb *SKB) {
 		k.Alloc.Free(c, skb.Data)
 	}()
 	k.Alloc.Free(c, skb.Addr)
+	k.liveSKBs--
 }
 
 // DevKfreeSKBIrq is the interrupt-context free used by TX completion.

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"unsafe"
+
 	"dprof/internal/lockstat"
 	"dprof/internal/sim"
 )
@@ -89,18 +91,90 @@ type kernelState struct {
 	inflight  []*SKB
 
 	// skbs captures the mutable fields of every SKB reachable from the
-	// queues above; conns likewise for accept-queue connections.
-	skbs  map[*SKB]SKBState
-	conns map[*TCPConn]TCPConnState
+	// queues above, once each; conns likewise for accept-queue connections.
+	skbs  []skbState
+	conns []connState
 
 	udp       map[int]udpState
 	listeners map[int]listenerState
 	epolls    []epollState
 	futex     []lockstat.LockState
+
+	liveSKBs, liveConns int
+}
+
+type skbState struct {
+	s  *SKB
+	st SKBState
+}
+
+type connState struct {
+	c  *TCPConn
+	st TCPConnState
+}
+
+// Sizes of the Go objects behind a simulated packet and connection.
+const (
+	skbBytes  = uint64(unsafe.Sizeof(SKB{}))
+	connBytes = uint64(unsafe.Sizeof(TCPConn{}) + unsafe.Sizeof(lockstat.Lock{}))
+	lockBytes = uint64(unsafe.Sizeof(lockstat.Lock{}))
+)
+
+// Bytes implements sim.State: the state's arrays and maps, and the packets
+// and connections whose fields it records, which it keeps alive.
+func (st *kernelState) Bytes() uint64 {
+	n := uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.tx) + sim.SliceBytes(st.rx) +
+		sim.SliceBytes(st.inflight) + sim.SliceBytes(st.skbs) + sim.SliceBytes(st.conns) +
+		sim.MapBytes(st.udp) + sim.MapBytes(st.listeners) + sim.SliceBytes(st.epolls) +
+		sim.SliceBytes(st.futex) + uint64(len(st.skbs))*skbBytes + uint64(len(st.conns))*connBytes
+	for i := range st.tx {
+		n += sim.SliceBytes(st.tx[i].fifo)
+	}
+	for _, r := range st.rx {
+		n += sim.SliceBytes(r)
+	}
+	for _, us := range st.udp {
+		n += sim.SliceBytes(us.rxq)
+	}
+	for _, ls := range st.listeners {
+		n += sim.SliceBytes(ls.acceptQ)
+	}
+	return n
+}
+
+// LiveBytes implements sim.Snapshotter: the kernel's device, queues,
+// sockets, epoll instances and futex table with their locks, and every
+// packet and connection it has allocated and not yet freed. The lock
+// registry is the allocator's to count.
+func (k *Kernel) LiveBytes() uint64 {
+	d := k.Dev
+	n := uint64(unsafe.Sizeof(*k)) + sim.SliceBytes(k.tvecAddrs) + sim.MapBytes(k.udpPorts) +
+		sim.MapBytes(k.tcpPorts) + uint64(unsafe.Sizeof(*d)) + sim.SliceBytes(d.Tx) +
+		sim.SliceBytes(d.rx) + sim.MapBytes(d.inflight) +
+		uint64(k.liveSKBs)*skbBytes + uint64(k.liveConns)*connBytes
+	for _, q := range d.Tx {
+		n += uint64(unsafe.Sizeof(*q)) + lockBytes + sim.SliceBytes(q.fifo)
+	}
+	for _, r := range d.rx {
+		n += uint64(unsafe.Sizeof(*r)) + sim.SliceBytes(r.skbs)
+	}
+	for _, sk := range k.udpPorts {
+		n += uint64(unsafe.Sizeof(*sk)) + lockBytes + sim.SliceBytes(sk.rxq)
+	}
+	for _, l := range k.tcpPorts {
+		n += uint64(unsafe.Sizeof(*l)) + lockBytes + sim.SliceBytes(l.acceptQ)
+	}
+	n += sim.SliceBytes(k.epolls)
+	for _, ep := range k.epolls {
+		n += uint64(unsafe.Sizeof(*ep)+unsafe.Sizeof(*ep.WQ)) + 2*lockBytes
+	}
+	f := k.Futex
+	return n + uint64(unsafe.Sizeof(*f)) + sim.SliceBytes(f.addrs) + sim.SliceBytes(f.locks) +
+		uint64(len(f.locks))*lockBytes
 }
 
 // SnapshotState deep-copies the kernel's mutable state.
-func (k *Kernel) SnapshotState() any {
+func (k *Kernel) SnapshotState() sim.State {
 	d := k.Dev
 	st := &kernelState{
 		tx:        make([]txQueueState, len(d.Tx)),
@@ -108,18 +182,18 @@ func (k *Kernel) SnapshotState() any {
 		txPackets: d.txPackets,
 		rxPackets: d.rxPackets,
 		drops:     d.drops,
-		skbs:      make(map[*SKB]SKBState),
-		conns:     make(map[*TCPConn]TCPConnState),
 		udp:       make(map[int]udpState, len(k.udpPorts)),
 		listeners: make(map[int]listenerState, len(k.tcpPorts)),
 		epolls:    make([]epollState, len(k.epolls)),
 		futex:     make([]lockstat.LockState, len(k.Futex.locks)),
+		liveSKBs:  k.liveSKBs,
+		liveConns: k.liveConns,
 	}
+	seen := make(map[*SKB]bool)
 	noteSKB := func(s *SKB) {
-		if s != nil {
-			if _, ok := st.skbs[s]; !ok {
-				st.skbs[s] = s.State()
-			}
+		if s != nil && !seen[s] {
+			seen[s] = true
+			st.skbs = append(st.skbs, skbState{s, s.State()})
 		}
 	}
 	for i, q := range d.Tx {
@@ -158,11 +232,10 @@ func (k *Kernel) SnapshotState() any {
 			refused: l.refused,
 			lock:    l.lock.State(),
 		}
+		// A connection sits in one listener's queue, once.
 		for _, conn := range l.acceptQ {
-			if _, ok := st.conns[conn]; !ok {
-				st.conns[conn] = conn.State()
-				noteSKB(conn.ReqSKB)
-			}
+			st.conns = append(st.conns, connState{conn, conn.State()})
+			noteSKB(conn.ReqSKB)
 		}
 	}
 	for i, ep := range k.epolls {
@@ -182,7 +255,7 @@ func (k *Kernel) SnapshotState() any {
 // RestoreState rewinds the kernel to a state captured by SnapshotState.
 // Sockets bound after the checkpoint are unbound again (a deterministic
 // re-run re-binds them identically).
-func (k *Kernel) RestoreState(state any) {
+func (k *Kernel) RestoreState(state sim.State) {
 	st := state.(*kernelState)
 	d := k.Dev
 	for i, q := range d.Tx {
@@ -203,12 +276,14 @@ func (k *Kernel) RestoreState(state any) {
 	for _, s := range st.inflight {
 		d.inflight[s] = struct{}{}
 	}
-	for s, ss := range st.skbs {
-		s.SetState(ss)
+	for _, ss := range st.skbs {
+		ss.s.SetState(ss.st)
 	}
-	for conn, cs := range st.conns {
-		conn.SetState(cs)
+	for _, cs := range st.conns {
+		cs.c.SetState(cs.st)
 	}
+	k.liveSKBs = st.liveSKBs
+	k.liveConns = st.liveConns
 	for port := range k.udpPorts {
 		if _, ok := st.udp[port]; !ok {
 			delete(k.udpPorts, port)

@@ -110,6 +110,7 @@ func (l *Listener) RxSyn(c *sim.Ctx, reqSKB *SKB) *TCPConn {
 		c.Write(addr+TCPOffRxQ+8, 16) // queue the request data
 		c.Write(reqSKB.Addr+SkbOffNext, 8)
 	}()
+	k.liveConns++
 	k.ModTimer(c) // SYN-ACK retransmit timer
 	l.lock.Acquire(c)
 	c.Write(l.Addr+TCPOffRxQ, 16) // accept-queue tail
@@ -215,6 +216,7 @@ func (conn *TCPConn) Close(c *sim.Ctx) {
 		panic("kernel: double close of TCP connection")
 	}
 	conn.closed = true
+	conn.k.liveConns--
 	defer c.Leave(c.EnterPC(pcTcpClose))
 	if conn.ReqSKB != nil {
 		conn.k.KfreeSKB(c, conn.ReqSKB)

@@ -1,5 +1,11 @@
 package lockstat
 
+import (
+	"unsafe"
+
+	"dprof/internal/sim"
+)
+
 // Snapshot support for warm-start forks. A lock's per-instance state is
 // owner-side: the component that owns a Lock captures LockState alongside
 // its own state (there is deliberately no global instance registry — apache
@@ -58,6 +64,26 @@ func (r *Registry) Checkpoint() RegistryState {
 		}
 	}
 	return st
+}
+
+// Bytes is the checkpoint's resident size: its class array and every
+// class's site counts.
+func (st *RegistryState) Bytes() uint64 {
+	n := sim.SliceBytes(st.classes)
+	for i := range st.classes {
+		n += sim.SliceBytes(st.classes[i].sites)
+	}
+	return n
+}
+
+// LiveBytes is the registry's resident size: its index, and every class
+// with its site counts. Locks belong to their owners.
+func (r *Registry) LiveBytes() uint64 {
+	n := uint64(unsafe.Sizeof(*r)) + sim.MapBytes(r.classes) + sim.SliceBytes(r.order)
+	for _, c := range r.order {
+		n += uint64(unsafe.Sizeof(*c)) + uint64(len(c.Name)) + sim.SliceBytes(c.sites)
+	}
+	return n
 }
 
 // Restore rewinds the registry to a checkpoint taken from it. Classes

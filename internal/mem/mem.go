@@ -205,6 +205,10 @@ type Allocator struct {
 	onAlloc []EventHook
 	onFree  []EventHook
 	watch   map[*Type][]AllocWatcher
+
+	// released is set by Release: the page table and the slab freelists
+	// are gone until the next RestoreState.
+	released bool
 }
 
 // New builds an allocator for a machine with the given core count. Lock
@@ -218,7 +222,7 @@ func New(cfg Config, cores int, locks *lockstat.Registry) *Allocator {
 		cores:      cores,
 		locks:      locks,
 		types:      make(map[string]*Type),
-		slabMap:    hashtab.New[*slabInfo](3<<10, nil), // 4096 slots
+		slabMap:    hashtab.New(3<<10, &slabMapArrays), // 4096 slots
 		nextSlab:   slabBase,
 		nextMeta:   internalBase,
 		nextStatic: staticBase,
@@ -505,8 +509,9 @@ func (a *Allocator) growPool(c *sim.Ctx, p *pool, home int) *slabInfo {
 		home:     home,
 		metaAddr: a.carveInternal(a.slabType),
 	}
-	for i := nobj - 1; i >= 0; i-- {
-		s.free = append(s.free, base+uint64(i)*s.objSize)
+	s.free = slabFrees.Get(nobj)
+	for i := range s.free {
+		s.free[i] = base + uint64(nobj-1-i)*s.objSize
 	}
 	a.slabMap.Set(base>>SlabShift, s)
 	a.assignHome(base, SlabBytes, home)

@@ -1,6 +1,11 @@
 package oprofile
 
-import "dprof/internal/sym"
+import (
+	"unsafe"
+
+	"dprof/internal/sim"
+	"dprof/internal/sym"
+)
 
 // Profiler implements sim.Snapshotter so a warm-start checkpoint taken while
 // collection is running (table 6.3 profiles across the whole run) restores
@@ -12,8 +17,17 @@ type profState struct {
 	enabled bool
 }
 
+// Bytes implements sim.State.
+func (st *profState) Bytes() uint64 { return uint64(unsafe.Sizeof(*st)) + sim.MapBytes(st.fns) }
+
+// LiveBytes implements sim.Snapshotter: the profiler, its function table
+// and one counter block per function.
+func (p *Profiler) LiveBytes() uint64 {
+	return uint64(unsafe.Sizeof(*p)) + sim.MapBytes(p.fns) + uint64(len(p.fns))*uint64(unsafe.Sizeof(fnStats{}))
+}
+
 // SnapshotState implements sim.Snapshotter.
-func (p *Profiler) SnapshotState() any {
+func (p *Profiler) SnapshotState() sim.State {
 	st := &profState{
 		fns:     make(map[sym.PC]fnStats, len(p.fns)),
 		total:   p.total,
@@ -26,7 +40,7 @@ func (p *Profiler) SnapshotState() any {
 }
 
 // RestoreState implements sim.Snapshotter.
-func (p *Profiler) RestoreState(state any) {
+func (p *Profiler) RestoreState(state sim.State) {
 	st := state.(*profState)
 	p.fns = make(map[sym.PC]*fnStats, len(st.fns))
 	for pc, s := range st.fns {

@@ -165,20 +165,25 @@ func TestProfileRejectsParallelShards(t *testing.T) {
 	}
 }
 
-// denseCheckpointBytes sums the dense cache arrays the machines behind the
-// pool's checkpoints hold.
-func denseCheckpointBytes(s *Server) (entries int, dense uint64) {
+// parkedBytes sums, over the pool's checkpoints, the releasable arrays
+// their machines hold: everything Park drops (sim.Machine.DenseBytes), and
+// of that the profilers' and the allocators' share.
+func parkedBytes(s *Server) (entries int, dense, prof, alloc uint64) {
 	s.ckpts.Each(func(cp *core.Checkpoint) {
 		entries++
-		dense += cp.Runnable().Machine().Hier.DenseBytes()
+		dense += cp.Runnable().Machine().DenseBytes()
+		prof += cp.Session().Profiler().DenseBytes()
+		alloc += cp.Runnable().Alloc().DenseBytes()
 	})
-	return entries, dense
+	return entries, dense, prof, alloc
 }
 
 // TestProfileParksPoolEntries: once a profile is rendered, its pool entry is
-// parked, so that no idle entry's machine holds a dense cache array. A
-// parked entry's next fork restores into recycled arrays and serves bytes
-// identical to a cold library render of the same request.
+// parked, so that no idle entry's machine holds a dense cache array, a
+// profiler sample map, FreeAt column, unshared record block or live index,
+// or an allocator page table or slab freelist. A parked entry's next fork
+// restores into recycled arrays and serves bytes identical to a cold
+// library render of the same request.
 // Eight conflict seeds are eight warm addresses; numaremote adds a
 // two-socket entry, whose working-set view reads the live hierarchy's
 // per-socket occupancy and so must render before the park.
@@ -197,8 +202,9 @@ func TestProfileParksPoolEntries(t *testing.T) {
 	for _, req := range reqs {
 		checkMatchesCold(t, s, ts, req(1))
 	}
-	if entries, dense := denseCheckpointBytes(s); entries != len(reqs) || dense != 0 {
-		t.Fatalf("%d pool entries hold %d dense cache bytes, want %d entries holding none", entries, dense, len(reqs))
+	if entries, dense, prof, alloc := parkedBytes(s); entries != len(reqs) || dense != 0 || prof != 0 || alloc != 0 {
+		t.Fatalf("%d pool entries hold %d releasable bytes (%d profiler, %d allocator), want %d entries holding none",
+			entries, dense, prof, alloc, len(reqs))
 	}
 
 	for _, req := range reqs {
@@ -208,7 +214,8 @@ func TestProfileParksPoolEntries(t *testing.T) {
 	if st := s.ckpts.Stats(); st.Captures != n || st.Forks != 2*n || st.Evictions != 0 {
 		t.Errorf("pool stats = %+v, want %d captures, %d forks, no evictions", st, n, 2*n)
 	}
-	if entries, dense := denseCheckpointBytes(s); entries != len(reqs) || dense != 0 {
-		t.Errorf("after the re-requests, %d pool entries hold %d dense cache bytes, want %d holding none", entries, dense, len(reqs))
+	if entries, dense, prof, alloc := parkedBytes(s); entries != len(reqs) || dense != 0 || prof != 0 || alloc != 0 {
+		t.Errorf("after the re-requests, %d pool entries hold %d releasable bytes (%d profiler, %d allocator), want %d holding none",
+			entries, dense, prof, alloc, len(reqs))
 	}
 }

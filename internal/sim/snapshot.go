@@ -12,7 +12,7 @@ package sim
 
 import (
 	"math/rand"
-	"reflect"
+	"unsafe"
 
 	"dprof/internal/cache"
 	"dprof/internal/sym"
@@ -52,12 +52,13 @@ func (s *countedSource) Seed(seed int64) {
 	s.draws = 0
 }
 
-// rewind re-seeds the underlying source and replays draws steps, leaving the
-// stream exactly where it was when a snapshot recorded (seed, draws). The
-// wrapper pointer is what the core's rand.Rand holds, so swapping the inner
-// source rewinds the live RNG in place.
+// rewind re-seeds the underlying source in place and replays draws steps,
+// leaving the stream exactly where it was when a snapshot recorded (seed,
+// draws). rand.NewSource is Seed applied to a fresh source, so re-seeding
+// the existing one yields the same stream without allocating a new ~4.9 KB
+// source per core on every restore.
 func (s *countedSource) rewind(seed int64, draws uint64) {
-	s.src = rand.NewSource(seed).(rand.Source64)
+	s.src.Seed(seed)
 	for i := uint64(0); i < draws; i++ {
 		s.src.Uint64()
 	}
@@ -68,10 +69,33 @@ func (s *countedSource) rewind(seed int64, draws uint64) {
 // allocator, kernel, lock registry, workloads) whose mutable state must
 // travel with Machine.Snapshot/Restore. SnapshotState returns an immutable
 // deep copy of the component's state; RestoreState rewinds the component to
-// a state previously returned by its own SnapshotState.
+// a state previously returned by its own SnapshotState. LiveBytes is the
+// memory the live component keeps: its own arrays and the objects it owns
+// (packets, connections, slab bookkeeping), the part of a parked checkpoint
+// that the snapshot does not hold.
 type Snapshotter interface {
-	SnapshotState() any
-	RestoreState(state any)
+	SnapshotState() State
+	RestoreState(state State)
+	LiveBytes() uint64
+}
+
+// State is a Snapshotter's checkpoint blob. Bytes is its resident size:
+// every array and map it owns, and the objects it keeps alive for
+// RestoreState to write through or share (the address-set record blocks,
+// the packets whose fields it records), so that a checkpoint pool charges
+// what a parked entry pins.
+type State interface {
+	Bytes() uint64
+}
+
+// Releaser is implemented by Snapshotters whose live state includes arrays
+// that RestoreState rewrites in full. Release hands them back (to recyclers
+// where the arrays are fixed-size), leaving the component unusable until
+// the next RestoreState; DenseBytes is the size of what Release would drop,
+// and zero once released.
+type Releaser interface {
+	Release()
+	DenseBytes() uint64
 }
 
 // AddSnapshotter registers a component for inclusion in Snapshot/Restore.
@@ -118,7 +142,7 @@ type Snapshot struct {
 	alwaysOn int
 
 	hier  *cache.Checkpoint
-	blobs []any // one per registered Snapshotter, in registration order
+	blobs []State // one per registered Snapshotter, in registration order
 
 	bytes uint64
 }
@@ -162,10 +186,11 @@ func (m *Machine) Snapshot() *Snapshot {
 	for k, v := range m.Overhead {
 		s.overhead[k] = v
 	}
-	for _, sn := range m.snapshotters {
-		s.blobs = append(s.blobs, sn.SnapshotState())
+	s.blobs = make([]State, len(m.snapshotters))
+	for i, sn := range m.snapshotters {
+		s.blobs[i] = sn.SnapshotState()
 	}
-	s.bytes = s.estimateBytes()
+	s.bytes = s.computeBytes()
 	return s
 }
 
@@ -213,128 +238,97 @@ func (m *Machine) Restore(s *Snapshot) {
 	}
 }
 
-// Bytes returns an estimate of the snapshot's resident size (computed once at
-// capture), for checkpoint-pool budgeting. The cache hierarchy's part is
-// exact (cache.Checkpoint.Bytes); the machine's own state and the
-// Snapshotter blobs are estimated.
-func (s *Snapshot) Bytes() uint64 { return s.bytes }
-
-// estimateBytes sums the machine's own state, the hierarchy checkpoint's
-// exact size, and a reflective blobSize walk over the Snapshotter blobs,
-// whose types this package cannot see.
-func (s *Snapshot) estimateBytes() uint64 {
-	n := uint64(len(s.wheel.events))*40 + 128
-	for _, c := range s.cores {
-		n += 64 + uint64(len(c.stack))*8
+// Release drops every piece of the machine's live state that Restore
+// rewrites in full: the cache hierarchy's dense arrays
+// (cache.Hierarchy.Release), then each Releaser Snapshotter's. The machine
+// is unusable until the next Restore. A checkpoint pool calls it on an idle
+// machine, so that between forks it keeps what the snapshot cannot rebuild.
+func (m *Machine) Release() {
+	m.Hier.Release()
+	for _, sn := range m.snapshotters {
+		if r, ok := sn.(Releaser); ok {
+			r.Release()
+		}
 	}
-	n += uint64(len(s.overhead))*48 + uint64(len(s.ranges))*16
-	n += s.hier.Bytes()
-	z := sizer{seen: map[uintptr]bool{}, flat: map[reflect.Type]bool{}}
-	for _, b := range s.blobs {
-		n += z.blobSize(b)
+}
+
+// DenseBytes is the size of what Release drops: the hierarchy's dense
+// arrays and every Releaser's. It is zero on a released machine.
+func (m *Machine) DenseBytes() uint64 {
+	n := m.Hier.DenseBytes()
+	for _, sn := range m.snapshotters {
+		if r, ok := sn.(Releaser); ok {
+			n += r.DenseBytes()
+		}
 	}
 	return n
 }
 
-// sizer estimates the memory a Snapshotter blob owns, for budgeting. The
-// blob root, typically a pointer to the component's state struct, is
-// followed. Below it a pointer counts as one word and is not followed: a
-// blob owns its slices, maps and strings, but the pointers inside them
-// reference live workload objects (in-flight packets, map keys) that the
-// snapshot does not pin on its own. Slices and maps reachable twice count
-// once; funcs and chans count as a word.
-type sizer struct {
-	seen map[uintptr]bool
-	flat map[reflect.Type]bool // memoized: the type owns nothing beyond its inline size
+// rngSourceBytes is the heap size of one math/rand source, 607 words of
+// state plus two ints, as the runtime's size classes round it.
+const rngSourceBytes = 5376
+
+// LiveBytes is the memory the live machine keeps: its cores with their
+// stacks and RNG sources, the event wheel, the hook tables, the
+// hierarchy's dense arrays (none once released), and every Snapshotter's
+// LiveBytes.
+func (m *Machine) LiveBytes() uint64 {
+	n := uint64(unsafe.Sizeof(*m)) + SliceBytes(m.cores) + SliceBytes(m.ctxs) +
+		SliceBytes(m.wheel.events) + SliceBytes(m.accessHooks) + SliceBytes(m.armers) +
+		SliceBytes(m.ranges) + SliceBytes(m.workHooks) + MapBytes(m.Overhead) +
+		SliceBytes(m.snapshotters) + m.Hier.DenseBytes()
+	for _, c := range m.cores {
+		n += uint64(unsafe.Sizeof(*c)+unsafe.Sizeof(*c.src)+unsafe.Sizeof(*c.rng)) +
+			rngSourceBytes + SliceBytes(c.stack)
+	}
+	for _, sn := range m.snapshotters {
+		n += sn.LiveBytes()
+	}
+	return n
 }
 
-func (z *sizer) blobSize(b any) uint64 {
-	v := reflect.ValueOf(b)
-	if !v.IsValid() {
+// Bytes returns the snapshot's resident size (computed once at capture),
+// for checkpoint-pool budgeting: the machine's own state, the hierarchy
+// checkpoint (cache.Checkpoint.Bytes) and every Snapshotter blob's Bytes.
+func (s *Snapshot) Bytes() uint64 { return s.bytes }
+
+// computeBytes sums the machine's own arrays, the hierarchy checkpoint and
+// the blobs, each of which sizes itself.
+func (s *Snapshot) computeBytes() uint64 {
+	n := uint64(unsafe.Sizeof(*s)) + SliceBytes(s.wheel.events) + SliceBytes(s.cores) +
+		MapBytes(s.overhead) + SliceBytes(s.ranges) + SliceBytes(s.blobs)
+	for _, c := range s.cores {
+		n += SliceBytes(c.stack)
+	}
+	n += s.hier.Bytes()
+	for _, b := range s.blobs {
+		n += b.Bytes()
+	}
+	return n
+}
+
+// SliceBytes is the size of s's backing array: its capacity times the
+// element size.
+func SliceBytes[T any](s []T) uint64 {
+	var zero T
+	return uint64(cap(s)) * uint64(unsafe.Sizeof(zero))
+}
+
+// MapBytes is the size of m as the runtime lays it out: a header, and
+// groups of eight slots, each with a control byte, at most 7/8 full. It is
+// exact for a map made with its final size and within 2x for one grown by
+// inserts, which doubles.
+func MapBytes[K comparable, V any](m map[K]V) uint64 {
+	if m == nil {
 		return 0
 	}
-	n := uint64(16) // the interface holding the blob
-	if v.Kind() == reflect.Ptr {
-		if v.IsNil() {
-			return n
-		}
-		v = v.Elem()
+	var slot struct {
+		k K
+		v V
 	}
-	return n + uint64(v.Type().Size()) + z.owned(v)
-}
-
-// owned is the memory v owns outside its inline footprint.
-func (z *sizer) owned(v reflect.Value) uint64 {
-	if z.isFlat(v.Type()) {
-		return 0
+	slots := uint64(8)
+	for slots*7/8 < uint64(len(m)) {
+		slots <<= 1
 	}
-	switch v.Kind() {
-	case reflect.Interface:
-		if v.IsNil() || v.Elem().Kind() == reflect.Ptr {
-			return 0
-		}
-		return uint64(v.Elem().Type().Size()) + z.owned(v.Elem())
-	case reflect.Slice:
-		if v.IsNil() || z.seen[v.Pointer()] {
-			return 0
-		}
-		z.seen[v.Pointer()] = true
-		n := uint64(v.Len()) * uint64(v.Type().Elem().Size())
-		if !z.isFlat(v.Type().Elem()) {
-			for i := 0; i < v.Len(); i++ {
-				n += z.owned(v.Index(i))
-			}
-		}
-		return n
-	case reflect.Map:
-		if v.IsNil() || z.seen[v.Pointer()] {
-			return 0
-		}
-		z.seen[v.Pointer()] = true
-		// A bucket header per map, and a tophash byte and overflow share
-		// per entry, rounded to 16.
-		n := 48 + uint64(v.Len())*(uint64(v.Type().Key().Size())+uint64(v.Type().Elem().Size())+16)
-		if !z.isFlat(v.Type().Key()) || !z.isFlat(v.Type().Elem()) {
-			for it := v.MapRange(); it.Next(); {
-				n += z.owned(it.Key()) + z.owned(it.Value())
-			}
-		}
-		return n
-	case reflect.Struct:
-		n := uint64(0)
-		for i := 0; i < v.NumField(); i++ {
-			n += z.owned(v.Field(i))
-		}
-		return n
-	case reflect.Array:
-		n := uint64(0)
-		for i := 0; i < v.Len(); i++ {
-			n += z.owned(v.Index(i))
-		}
-		return n
-	case reflect.String:
-		return uint64(v.Len())
-	}
-	return 0
-}
-
-// isFlat reports whether values of t own no memory beyond their inline
-// size: no slices, maps, strings or interfaces, except behind a pointer.
-func (z *sizer) isFlat(t reflect.Type) bool {
-	if f, ok := z.flat[t]; ok {
-		return f
-	}
-	f := true
-	switch t.Kind() {
-	case reflect.Slice, reflect.Map, reflect.String, reflect.Interface:
-		f = false
-	case reflect.Struct:
-		for i := 0; i < t.NumField() && f; i++ {
-			f = z.isFlat(t.Field(i).Type)
-		}
-	case reflect.Array:
-		f = t.Len() == 0 || z.isFlat(t.Elem())
-	}
-	z.flat[t] = f
-	return f
+	return 48 + slots/8*(8+8*uint64(unsafe.Sizeof(slot)))
 }

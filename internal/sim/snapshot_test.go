@@ -130,46 +130,88 @@ func TestSnapshotBytesNonzero(t *testing.T) {
 	}
 }
 
-// liveObject stands for a workload object a snapshot blob points at, such
-// as an in-flight packet: large, and owned by the running workload.
-type liveObject struct {
-	payload [1 << 16]byte
-	next    []byte
+// TestRestoreRewindsRNGInPlace: a restore re-seeds each core's RNG source in
+// place, so restoring a 16-core machine allocates nothing, and the restored
+// streams continue exactly as the originals did.
+func TestRestoreRewindsRNGInPlace(t *testing.T) {
+	const cores = 16
+	m := testMachine(cores)
+	draws := make([][]int, cores)
+	for core := 0; core < cores; core++ {
+		var task TaskFunc
+		task = func(c *Ctx) {
+			draws[core] = append(draws[core], c.Rand().Intn(1<<20))
+			c.Spawn(core, 100+uint64(core), task)
+		}
+		m.Schedule(core, 0, task)
+	}
+	m.Run(10_000)
+	snap := m.Snapshot()
+	at := make([]int, cores)
+	for i := range draws {
+		at[i] = len(draws[i])
+	}
+	m.Run(30_000)
+	first := make([][]int, cores)
+	for i := range draws {
+		first[i] = append([]int(nil), draws[i][at[i]:]...)
+	}
+
+	if allocs := testing.AllocsPerRun(5, func() { m.Restore(snap) }); allocs != 0 {
+		t.Errorf("restoring a %d-core machine allocates %.0f times, want 0", cores, allocs)
+	}
+	for i := range draws {
+		draws[i] = draws[i][:at[i]]
+	}
+	m.Run(30_000)
+	for i := range draws {
+		if got := draws[i][at[i]:]; !reflect.DeepEqual(got, first[i]) {
+			t.Fatalf("core %d drew %v after the restore, want %v", i, got, first[i])
+		}
+	}
 }
 
-// pointerBlob is a blob that owns two slices, one of pointers into live
-// objects, and a map keyed by them.
-type pointerBlob struct {
-	queue []*liveObject
-	state map[*liveObject]uint32
-	name  string
-}
+// fakeComponent is a Snapshotter and Releaser whose sizes are fixed, so a
+// machine's sums over its components can be checked exactly.
+type fakeComponent struct{ dense uint64 }
 
-// TestBlobSizeCountsPointersAsWords: below the blob root a pointer costs
-// one word and is not followed, however large its target, while the slices,
-// map and string the blob owns are counted in full.
-func TestBlobSizeCountsPointersAsWords(t *testing.T) {
-	live := &liveObject{next: make([]byte, 1<<20)}
-	const n = 100
-	b := &pointerBlob{
-		queue: make([]*liveObject, n),
-		state: map[*liveObject]uint32{live: 1},
-		name:  "blob",
-	}
-	for i := range b.queue {
-		b.queue[i] = live
-	}
-	z := sizer{seen: map[uintptr]bool{}, flat: map[reflect.Type]bool{}}
-	got := z.blobSize(b)
-	root := uint64(16) + uint64(reflect.TypeOf(pointerBlob{}).Size())
-	want := root + n*8 + 48 + (8 + 4 + 16) + uint64(len(b.name))
-	if got != want {
-		t.Fatalf("blobSize = %d, want %d: %d pointers at 8 bytes each, one map entry, the name", got, want, n)
-	}
+type fakeState struct{}
 
-	// The same queue of values rather than pointers is owned, so counted.
-	vals := []liveObject{*live}
-	if got := z.blobSize(&vals); got < 1<<16+1<<20 {
-		t.Fatalf("blobSize of an owned []liveObject = %d, want at least its payload and slice", got)
+func (fakeState) Bytes() uint64 { return 12345 }
+
+func (f *fakeComponent) SnapshotState() State { return fakeState{} }
+func (f *fakeComponent) RestoreState(State)   { f.dense = 1000 }
+func (f *fakeComponent) LiveBytes() uint64    { return 50 + f.dense }
+func (f *fakeComponent) Release()             { f.dense = 0 }
+func (f *fakeComponent) DenseBytes() uint64   { return f.dense }
+
+// TestSnapshotBytesSumsComponents: a snapshot's size is the machine's own
+// state, the hierarchy checkpoint and each blob's own Bytes; a machine's
+// LiveBytes and DenseBytes add each component's, and Release empties every
+// Releaser and the hierarchy until the next Restore.
+func TestSnapshotBytesSumsComponents(t *testing.T) {
+	tm := newTraceMachine()
+	tm.m.Run(10_000)
+	without, live := tm.m.Snapshot().Bytes(), tm.m.LiveBytes()
+	f := &fakeComponent{dense: 1000}
+	tm.m.AddSnapshotter(f)
+	snap := tm.m.Snapshot()
+	// The blob, and the one interface slot holding it.
+	if got, want := snap.Bytes()-without, uint64(12345+16); got != want {
+		t.Errorf("a component's blob adds %d snapshot bytes, want %d", got, want)
+	}
+	if got, want := tm.m.LiveBytes()-live, uint64(16+1050); got != want {
+		t.Errorf("a component adds %d live bytes, want %d (its registration and its LiveBytes)", got, want)
+	}
+	if tm.m.DenseBytes() != tm.m.Hier.DenseBytes()+1000 {
+		t.Errorf("DenseBytes = %d, want the hierarchy's %d plus the component's 1000", tm.m.DenseBytes(), tm.m.Hier.DenseBytes())
+	}
+	tm.m.Release()
+	if n := tm.m.DenseBytes(); n != 0 {
+		t.Errorf("released machine holds %d dense bytes, want 0", n)
+	}
+	tm.m.Restore(snap)
+	if tm.m.Hier.DenseBytes() == 0 || f.dense != 1000 {
+		t.Errorf("restore left the hierarchy at %d dense bytes and the component at %d", tm.m.Hier.DenseBytes(), f.dense)
 	}
 }

@@ -59,7 +59,16 @@ type Store struct {
 	sweeps       atomic.Int64 // over-budget sweep passes
 	sweptObjects atomic.Int64 // objects deleted by sweeps
 	sweptBytes   atomic.Int64 // file bytes reclaimed by sweeps
+
+	// paths memoizes path: a file name is the SHA-256 of its address, and
+	// a warm server reads the same addresses over and over. At maxPaths
+	// entries the memo starts over, so it stays bounded.
+	pathsMu sync.Mutex
+	paths   map[string]string
 }
+
+// maxPaths bounds the path memo.
+const maxPaths = 4096
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
@@ -108,7 +117,7 @@ func Open(dir string) (*Store, error) {
 	}
 	os.Remove(probe)
 
-	s := &Store{dir: dir}
+	s := &Store{dir: dir, paths: make(map[string]string)}
 	var n, bytes int64
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -201,9 +210,19 @@ func (s *Store) Len() int64 { return s.entries.Load() }
 // directories by the first byte of the address hash, so no single
 // directory grows unboundedly.
 func (s *Store) path(address string) string {
+	s.pathsMu.Lock()
+	defer s.pathsMu.Unlock()
+	if p, ok := s.paths[address]; ok {
+		return p
+	}
 	sum := sha256.Sum256([]byte(address))
 	name := hex.EncodeToString(sum[:])
-	return filepath.Join(s.dir, name[:2], name)
+	p := filepath.Join(s.dir, name[:2], name)
+	if len(s.paths) >= maxPaths {
+		clear(s.paths)
+	}
+	s.paths[address] = p
+	return p
 }
 
 // Get returns the stored body for a content address, as GetSum does.
