@@ -651,8 +651,7 @@ func BenchmarkMemcachedSteadyState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := memcachedsim.DefaultConfig()
 		cfg.Kern.LocalTxQueue = true
-		bench := memcachedsim.New(cfg)
-		st := bench.Run(500_000, 2_000_000)
-		b.ReportMetric(float64(st.Completed), "requests")
+		res := core.RunBare(memcachedsim.New(cfg), 500_000, 2_000_000)
+		b.ReportMetric(res.Values["completed"], "requests")
 	}
 }

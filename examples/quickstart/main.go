@@ -8,12 +8,15 @@
 //
 // The workload is an ordinary struct implementing core.Runnable — the same
 // contract the registered workloads in internal/app satisfy: a machine, an
-// allocator and a lock registry, plus a run split at the warmup boundary
-// into RunWarmup and RunMeasured (the session calls both; core.RunBare runs
-// them without a profiler). To make a
-// scenario available to cmd/dprof and the experiment engine, wrap a
-// constructor like newPingPong in a workload.Workload and call
-// workload.Register from init (see internal/app/scenarios for examples).
+// allocator and a lock registry, a Start that schedules its tasks, and a
+// Result that reads the run. The session owns the rest of the lifecycle:
+// it sets the machine's measured window and stop horizon (which workloads
+// read through sim.Ctx.Measured and sim.Machine.Horizon), starts the
+// workload, runs the warmup, resets cache statistics, and runs the
+// measured window (core.RunBare does the same without a profiler). To make a scenario available to cmd/dprof and the experiment
+// engine, wrap a constructor like newPingPong in a workload.Workload and
+// call workload.Register from init (see internal/app/scenarios for
+// examples).
 //
 // Run: go run ./examples/quickstart   (-quick for a tiny smoke run)
 package main
@@ -40,14 +43,14 @@ type pingPong struct {
 	rounds  int
 
 	handoffs uint64
-	started  bool
 	stopAt   uint64
 }
 
 // newPingPong builds a 4-core machine with the paper's cache hierarchy and
 // a typed allocator, and registers the two object types. The generators
-// stop at horizon. It is fixed here, before any run: the streaming core's
-// task starts at cycle zero and reads the horizon while it runs.
+// stop at horizon. It is fixed here, not read off the machine: the
+// streaming core's task starts at cycle zero and reads the horizon while
+// it runs, when the machine's horizon is still unbounded.
 func newPingPong(rounds int, horizon uint64) *pingPong {
 	scfg := sim.DefaultConfig()
 	scfg.Cores = 4
@@ -65,17 +68,11 @@ func (w *pingPong) Machine() *sim.Machine     { return w.m }
 func (w *pingPong) Alloc() *mem.Allocator     { return w.alloc }
 func (w *pingPong) Locks() *lockstat.Registry { return w.locks }
 
-// Prime schedules the workload without running the machine. Core 0 produces
-// a message, core 1 consumes it — every handoff invalidates the other
-// core's cached copy — while core 2 streams through private buffers far
-// larger than its caches. The generators stop at the horizon newPingPong
-// was given, so Prime's is unused.
-func (w *pingPong) Prime(uint64) {
-	if w.started {
-		return
-	}
-	w.started = true
-
+// Start schedules the workload without running the machine. Core 0
+// produces a message, core 1 consumes it — every handoff invalidates the
+// other core's cached copy — while core 2 streams through private buffers
+// far larger than its caches.
+func (w *pingPong) Start() {
 	var produce func(c *sim.Ctx)
 	var consume func(c *sim.Ctx, addr uint64)
 	sent := 0
@@ -121,17 +118,8 @@ func (w *pingPong) Prime(uint64) {
 	})
 }
 
-// RunWarmup starts the workload and runs it to the warmup boundary, where
-// cache statistics reset.
-func (w *pingPong) RunWarmup(warmup uint64) {
-	w.Prime(w.stopAt)
-	w.m.Run(warmup)
-	w.m.Hier.ResetStats()
-}
-
-// RunMeasured runs the measured window that follows RunWarmup.
-func (w *pingPong) RunMeasured(warmup, measure uint64) core.RunResult {
-	w.m.Run(warmup + measure)
+// Result reports the handoffs of the whole run (quickstart has no warmup).
+func (w *pingPong) Result(uint64) core.RunResult {
 	return core.RunResult{
 		Summary: fmt.Sprintf("quickstart: %d message handoffs", w.handoffs),
 		Values:  map[string]float64{"handoffs": float64(w.handoffs)},

@@ -104,16 +104,13 @@ type Bench struct {
 	appQueued []bool
 	pageAddr  uint64
 
-	measureFrom uint64
-	measureTo   uint64
-	stopAt      uint64
-	completed   []uint64
-	queueDelay  uint64 // summed accept delays (measured window)
-	accepted    uint64
-	started     bool
+	completed  []uint64 // requests completed in the measured window, per core
+	queueDelay uint64   // summed accept delays (measured window)
+	accepted   uint64
 }
 
-// New builds the workload. Profilers may attach to b.M / b.K before Run.
+// New builds the workload. Profilers may attach to b.M / b.K before it
+// starts.
 func New(cfg Config) *Bench {
 	if cfg.Backlog <= 0 || cfg.WorkersPerCore <= 0 || cfg.AcceptBatch <= 0 {
 		panic("apachesim: Backlog, WorkersPerCore and AcceptBatch must be positive")
@@ -172,7 +169,7 @@ func (b *Bench) appLoop(c *sim.Ctx, core int) {
 		if conn == nil {
 			return
 		}
-		if t := c.Now(); t >= b.measureFrom && t < b.measureTo {
+		if c.Measured() {
 			b.queueDelay += conn.QueueDelay(c)
 			b.accepted++
 		}
@@ -207,7 +204,7 @@ func (b *Bench) serve(c *sim.Ctx, core int, conn *kernel.TCPConn) {
 }
 
 func (b *Bench) onResponse(c *sim.Ctx, core int) {
-	if t := c.Now(); t >= b.measureFrom && t < b.measureTo {
+	if c.Measured() {
 		b.completed[core]++
 	}
 }
@@ -217,9 +214,10 @@ func (b *Bench) onResponse(c *sim.Ctx, core int) {
 // Arrival times are anchored to client wall-clock time, not to the server
 // core's availability: the load generators are independent machines, so an
 // overloaded server accumulates backlog instead of throttling the offered
-// load (that is the whole point of the §6.2 drop-off).
+// load (that is the whole point of the §6.2 drop-off). Arrivals stop at the
+// machine's horizon.
 func (b *Bench) scheduleArrival(core int, at uint64) {
-	if at >= b.stopAt {
+	if at >= b.M.Horizon() {
 		return
 	}
 	b.M.Schedule(core, at, func(c *sim.Ctx) {
@@ -241,12 +239,9 @@ func (b *Bench) interArrival(c *sim.Ctx) uint64 {
 	return uint64(gap)
 }
 
-func (b *Bench) start(stopAt uint64) {
-	if b.started {
-		return
-	}
-	b.started = true
-	b.stopAt = stopAt
+// Start starts the open-loop arrival processes and the timer tick
+// (core.Runnable).
+func (b *Bench) Start() {
 	for core := 0; core < b.M.NumCores(); core++ {
 		b.scheduleArrival(core, uint64(core)*97)
 	}
@@ -254,7 +249,7 @@ func (b *Bench) start(stopAt uint64) {
 }
 
 func (b *Bench) tick(at uint64) {
-	if at >= b.stopAt {
+	if at >= b.M.Horizon() {
 		return
 	}
 	b.M.Schedule(0, at, func(c *sim.Ctx) {
@@ -263,33 +258,8 @@ func (b *Bench) tick(at uint64) {
 	})
 }
 
-// Prime starts the open-loop arrival processes with the given horizon
-// without running the machine; callers then drive b.M.Run themselves.
-func (b *Bench) Prime(horizon uint64) { b.start(horizon) }
-
-// RunWarmup runs to the warmup boundary with the measured window armed to
-// open there but never close, and the generator stop horizon open (both
-// close points depend on the measured length, which a warm-start fork
-// chooses later; no warmup-phase event ever reaches either, so the open
-// ends change nothing observable). Requests completing as a worker
-// overshoots the boundary mid-task count into the window exactly as on the
-// cold path. Cache statistics reset at the boundary.
-func (b *Bench) RunWarmup(warmup uint64) {
-	b.measureFrom = warmup
-	b.measureTo = ^uint64(0)
-	b.start(^uint64(0))
-	b.M.Run(warmup)
-	b.M.Hier.ResetStats()
-}
-
-// RunMeasured arms the measured window, pins the generator stop horizon to
-// its end, and runs the measured phase. It continues a RunWarmup on the same
-// or a restored machine.
-func (b *Bench) RunMeasured(warmup, measure uint64) Stats {
-	b.measureFrom = warmup
-	b.measureTo = warmup + measure
-	b.stopAt = warmup + measure
-	b.M.Run(warmup + measure)
+// stats reads the measured window, measure cycles long.
+func (b *Bench) stats(measure uint64) Stats {
 	var st Stats
 	st.MeasureCycles = measure
 	for _, n := range b.completed {
@@ -305,26 +275,16 @@ func (b *Bench) RunMeasured(warmup, measure uint64) Stats {
 	return st
 }
 
-// Run executes warmup then a measured window and reports throughput.
-func (b *Bench) Run(warmup, measure uint64) Stats {
-	b.RunWarmup(warmup)
-	return b.RunMeasured(warmup, measure)
-}
-
 // benchState is the workload-level mutable state a warm-start checkpoint
 // captures on top of the machine/kernel layers. Connections never outlive
 // the listener task that serves them, so the kernel's accept-queue capture
 // covers every live TCPConn.
 type benchState struct {
-	rr          []int
-	appQueued   []bool
-	completed   []uint64
-	queueDelay  uint64
-	accepted    uint64
-	measureFrom uint64
-	measureTo   uint64
-	stopAt      uint64
-	started     bool
+	rr         []int
+	appQueued  []bool
+	completed  []uint64
+	queueDelay uint64
+	accepted   uint64
 }
 
 // Bytes implements sim.State.
@@ -348,15 +308,11 @@ func (b *Bench) LiveBytes() uint64 {
 // SnapshotState implements sim.Snapshotter.
 func (b *Bench) SnapshotState() sim.State {
 	return &benchState{
-		rr:          append([]int(nil), b.rr...),
-		appQueued:   append([]bool(nil), b.appQueued...),
-		completed:   append([]uint64(nil), b.completed...),
-		queueDelay:  b.queueDelay,
-		accepted:    b.accepted,
-		measureFrom: b.measureFrom,
-		measureTo:   b.measureTo,
-		stopAt:      b.stopAt,
-		started:     b.started,
+		rr:         append([]int(nil), b.rr...),
+		appQueued:  append([]bool(nil), b.appQueued...),
+		completed:  append([]uint64(nil), b.completed...),
+		queueDelay: b.queueDelay,
+		accepted:   b.accepted,
 	}
 }
 
@@ -368,8 +324,4 @@ func (b *Bench) RestoreState(state sim.State) {
 	copy(b.completed, st.completed)
 	b.queueDelay = st.queueDelay
 	b.accepted = st.accepted
-	b.measureFrom = st.measureFrom
-	b.measureTo = st.measureTo
-	b.stopAt = st.stopAt
-	b.started = st.started
 }

@@ -2,13 +2,21 @@ package apachesim
 
 import (
 	"testing"
+
+	"dprof/internal/core"
 )
+
+// run drives b through the shared run lifecycle and reads its stats.
+func run(b *Bench, warmup, measure uint64) Stats {
+	core.RunBare(b, warmup, measure)
+	return b.stats(measure)
+}
 
 func TestServesRequestsAtModerateLoad(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OfferedPerCore = 40_000
 	b := New(cfg)
-	st := b.Run(3_000_000, 5_000_000)
+	st := run(b, 3_000_000, 5_000_000)
 	if st.Completed == 0 {
 		t.Fatalf("no requests completed: %v", st)
 	}
@@ -21,7 +29,7 @@ func TestBacklogBuildsUnderOverload(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OfferedPerCore = DropOffOffered
 	b := New(cfg)
-	b.Run(10_000_000, 6_000_000)
+	run(b, 10_000_000, 6_000_000)
 	depth := 0
 	for i := 0; i < b.M.NumCores(); i++ {
 		depth += b.Listener(i).QueueLen()
@@ -34,12 +42,12 @@ func TestBacklogBuildsUnderOverload(t *testing.T) {
 
 func TestThroughputDropsPastPeak(t *testing.T) {
 	peak := New(DefaultConfig()) // default offered = PeakOffered
-	stPeak := peak.Run(10_000_000, 8_000_000)
+	stPeak := run(peak, 10_000_000, 8_000_000)
 
 	over := DefaultConfig()
 	over.OfferedPerCore = DropOffOffered
 	drop := New(over)
-	stDrop := drop.Run(10_000_000, 8_000_000)
+	stDrop := run(drop, 10_000_000, 8_000_000)
 
 	t.Logf("peak: %v", stPeak)
 	t.Logf("drop: %v", stDrop)
@@ -56,12 +64,12 @@ func TestThroughputDropsPastPeak(t *testing.T) {
 func TestAdmissionControlFixImprovesOverloadThroughput(t *testing.T) {
 	deep := DefaultConfig()
 	deep.OfferedPerCore = DropOffOffered
-	stDeep := New(deep).Run(10_000_000, 8_000_000)
+	stDeep := run(New(deep), 10_000_000, 8_000_000)
 
 	capped := DefaultConfig()
 	capped.OfferedPerCore = DropOffOffered
 	capped.Backlog = FixedBacklog
-	stCapped := New(capped).Run(10_000_000, 8_000_000)
+	stCapped := run(New(capped), 10_000_000, 8_000_000)
 
 	speedup := stCapped.Throughput / stDeep.Throughput
 	t.Logf("deep: %v", stDeep)
@@ -76,13 +84,13 @@ func TestAdmissionControlFixImprovesOverloadThroughput(t *testing.T) {
 
 func TestTcpSockWorkingSetGrowsAtDropOff(t *testing.T) {
 	peak := New(DefaultConfig())
-	peak.Run(10_000_000, 6_000_000)
+	run(peak, 10_000_000, 6_000_000)
 	peakBytes := peak.K.Alloc.StatsFor(peak.K.TCPSockType).PeakBytes
 
 	over := DefaultConfig()
 	over.OfferedPerCore = DropOffOffered
 	drop := New(over)
-	drop.Run(10_000_000, 6_000_000)
+	run(drop, 10_000_000, 6_000_000)
 	dropBytes := drop.K.Alloc.StatsFor(drop.K.TCPSockType).PeakBytes
 
 	t.Logf("tcp_sock peak bytes: peak=%d drop=%d (%.1fx)", peakBytes, dropBytes,
@@ -94,8 +102,8 @@ func TestTcpSockWorkingSetGrowsAtDropOff(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a := New(DefaultConfig()).Run(3_000_000, 3_000_000)
-	b := New(DefaultConfig()).Run(3_000_000, 3_000_000)
+	a := run(New(DefaultConfig()), 3_000_000, 3_000_000)
+	b := run(New(DefaultConfig()), 3_000_000, 3_000_000)
 	if a.Completed != b.Completed || a.Refused != b.Refused {
 		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
 	}

@@ -54,27 +54,17 @@ func (wl) Build(cfg workload.Config) (core.Runnable, error) {
 	if b := cfg.Int("backlog"); b > 0 {
 		c.Backlog = b
 	}
-	return Instance(New(c)), nil
+	return New(c), nil
 }
 
-// instance adapts a Bench to core.Runnable.
-type instance struct{ b *Bench }
+// Machine, Alloc, and Locks satisfy core.Runnable.
+func (b *Bench) Machine() *sim.Machine     { return b.M }
+func (b *Bench) Alloc() *mem.Allocator     { return b.K.Alloc }
+func (b *Bench) Locks() *lockstat.Registry { return b.K.Locks }
 
-// Instance wraps a Bench for profiling sessions and the workload registry.
-func Instance(b *Bench) core.Runnable { return instance{b} }
-
-func (i instance) Machine() *sim.Machine     { return i.b.M }
-func (i instance) Alloc() *mem.Allocator     { return i.b.K.Alloc }
-func (i instance) Locks() *lockstat.Registry { return i.b.K.Locks }
-func (i instance) Prime(horizon uint64)      { i.b.Prime(horizon) }
-
-func (i instance) RunWarmup(warmup uint64) { i.b.RunWarmup(warmup) }
-
-func (i instance) RunMeasured(warmup, measure uint64) core.RunResult {
-	return result(i.b.RunMeasured(warmup, measure))
-}
-
-func result(st Stats) core.RunResult {
+// Result implements core.Runnable.
+func (b *Bench) Result(measure uint64) core.RunResult {
+	st := b.stats(measure)
 	return core.RunResult{
 		Summary: st.String(),
 		Values: map[string]float64{

@@ -80,14 +80,11 @@ type Bench struct {
 	socks     []*kernel.UDPSock
 	appQueued []bool
 	hashAddrs []uint64 // per-instance memcached hash table (application data)
-
-	measureFrom uint64
-	measureTo   uint64
-	completed   []uint64
-	started     bool
+	completed []uint64 // responses delivered in the measured window, per core
 }
 
-// New builds the workload. Profilers may attach to b.M / b.K before Run.
+// New builds the workload. Profilers may attach to b.M / b.K before it
+// starts.
 func New(cfg Config) *Bench {
 	m := sim.New(cfg.Sim)
 	k := kernel.New(m, cfg.Mem, cfg.Kern)
@@ -166,7 +163,7 @@ func (b *Bench) process(c *sim.Ctx, core int) {
 // wire: the client counts it and, after the network RTT, sends its next
 // request (closed loop).
 func (b *Bench) onResponse(c *sim.Ctx, core int) {
-	if t := c.Now(); t >= b.measureFrom && t < b.measureTo {
+	if c.Measured() {
 		b.completed[core]++
 	}
 	c.Spawn(core, b.Cfg.ClientRTT, func(rc *sim.Ctx) { b.arrival(rc, core) })
@@ -179,13 +176,10 @@ func (b *Bench) arrival(c *sim.Ctx, core int) {
 	b.K.UDPRcv(c, skb, b.Cfg.BasePort+core)
 }
 
-// start primes the closed loop: Window outstanding requests per client,
-// spread over the first RTT, plus the periodic timer tick.
-func (b *Bench) start() {
-	if b.started {
-		return
-	}
-	b.started = true
+// Start primes the closed loop (core.Runnable): Window outstanding
+// requests per client, spread over the first RTT, plus the periodic timer
+// tick. A closed loop needs no stop horizon.
+func (b *Bench) Start() {
 	for core := 0; core < b.M.NumCores(); core++ {
 		for w := 0; w < b.Cfg.Window; w++ {
 			core := core
@@ -205,32 +199,8 @@ func (b *Bench) tick(at uint64) {
 	})
 }
 
-// Prime starts the closed-loop clients and timer without running the
-// machine; callers that need incremental control (history-collection
-// experiments) then drive b.M.Run themselves.
-func (b *Bench) Prime() { b.start() }
-
-// RunWarmup runs the machine to the warmup boundary with the measured
-// window armed to open there but never close (its end depends on the
-// measured length, which a warm-start fork chooses later; no warmup-phase
-// event ever reaches it, so the open end changes nothing observable).
-// Responses landing as a core overshoots the boundary mid-task count into
-// the window exactly as on the cold path. Cache statistics reset at the
-// boundary — the state a warm-start checkpoint captures.
-func (b *Bench) RunWarmup(warmup uint64) {
-	b.measureFrom = warmup
-	b.measureTo = ^uint64(0)
-	b.start()
-	b.M.Run(warmup)
-	b.M.Hier.ResetStats()
-}
-
-// RunMeasured arms the measured window and runs it to completion. It
-// continues a RunWarmup on the same or a restored machine.
-func (b *Bench) RunMeasured(warmup, measure uint64) Stats {
-	b.measureFrom = warmup
-	b.measureTo = warmup + measure
-	b.M.Run(warmup + measure)
+// stats reads the measured window, measure cycles long.
+func (b *Bench) stats(measure uint64) Stats {
 	var st Stats
 	st.MeasureCycles = measure
 	st.PerCore = append(st.PerCore, b.completed...)
@@ -242,22 +212,11 @@ func (b *Bench) RunMeasured(warmup, measure uint64) Stats {
 	return st
 }
 
-// Run executes warmup cycles, then measures for measure cycles, and returns
-// throughput over the measured window. Profiling attachments stay active for
-// the whole run.
-func (b *Bench) Run(warmup, measure uint64) Stats {
-	b.RunWarmup(warmup)
-	return b.RunMeasured(warmup, measure)
-}
-
 // benchState is the workload-level mutable state a warm-start checkpoint
 // captures on top of the machine/kernel layers.
 type benchState struct {
-	appQueued   []bool
-	completed   []uint64
-	measureFrom uint64
-	measureTo   uint64
-	started     bool
+	appQueued []bool
+	completed []uint64
 }
 
 // Bytes implements sim.State.
@@ -275,11 +234,8 @@ func (b *Bench) LiveBytes() uint64 {
 // SnapshotState implements sim.Snapshotter.
 func (b *Bench) SnapshotState() sim.State {
 	return &benchState{
-		appQueued:   append([]bool(nil), b.appQueued...),
-		completed:   append([]uint64(nil), b.completed...),
-		measureFrom: b.measureFrom,
-		measureTo:   b.measureTo,
-		started:     b.started,
+		appQueued: append([]bool(nil), b.appQueued...),
+		completed: append([]uint64(nil), b.completed...),
 	}
 }
 
@@ -288,7 +244,4 @@ func (b *Bench) RestoreState(state sim.State) {
 	st := state.(*benchState)
 	copy(b.appQueued, st.appQueued)
 	copy(b.completed, st.completed)
-	b.measureFrom = st.measureFrom
-	b.measureTo = st.measureTo
-	b.started = st.started
 }

@@ -3,8 +3,15 @@ package memcachedsim
 import (
 	"testing"
 
+	"dprof/internal/core"
 	"dprof/internal/sim"
 )
+
+// run drives b through the shared run lifecycle and reads its stats.
+func run(b *Bench, warmup, measure uint64) Stats {
+	core.RunBare(b, warmup, measure)
+	return b.stats(measure)
+}
 
 func quickCfg() Config {
 	cfg := DefaultConfig()
@@ -13,7 +20,7 @@ func quickCfg() Config {
 
 func TestWorkloadCompletesRequests(t *testing.T) {
 	b := New(quickCfg())
-	st := b.Run(1_000_000, 4_000_000)
+	st := run(b, 1_000_000, 4_000_000)
 	if st.Completed == 0 {
 		t.Fatalf("no requests completed: %+v", st)
 	}
@@ -28,12 +35,12 @@ func TestWorkloadCompletesRequests(t *testing.T) {
 func TestLocalQueueFixImprovesThroughput(t *testing.T) {
 	base := quickCfg()
 	bDefault := New(base)
-	stDefault := bDefault.Run(1_000_000, 6_000_000)
+	stDefault := run(bDefault, 1_000_000, 6_000_000)
 
 	fixed := quickCfg()
 	fixed.Kern.LocalTxQueue = true
 	bFixed := New(fixed)
-	stFixed := bFixed.Run(1_000_000, 6_000_000)
+	stFixed := run(bFixed, 1_000_000, 6_000_000)
 
 	t.Logf("default: %v", stDefault)
 	t.Logf("fixed:   %v", stFixed)
@@ -45,8 +52,8 @@ func TestLocalQueueFixImprovesThroughput(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a := New(quickCfg()).Run(500_000, 2_000_000)
-	b := New(quickCfg()).Run(500_000, 2_000_000)
+	a := run(New(quickCfg()), 500_000, 2_000_000)
+	b := run(New(quickCfg()), 500_000, 2_000_000)
 	if a.Completed != b.Completed {
 		t.Fatalf("same seed, different results: %d vs %d", a.Completed, b.Completed)
 	}
@@ -54,13 +61,13 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestForeignTrafficDropsWithFix(t *testing.T) {
 	base := New(quickCfg())
-	base.Run(500_000, 3_000_000)
+	run(base, 500_000, 3_000_000)
 	foreignDefault := base.M.Hier.Totals().ForeignHits
 
 	cfg := quickCfg()
 	cfg.Kern.LocalTxQueue = true
 	fixed := New(cfg)
-	fixed.Run(500_000, 3_000_000)
+	run(fixed, 500_000, 3_000_000)
 	foreignFixed := fixed.M.Hier.Totals().ForeignHits
 
 	t.Logf("foreign hits: default=%d fixed=%d", foreignDefault, foreignFixed)
@@ -74,7 +81,7 @@ func TestClientWindowBoundsOutstanding(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Window = 2
 	b := New(cfg)
-	st := b.Run(500_000, 2_000_000)
+	st := run(b, 500_000, 2_000_000)
 	if st.Completed == 0 {
 		t.Fatal("no completions")
 	}

@@ -10,7 +10,7 @@ func TestDefaultModeStationarity(t *testing.T) {
 	var rates []float64
 	for _, warm := range []uint64{2, 12, 22, 32} {
 		b := New(DefaultConfig())
-		st := b.Run(warm*1_000_000, 10_000_000)
+		st := run(b, warm*1_000_000, 10_000_000)
 		rates = append(rates, st.Throughput)
 		t.Logf("warmup %2dms: %.0f req/s", warm, st.Throughput)
 	}

@@ -46,7 +46,7 @@ func DefaultAlienPingConfig() AlienPingConfig {
 
 // AlienPing is one instantiated remote-free workload.
 type AlienPing struct {
-	*bench
+	bench
 	Cfg AlienPingConfig
 
 	PingType *mem.Type
@@ -70,7 +70,6 @@ func NewAlienPing(cfg AlienPingConfig) *AlienPing {
 }
 
 type alienPingState struct {
-	bench  benchState
 	rounds []uint64
 }
 
@@ -81,18 +80,17 @@ func (st *alienPingState) Bytes() uint64 {
 
 // LiveBytes implements sim.Snapshotter.
 func (a *AlienPing) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*a)) + a.bench.liveBytes() + sim.SliceBytes(a.rounds)
+	return uint64(unsafe.Sizeof(*a)) + sim.SliceBytes(a.rounds)
 }
 
 // SnapshotState implements sim.Snapshotter.
 func (a *AlienPing) SnapshotState() sim.State {
-	return &alienPingState{bench: a.state(), rounds: append([]uint64(nil), a.rounds...)}
+	return &alienPingState{rounds: append([]uint64(nil), a.rounds...)}
 }
 
 // RestoreState implements sim.Snapshotter.
 func (a *AlienPing) RestoreState(state sim.State) {
 	st := state.(*alienPingState)
-	a.setState(st.bench)
 	copy(a.rounds, st.rounds)
 }
 
@@ -124,7 +122,7 @@ func (a *AlienPing) consume(c *sim.Ctx, producer int, addrs []uint64) {
 			}
 		}
 	}()
-	if a.inWindow(c.Now()) {
+	if c.Measured() {
 		a.rounds[c.Core.ID]++
 	}
 	if a.Cfg.LocalFree {
@@ -137,44 +135,28 @@ func (a *AlienPing) consume(c *sim.Ctx, producer int, addrs []uint64) {
 					a.A.Free(pc, addr)
 				}
 			}()
-			if pc.Now() < a.stopAt {
+			if pc.Now() < pc.M.Horizon() {
 				a.produce(pc, producer)
 			}
 		})
 		return
 	}
-	if c.Now() < a.stopAt {
+	if c.Now() < c.M.Horizon() {
 		producer := producer
 		c.Spawn(producer, a.Cfg.HandoffNs, func(pc *sim.Ctx) { a.produce(pc, producer) })
 	}
 }
 
-func (a *AlienPing) start(stopAt uint64) {
-	if a.started {
-		return
-	}
-	a.started = true
-	a.stopAt = stopAt
+// Start starts the ping-pong loops (core.Runnable).
+func (a *AlienPing) Start() {
 	for core := 0; core < a.M.NumCores()/2; core++ {
 		core := core
 		a.M.Schedule(core, uint64(core)*131, func(c *sim.Ctx) { a.produce(c, core) })
 	}
 }
 
-// Prime starts the ping-pong loops without running the machine.
-func (a *AlienPing) Prime(horizon uint64) { a.start(horizon) }
-
-// RunWarmup runs to the warmup boundary with the measured window armed to
-// open there but never close.
-func (a *AlienPing) RunWarmup(warmup uint64) {
-	a.warmupWindow(warmup)
-	a.start(a.stopAt)
-	a.warm(warmup)
-}
-
-// RunMeasured arms and runs the measured window after a RunWarmup.
-func (a *AlienPing) RunMeasured(warmup, measure uint64) core.RunResult {
-	a.measured(warmup, measure)
+// Result implements core.Runnable.
+func (a *AlienPing) Result(measure uint64) core.RunResult {
 	var total uint64
 	for _, n := range a.rounds {
 		total += n

@@ -32,7 +32,7 @@ func DefaultConflictConfig() ConflictConfig {
 
 // Conflict is one instantiated conflict-miss workload.
 type Conflict struct {
-	*bench
+	bench
 	Cfg ConflictConfig
 
 	BufType *mem.Type
@@ -57,7 +57,6 @@ func NewConflict(cfg ConflictConfig) *Conflict {
 }
 
 type conflictState struct {
-	bench  benchState
 	sweeps uint64
 }
 
@@ -66,18 +65,17 @@ func (st *conflictState) Bytes() uint64 { return uint64(unsafe.Sizeof(*st)) }
 
 // LiveBytes implements sim.Snapshotter.
 func (cf *Conflict) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*cf)) + cf.bench.liveBytes() + sim.SliceBytes(cf.addrs)
+	return uint64(unsafe.Sizeof(*cf)) + sim.SliceBytes(cf.addrs)
 }
 
 // SnapshotState implements sim.Snapshotter.
 func (cf *Conflict) SnapshotState() sim.State {
-	return &conflictState{bench: cf.state(), sweeps: cf.sweeps}
+	return &conflictState{sweeps: cf.sweeps}
 }
 
 // RestoreState implements sim.Snapshotter.
 func (cf *Conflict) RestoreState(state sim.State) {
 	st := state.(*conflictState)
-	cf.setState(st.bench)
 	cf.sweeps = st.sweeps
 }
 
@@ -90,37 +88,21 @@ func (cf *Conflict) sweep(c *sim.Ctx) {
 			c.Read(a, 64)
 		}
 	}()
-	if cf.inWindow(c.Now()) {
+	if c.Measured() {
 		cf.sweeps++
 	}
-	if c.Now() < cf.stopAt {
+	if c.Now() < c.M.Horizon() {
 		c.Spawn(0, 0, func(cc *sim.Ctx) { cf.sweep(cc) })
 	}
 }
 
-func (cf *Conflict) start(stopAt uint64) {
-	if cf.started {
-		return
-	}
-	cf.started = true
-	cf.stopAt = stopAt
+// Start starts the ring walk (core.Runnable).
+func (cf *Conflict) Start() {
 	cf.M.Schedule(0, 0, func(c *sim.Ctx) { cf.sweep(c) })
 }
 
-// Prime starts the ring walk without running the machine.
-func (cf *Conflict) Prime(horizon uint64) { cf.start(horizon) }
-
-// RunWarmup runs to the warmup boundary with the measured window armed to
-// open there but never close.
-func (cf *Conflict) RunWarmup(warmup uint64) {
-	cf.warmupWindow(warmup)
-	cf.start(cf.stopAt)
-	cf.warm(warmup)
-}
-
-// RunMeasured arms and runs the measured window after a RunWarmup.
-func (cf *Conflict) RunMeasured(warmup, measure uint64) core.RunResult {
-	cf.measured(warmup, measure)
+// Result implements core.Runnable.
+func (cf *Conflict) Result(measure uint64) core.RunResult {
 	tput := float64(cf.sweeps) / seconds(measure)
 	layout := "aligned"
 	if cf.Cfg.Colored {

@@ -33,7 +33,7 @@ func DefaultFalseShareConfig() FalseShareConfig {
 
 // FalseShare is one instantiated false-sharing workload.
 type FalseShare struct {
-	*bench
+	bench
 	Cfg FalseShareConfig
 
 	StatType *mem.Type
@@ -56,7 +56,6 @@ func NewFalseShare(cfg FalseShareConfig) *FalseShare {
 }
 
 type falseShareState struct {
-	bench benchState
 	addrs []uint64
 	ops   []uint64
 }
@@ -68,13 +67,12 @@ func (st *falseShareState) Bytes() uint64 {
 
 // LiveBytes implements sim.Snapshotter.
 func (f *FalseShare) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*f)) + f.bench.liveBytes() + sim.SliceBytes(f.addrs) + sim.SliceBytes(f.ops)
+	return uint64(unsafe.Sizeof(*f)) + sim.SliceBytes(f.addrs) + sim.SliceBytes(f.ops)
 }
 
 // SnapshotState implements sim.Snapshotter.
 func (f *FalseShare) SnapshotState() sim.State {
 	return &falseShareState{
-		bench: f.state(),
 		addrs: append([]uint64(nil), f.addrs...),
 		ops:   append([]uint64(nil), f.ops...),
 	}
@@ -83,21 +81,15 @@ func (f *FalseShare) SnapshotState() sim.State {
 // RestoreState implements sim.Snapshotter.
 func (f *FalseShare) RestoreState(state sim.State) {
 	st := state.(*falseShareState)
-	f.setState(st.bench)
 	copy(f.addrs, st.addrs)
 	copy(f.ops, st.ops)
 }
 
-// start allocates the counters contiguously (one pool slab, one counter per
+// Start allocates the counters contiguously (one pool slab, one counter per
 // core) at cycle zero — after any profiler has attached, so history
 // collection can trap the allocations — then starts the per-core update
 // loops.
-func (f *FalseShare) start(stopAt uint64) {
-	if f.started {
-		return
-	}
-	f.started = true
-	f.stopAt = stopAt
+func (f *FalseShare) Start() {
 	f.M.Schedule(0, 0, func(c *sim.Ctx) {
 		for i := range f.addrs {
 			f.addrs[i] = f.A.Alloc(c, f.StatType)
@@ -119,30 +111,18 @@ func (f *FalseShare) step(c *sim.Ctx, core int) {
 			c.Read(f.addrs[core], 8)
 			c.Write(f.addrs[core], 8)
 			c.Compute(f.Cfg.Think)
-			if f.inWindow(c.Now()) {
+			if c.Measured() {
 				f.ops[core]++
 			}
 		}
 	}()
-	if c.Now() < f.stopAt {
+	if c.Now() < c.M.Horizon() {
 		c.Spawn(core, 0, func(cc *sim.Ctx) { f.step(cc, core) })
 	}
 }
 
-// Prime starts the update loops without running the machine.
-func (f *FalseShare) Prime(horizon uint64) { f.start(horizon) }
-
-// RunWarmup runs to the warmup boundary with the measured window armed to
-// open there but never close.
-func (f *FalseShare) RunWarmup(warmup uint64) {
-	f.warmupWindow(warmup)
-	f.start(f.stopAt)
-	f.warm(warmup)
-}
-
-// RunMeasured arms and runs the measured window after a RunWarmup.
-func (f *FalseShare) RunMeasured(warmup, measure uint64) core.RunResult {
-	f.measured(warmup, measure)
+// Result implements core.Runnable.
+func (f *FalseShare) Result(measure uint64) core.RunResult {
 	var total uint64
 	for _, n := range f.ops {
 		total += n

@@ -52,7 +52,7 @@ func DefaultNumaRemoteConfig() NumaRemoteConfig {
 
 // NumaRemote is one instantiated cross-chip allocation workload.
 type NumaRemote struct {
-	*bench
+	bench
 	Cfg NumaRemoteConfig
 
 	BufType   *mem.Type
@@ -104,7 +104,6 @@ func NewNumaRemote(cfg NumaRemoteConfig) *NumaRemote {
 }
 
 type numaRemoteState struct {
-	bench    benchState
 	consumed []uint64
 }
 
@@ -115,18 +114,17 @@ func (st *numaRemoteState) Bytes() uint64 {
 
 // LiveBytes implements sim.Snapshotter.
 func (n *NumaRemote) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*n)) + n.bench.liveBytes() + sim.SliceBytes(n.consumers) + sim.SliceBytes(n.consumed)
+	return uint64(unsafe.Sizeof(*n)) + sim.SliceBytes(n.consumers) + sim.SliceBytes(n.consumed)
 }
 
 // SnapshotState implements sim.Snapshotter.
 func (n *NumaRemote) SnapshotState() sim.State {
-	return &numaRemoteState{bench: n.state(), consumed: append([]uint64(nil), n.consumed...)}
+	return &numaRemoteState{consumed: append([]uint64(nil), n.consumed...)}
 }
 
 // RestoreState implements sim.Snapshotter.
 func (n *NumaRemote) RestoreState(state sim.State) {
 	st := state.(*numaRemoteState)
-	n.setState(st.bench)
 	copy(n.consumed, st.consumed)
 }
 
@@ -168,7 +166,7 @@ func (n *NumaRemote) consume(c *sim.Ctx, addrs []uint64) {
 		defer c.Leave(c.Enter("numa_consume"))
 		for _, addr := range addrs {
 			n.scan(c, addr)
-			if n.inWindow(c.Now()) {
+			if c.Measured() {
 				n.consumed[c.Core.ID]++
 			}
 		}
@@ -181,7 +179,7 @@ func (n *NumaRemote) consume(c *sim.Ctx, addrs []uint64) {
 				n.A.Free(pc, addr)
 			}
 		}()
-		if pc.Now() < n.stopAt {
+		if pc.Now() < pc.M.Horizon() {
 			n.produce(pc, consumer)
 		}
 	})
@@ -203,7 +201,7 @@ func (n *NumaRemote) localLoop(c *sim.Ctx) {
 		defer c.Leave(c.Enter("numa_consume"))
 		for _, addr := range addrs {
 			n.scan(c, addr)
-			if n.inWindow(c.Now()) {
+			if c.Measured() {
 				n.consumed[c.Core.ID]++
 			}
 		}
@@ -214,17 +212,13 @@ func (n *NumaRemote) localLoop(c *sim.Ctx) {
 			n.A.Free(c, addr)
 		}
 	}()
-	if c.Now() < n.stopAt {
+	if c.Now() < c.M.Horizon() {
 		c.Spawn(c.Core.ID, n.Cfg.HandoffNs, func(cc *sim.Ctx) { n.localLoop(cc) })
 	}
 }
 
-func (n *NumaRemote) start(stopAt uint64) {
-	if n.started {
-		return
-	}
-	n.started = true
-	n.stopAt = stopAt
+// Start starts the rounds (core.Runnable).
+func (n *NumaRemote) Start() {
 	for i, consumer := range n.consumers {
 		consumer := consumer
 		if n.Cfg.LocalAlloc {
@@ -235,20 +229,8 @@ func (n *NumaRemote) start(stopAt uint64) {
 	}
 }
 
-// Prime starts the rounds without running the machine.
-func (n *NumaRemote) Prime(horizon uint64) { n.start(horizon) }
-
-// RunWarmup runs to the warmup boundary with the measured window armed to
-// open there but never close.
-func (n *NumaRemote) RunWarmup(warmup uint64) {
-	n.warmupWindow(warmup)
-	n.start(n.stopAt)
-	n.warm(warmup)
-}
-
-// RunMeasured arms and runs the measured window after a RunWarmup.
-func (n *NumaRemote) RunMeasured(warmup, measure uint64) core.RunResult {
-	n.measured(warmup, measure)
+// Result implements core.Runnable.
+func (n *NumaRemote) Result(measure uint64) core.RunResult {
 	var total uint64
 	for _, v := range n.consumed {
 		total += v

@@ -126,7 +126,7 @@ func TestScenariosStopAtHorizon(t *testing.T) {
 		NewNumaRemote(DefaultNumaRemoteConfig()),
 	}
 	for _, inst := range insts {
-		inst.Prime(300_000)
+		core.Prime(inst, 300_000)
 		inst.Machine().RunAll()
 		if now := inst.Machine().MaxCoreTime(); now < 300_000 || now > 5_000_000 {
 			t.Errorf("%T ran to %d cycles (horizon 300k)", inst, now)

@@ -45,7 +45,7 @@ func DefaultTrueShareConfig() TrueShareConfig {
 
 // TrueShare is one instantiated true-sharing workload.
 type TrueShare struct {
-	*bench
+	bench
 	Cfg TrueShareConfig
 
 	JobType      *mem.Type
@@ -80,7 +80,6 @@ func NewTrueShare(cfg TrueShareConfig) *TrueShare {
 }
 
 type trueShareState struct {
-	bench     benchState
 	completed []uint64
 	// The bucket locks are workload-owned, so their per-instance state is
 	// captured here (the registry checkpoint only covers class counters).
@@ -94,7 +93,7 @@ func (st *trueShareState) Bytes() uint64 {
 
 // LiveBytes implements sim.Snapshotter.
 func (t *TrueShare) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*t)) + t.bench.liveBytes() + sim.SliceBytes(t.counterAddrs) +
+	return uint64(unsafe.Sizeof(*t)) + sim.SliceBytes(t.counterAddrs) +
 		sim.SliceBytes(t.locks) + sim.SliceBytes(t.completed) +
 		uint64(len(t.locks))*uint64(unsafe.Sizeof(lockstat.Lock{}))
 }
@@ -102,7 +101,6 @@ func (t *TrueShare) LiveBytes() uint64 {
 // SnapshotState implements sim.Snapshotter.
 func (t *TrueShare) SnapshotState() sim.State {
 	st := &trueShareState{
-		bench:     t.state(),
 		completed: append([]uint64(nil), t.completed...),
 		locks:     make([]lockstat.LockState, len(t.locks)),
 	}
@@ -115,7 +113,6 @@ func (t *TrueShare) SnapshotState() sim.State {
 // RestoreState implements sim.Snapshotter.
 func (t *TrueShare) RestoreState(state sim.State) {
 	st := state.(*trueShareState)
-	t.setState(st.bench)
 	copy(t.completed, st.completed)
 	for i, l := range t.locks {
 		l.SetState(st.locks[i])
@@ -172,21 +169,17 @@ func (t *TrueShare) consume(c *sim.Ctx, producer int, addr uint64) {
 		t.locks[b].Release(c)
 	}()
 	t.A.Free(c, addr)
-	if t.inWindow(c.Now()) {
+	if c.Measured() {
 		t.completed[c.Core.ID]++
 	}
-	if c.Now() < t.stopAt {
+	if c.Now() < c.M.Horizon() {
 		producer := producer
 		c.Spawn(producer, t.Cfg.HandoffNs, func(pc *sim.Ctx) { t.produce(pc, producer) })
 	}
 }
 
-func (t *TrueShare) start(stopAt uint64) {
-	if t.started {
-		return
-	}
-	t.started = true
-	t.stopAt = stopAt
+// Start starts the closed loops (core.Runnable).
+func (t *TrueShare) Start() {
 	for core := 0; core < t.M.NumCores(); core++ {
 		for w := 0; w < t.Cfg.Window; w++ {
 			core := core
@@ -195,20 +188,8 @@ func (t *TrueShare) start(stopAt uint64) {
 	}
 }
 
-// Prime starts the closed loops without running the machine.
-func (t *TrueShare) Prime(horizon uint64) { t.start(horizon) }
-
-// RunWarmup runs to the warmup boundary with the measured window armed to
-// open there but never close.
-func (t *TrueShare) RunWarmup(warmup uint64) {
-	t.warmupWindow(warmup)
-	t.start(t.stopAt)
-	t.warm(warmup)
-}
-
-// RunMeasured arms and runs the measured window after a RunWarmup.
-func (t *TrueShare) RunMeasured(warmup, measure uint64) core.RunResult {
-	t.measured(warmup, measure)
+// Result implements core.Runnable.
+func (t *TrueShare) Result(measure uint64) core.RunResult {
 	var total uint64
 	for _, n := range t.completed {
 		total += n

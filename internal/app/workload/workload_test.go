@@ -29,9 +29,8 @@ func newFakeRunnable() *fakeRunnable {
 func (f *fakeRunnable) Machine() *sim.Machine     { return f.m }
 func (f *fakeRunnable) Alloc() *mem.Allocator     { return f.alloc }
 func (f *fakeRunnable) Locks() *lockstat.Registry { return f.locks }
-func (f *fakeRunnable) Prime(uint64)              {}
-func (f *fakeRunnable) RunWarmup(uint64)          {}
-func (f *fakeRunnable) RunMeasured(w, m uint64) core.RunResult {
+func (f *fakeRunnable) Start()                    {}
+func (f *fakeRunnable) Result(uint64) core.RunResult {
 	return core.RunResult{Summary: "fake"}
 }
 

@@ -6,6 +6,7 @@ import (
 	_ "dprof/internal/app/all" // register every workload
 	"dprof/internal/app/workload"
 	"dprof/internal/cache"
+	"dprof/internal/core"
 	"dprof/internal/sim"
 )
 
@@ -59,7 +60,7 @@ func recordWorkload(t *testing.T, name string, prefix int) (*sim.Machine, []acce
 			write: ev.Write,
 		})
 	})
-	inst.Prime(^uint64(0))
+	core.Prime(inst, sim.Unbounded)
 	const step = 10_000 // cycles per Run slice: bounds the overshoot past prefix
 	for until := uint64(step); len(rec) < prefix && m.Pending() > 0; until += step {
 		m.Run(until)

@@ -15,7 +15,7 @@ func TestMemcachedDataProfile(t *testing.T) {
 	b := memcachedsim.New(memcachedsim.DefaultConfig())
 	p := core.Attach(b.M, b.K.Alloc, core.DefaultConfig())
 	p.StartSampling()
-	b.Run(1_000_000, 10_000_000)
+	core.RunBare(b, 1_000_000, 10_000_000)
 
 	dp := p.DataProfile()
 	if len(dp.Rows) == 0 {
@@ -50,7 +50,7 @@ func TestMemcachedDataFlow(t *testing.T) {
 	p.StartSampling()
 	p.Collector.WatchLen = 8
 	p.CollectHistories(2, b.K.SkbType)
-	b.Run(1_000_000, 60_000_000)
+	core.RunBare(b, 1_000_000, 60_000_000)
 
 	hs := p.Collector.Histories(b.K.SkbType)
 	if len(hs) == 0 {

@@ -6,6 +6,7 @@ import (
 	"dprof/internal/app/apachesim"
 	"dprof/internal/app/memcachedsim"
 	"dprof/internal/core"
+	"dprof/internal/sim"
 )
 
 // TestPairwiseOnMemcached exercises the full §5.3 pairwise pipeline against
@@ -17,7 +18,7 @@ func TestPairwiseOnMemcached(t *testing.T) {
 	cfg.WatchLen = 8
 	p := core.Attach(b.M, b.K.Alloc, cfg)
 	p.StartSampling()
-	b.Prime()
+	core.Prime(b, sim.Unbounded)
 	b.M.Run(5_000_000) // sampling warm-up so hot offsets exist
 
 	skb := b.K.SkbType
@@ -72,7 +73,7 @@ func TestApacheTcpSockHistories(t *testing.T) {
 	p.Collector.MaxLifetime = 2_000_000
 	p.Collector.AddSingleTargetsRange(b.K.TCPSockType, 0, 64, 2)
 	p.Collector.Start()
-	b.Prime(600_000_000)
+	core.Prime(b, 600_000_000)
 	for t0 := uint64(10_000_000); t0 <= 600_000_000 && p.Collector.Pending() > 0; t0 += 10_000_000 {
 		b.M.Run(t0)
 	}

@@ -39,12 +39,9 @@ func newTickWorkload() *tickWorkload {
 func (w *tickWorkload) Machine() *sim.Machine     { return w.m }
 func (w *tickWorkload) Alloc() *mem.Allocator     { return w.alloc }
 func (w *tickWorkload) Locks() *lockstat.Registry { return w.locks }
-func (w *tickWorkload) Prime(uint64)              {}
+func (w *tickWorkload) Start()                    {}
 
-func (w *tickWorkload) RunWarmup(warmup uint64) { w.m.Run(warmup) }
-
-func (w *tickWorkload) RunMeasured(warmup, measure uint64) core.RunResult {
-	w.m.Run(warmup + measure)
+func (w *tickWorkload) Result(uint64) core.RunResult {
 	return core.RunResult{Values: map[string]float64{
 		"now":   float64(w.m.Now()),
 		"clock": float64(w.m.Core(0).Now()),

@@ -22,13 +22,17 @@ type RunResult struct {
 	Values  map[string]float64
 }
 
-// Runnable is the contract between a profiling Session and a workload
-// instance: the machine and allocator the profilers attach to, the lock
-// registry the lock-stat baseline reads, and the run lifecycle, split at the
-// warmup boundary. RunWarmup drives the machine to the boundary with the
-// measured window disarmed; RunMeasured arms it and runs the measured phase,
-// on the same machine or on one restored from a checkpoint taken between
-// the two (Session.Warmup). RunBare runs both back to back.
+// Runnable is what a workload instance gives the run lifecycle: the machine
+// and allocator the profilers attach to, the lock registry the lock-stat
+// baseline reads, a Start that schedules its load generators, and a Result
+// that reads its measured window. The rest is this package's: warmUp and
+// measureRun set the machine's measured window and stop horizon
+// (sim.Machine.SetMeasureWindow), run the machine and reset its cache
+// statistics, for Session.Run, Session.Warmup with Checkpoint.Fork, and
+// RunBare alike; Prime starts a workload for callers that drive the machine
+// themselves. Workloads read the window through sim.Ctx.Measured and the
+// horizon through sim.Machine.Horizon, and a checkpoint restores both with
+// the machine.
 //
 // Workload packages register constructors for Runnables in the
 // internal/app/workload registry; Session neither knows nor cares which
@@ -40,22 +44,53 @@ type Runnable interface {
 	Alloc() *mem.Allocator
 	// Locks returns the lock registry the lock-stat baseline reports from.
 	Locks() *lockstat.Registry
-	// Prime starts the workload's load generators without running the
-	// machine, so callers can drive Machine().Run incrementally. horizon
-	// bounds open-loop generators; closed-loop workloads may ignore it.
-	Prime(horizon uint64)
-	// RunWarmup executes the warmup phase and resets cache statistics at
-	// the boundary.
-	RunWarmup(warmup uint64)
-	// RunMeasured executes the measured phase that follows a RunWarmup.
-	RunMeasured(warmup, measure uint64) RunResult
+	// Start schedules the workload's load generators without running the
+	// machine. The lifecycle calls it once per instance.
+	Start()
+	// Result summarizes the measured window, measure cycles long, once the
+	// machine has run through it.
+	Result(measure uint64) RunResult
+}
+
+// warmUp opens the measured window at the warmup boundary, with its end and
+// the stop horizon unbounded, starts r, and runs it to the boundary, where
+// cache statistics reset: the state a warm-start checkpoint captures. The
+// open ends change nothing a run observes: no event before the boundary
+// runs within a measured length of them. Work that overshoots the boundary
+// mid-task counts as measured, on every path alike.
+func warmUp(r Runnable, warmup uint64) {
+	m := r.Machine()
+	m.SetMeasureWindow(warmup, sim.Unbounded, sim.Unbounded)
+	r.Start()
+	m.Run(warmup)
+	m.Hier.ResetStats()
+}
+
+// measureRun closes the measured window and the stop horizon at
+// warmup+measure, runs the machine there and reads r's result. It continues
+// a warmUp on the same machine, or on one restored from a checkpoint taken
+// between the two.
+func measureRun(r Runnable, warmup, measure uint64) RunResult {
+	end := warmup + measure
+	m := r.Machine()
+	m.SetMeasureWindow(warmup, end, end)
+	m.Run(end)
+	return r.Result(measure)
 }
 
 // RunBare runs r's warmup and measured phases back to back with no profiler
 // attached: the paper's clean baseline runs.
 func RunBare(r Runnable, warmup, measure uint64) RunResult {
-	r.RunWarmup(warmup)
-	return r.RunMeasured(warmup, measure)
+	warmUp(r, warmup)
+	return measureRun(r, warmup, measure)
+}
+
+// Prime starts r with its generators stopping at horizon and nothing
+// measured, without running the machine: callers that drive Machine().Run
+// incrementally (history collection) start workloads this way.
+func Prime(r Runnable, horizon uint64) {
+	r.Machine().SetMeasureWindow(0, 0, horizon)
+	r.Start()
 }
 
 // KnownViews lists the five DProf views in presentation order (§4).
@@ -206,13 +241,13 @@ func (s *Session) warm() {
 	if s.windowed() {
 		s.p.StartWindows(s.cfg.WindowCycles, s.cfg.Views, s.p.Desc(s.target), s.cfg.OnWindow)
 	}
-	s.w.RunWarmup(s.cfg.Warmup)
+	warmUp(s.w, s.cfg.Warmup)
 }
 
 // measure runs the measured phase that follows warm (or a checkpoint
 // restore) and settles the profilers so the views read this run.
 func (s *Session) measure(measure uint64) RunResult {
-	s.result = s.w.RunMeasured(s.cfg.Warmup, measure)
+	s.result = measureRun(s.w, s.cfg.Warmup, measure)
 	if s.windowed() {
 		s.p.FinishWindows()
 	}

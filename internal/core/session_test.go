@@ -20,8 +20,6 @@ type toyWorkload struct {
 
 	msgType *mem.Type
 	rounds  uint64
-	stopAt  uint64
-	started bool
 }
 
 func newToyWorkload() *toyWorkload {
@@ -38,15 +36,10 @@ func (w *toyWorkload) Machine() *sim.Machine     { return w.m }
 func (w *toyWorkload) Alloc() *mem.Allocator     { return w.alloc }
 func (w *toyWorkload) Locks() *lockstat.Registry { return w.locks }
 
-func (w *toyWorkload) Prime(horizon uint64) {
-	if w.started {
-		return
-	}
-	w.started = true
-	w.stopAt = horizon
+func (w *toyWorkload) Start() {
 	var produce func(c *sim.Ctx)
 	produce = func(c *sim.Ctx) {
-		if c.Now() >= w.stopAt {
+		if c.Now() >= c.M.Horizon() {
 			return
 		}
 		addr := w.alloc.Alloc(c, w.msgType)
@@ -67,17 +60,7 @@ func (w *toyWorkload) Prime(horizon uint64) {
 	w.m.Schedule(0, 0, produce)
 }
 
-// RunWarmup runs with the stop horizon open; RunMeasured closes it at the
-// end of the measured window.
-func (w *toyWorkload) RunWarmup(warmup uint64) {
-	w.Prime(^uint64(0))
-	w.m.Run(warmup)
-	w.m.Hier.ResetStats()
-}
-
-func (w *toyWorkload) RunMeasured(warmup, measure uint64) core.RunResult {
-	w.stopAt = warmup + measure
-	w.m.Run(warmup + measure)
+func (w *toyWorkload) Result(uint64) core.RunResult {
 	return core.RunResult{
 		Summary: "toy workload run",
 		Values:  map[string]float64{"rounds": float64(w.rounds)},

@@ -30,7 +30,7 @@ type liveWorkload struct {
 // and primes it so the machine can be driven incrementally with w.m.Run.
 func newWorkload(app string, horizon uint64) *liveWorkload {
 	inst := build(app, nil)
-	inst.Prime(horizon)
+	core.Prime(inst, horizon)
 	m := inst.Machine()
 	return &liveWorkload{name: app, m: m, alloc: inst.Alloc()}
 }

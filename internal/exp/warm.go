@@ -221,14 +221,8 @@ func sessionKey(name string, opts map[string]string, scfg core.SessionConfig) st
 }
 
 // session runs a profiled session and hands it, still locked, to read.
-// Streamed sessions (OnWindow) always run cold: their callback is part of
-// the run.
 func (rc RunCfg) session(name string, opts map[string]string, scfg core.SessionConfig, read func(*core.Session, core.RunResult)) {
-	m := rc.memo
-	if scfg.OnWindow != nil {
-		m = nil
-	}
-	m.do(rc.name, sessionKey(name, opts, scfg), func() *finishedRun {
+	rc.memo.do(rc.name, sessionKey(name, opts, scfg), func() *finishedRun {
 		s := mustSession(build(name, opts), scfg)
 		return &finishedRun{s: s, res: s.Run()}
 	}, func(r *finishedRun) { read(r.s, r.res) })

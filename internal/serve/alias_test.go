@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
@@ -225,26 +224,7 @@ func TestRequestAlias(t *testing.T) {
 	t.Run("streams bypass the alias", func(t *testing.T) {
 		_, ts := newTestServer(t, Config{})
 		check(t, ts, "first", "/profile", quickProfile, "miss", doc)
-		resp, got := postDiffOrProfile(t, ts.URL+"/profile?stream=ndjson", quickProfile)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("stream: status %d: %s", resp.StatusCode, got)
-		}
-		var result []byte
-		sc := bufio.NewScanner(bytes.NewReader(got))
-		sc.Buffer(nil, 1<<24)
-		for sc.Scan() {
-			var ev struct {
-				Event string          `json:"event"`
-				Data  json.RawMessage `json:"data"`
-			}
-			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-				t.Fatalf("stream line %q: %v", sc.Bytes(), err)
-			}
-			if ev.Event == "result" {
-				result = ev.Data
-			}
-		}
-		if !bytes.Equal(append(result, '\n'), doc) {
+		if !bytes.Equal(streamResult(t, ts, quickProfile), doc) {
 			t.Error("stream result differs from the library render")
 		}
 		counters(t, ts, "stream", aliasCounters{Hits: 1, Misses: 1, Aliases: 1})

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"dprof/internal/app/workload"
 	"dprof/internal/core"
 )
 
@@ -217,5 +218,109 @@ func TestProfileParksPoolEntries(t *testing.T) {
 	if entries, dense, prof, alloc := parkedBytes(s); entries != len(reqs) || dense != 0 || prof != 0 || alloc != 0 {
 		t.Errorf("after the re-requests, %d pool entries hold %d releasable bytes (%d profiler, %d allocator), want %d holding none",
 			entries, dense, prof, alloc, len(reqs))
+	}
+}
+
+// streamResult posts body to /profile as an NDJSON stream and returns its
+// result event's document, newline-terminated as a plain response is.
+func streamResult(t *testing.T, ts *httptest.Server, body string) []byte {
+	t.Helper()
+	resp, got := postDiffOrProfile(t, ts.URL+"/profile?stream=ndjson", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: status %d: %s", resp.StatusCode, got)
+	}
+	for _, line := range bytes.Split(got, []byte("\n")) {
+		var ev struct {
+			Event string          `json:"event"`
+			Data  json.RawMessage `json:"data"`
+		}
+		if len(line) == 0 {
+			continue
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("stream line %q: %v", line, err)
+		}
+		if ev.Event == "result" {
+			return append(ev.Data, '\n')
+		}
+	}
+	t.Fatalf("stream ended without a result: %s", got)
+	return nil
+}
+
+// TestProfileStreamedUnwindowedForks: an unwindowed key has no window
+// stream, so a streamed request for it warms the checkpoint pool like a
+// plain one, and a plain request for another measured length forks from
+// that checkpoint. Both bodies are the library render.
+func TestProfileStreamedUnwindowedForks(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	streamed := `{"workload":"falseshare","views":["dataprofile"],"measure_ms":1,"quick":true}`
+	plain := `{"workload":"falseshare","views":["dataprofile"],"measure_ms":2,"quick":true}`
+	if got, want := streamResult(t, ts, streamed), coldProfile(t, s, streamed); !bytes.Equal(got, want) {
+		t.Errorf("streamed result differs from the library render:\n--- cold ---\n%s\n--- streamed ---\n%s", want, got)
+	}
+	checkMatchesCold(t, s, ts, plain)
+	if st := s.ckpts.Stats(); st.Captures != 1 || st.Forks != 2 {
+		t.Errorf("pool stats = %+v, want 1 capture and 2 forks", st)
+	}
+}
+
+// TestDataProfileSessionsKeepNoRecords: a key whose views read no address
+// records builds a session that keeps none, and for every registered
+// workload its {dataprofile} document is byte-identical to a recording
+// session's.
+func TestDataProfileSessionsKeepNoRecords(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, name := range workload.Names() {
+		req := ProfileRequest{Workload: name, Views: []string{"dataprofile"}, MeasureMs: 1}
+		k, err := s.normalize(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := s.buildSession(k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Run()
+		got, err := renderProfile(sess, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := sess.Profiler().AddressSet().Len(); n != 0 {
+			t.Errorf("%s: session holds %d address records, want 0", name, n)
+		}
+
+		w, err := workload.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := workload.NewConfig(w, k.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := workload.BuildInstance(w, cfg.WithQuick(k.Quick))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcfg := core.DefaultConfig()
+		pcfg.SampleRate = k.Rate
+		rec, err := core.NewSession(inst, core.SessionConfig{
+			Profiler: pcfg, Views: k.Views, TypeName: k.Type, Sets: k.Sets,
+			Warmup: k.WarmupCycles, Measure: k.MeasureCycles,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Run()
+		if rec.Profiler().AddressSet().Len() == 0 {
+			t.Errorf("%s: the recording session kept no records", name)
+		}
+		want, err := renderProfile(rec, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the no-records document differs from the recording session's", name)
+		}
 	}
 }

@@ -68,6 +68,13 @@ func (k profileKey) warmAddress() string {
 	return contentAddress("warm/", k)
 }
 
+// windowMs is the key's accounting-window length in milliseconds, 0 when
+// the session runs as one window (window-ms unset or not positive).
+func (k profileKey) windowMs() uint64 {
+	wms, _ := strconv.ParseUint(k.Options["window-ms"], 10, 64)
+	return wms
+}
+
 // contentAddress is prefix plus the hex SHA-256 of key's JSON encoding.
 func contentAddress(prefix string, key any) string {
 	raw, err := json.Marshal(key)
@@ -189,7 +196,7 @@ func (s *Server) normalize(req *ProfileRequest) (profileKey, error) {
 	// Windowed sessions re-render every requested view at each boundary and
 	// embed every snapshot in the response, so the window count is a cost
 	// amplifier the same way sets and rate are: cap it.
-	if wms, err := strconv.ParseUint(k.Options["window-ms"], 10, 64); err == nil && wms > 0 {
+	if wms := k.windowMs(); wms > 0 {
 		if n := (k.WarmupCycles + k.MeasureCycles) / (wms * 1_000_000); n > maxWindows {
 			return profileKey{}, &TooLargeError{Field: "windows", Value: n, Max: maxWindows}
 		}
@@ -251,8 +258,10 @@ func (e *BuildError) Unwrap() error { return e.Err }
 
 // buildSession constructs the workload instance and profiling session for a
 // normalized key — the shared front half of the cold and warm-start run
-// paths. onWindow, when non-nil and the session is windowed (window-ms > 0),
-// receives every window snapshot as its boundary closes.
+// paths. onWindow, when non-nil, receives every window snapshot of a
+// windowed key as its boundary closes. A key whose views read no address
+// records (neither workingset nor missclass, which reads the working set)
+// keeps none: its document is byte-identical without them.
 func (s *Server) buildSession(k profileKey, onWindow func(*core.WindowSnapshot)) (*core.Session, error) {
 	w, err := workload.Lookup(k.Workload)
 	if err != nil {
@@ -269,6 +278,9 @@ func (s *Server) buildSession(k profileKey, onWindow func(*core.WindowSnapshot))
 
 	pcfg := core.DefaultConfig()
 	pcfg.SampleRate = k.Rate
+	if !slices.Contains(k.Views, "workingset") && !slices.Contains(k.Views, "missclass") {
+		pcfg.MaxAddrRecords = core.NoAddrRecords
+	}
 	scfg := core.SessionConfig{
 		Profiler:     pcfg,
 		Views:        k.Views,
@@ -277,9 +289,7 @@ func (s *Server) buildSession(k profileKey, onWindow func(*core.WindowSnapshot))
 		Warmup:       k.WarmupCycles,
 		Measure:      k.MeasureCycles,
 		WindowCycles: workload.WindowCycles(cfg),
-	}
-	if onWindow != nil && scfg.WindowCycles > 0 {
-		scfg.OnWindow = onWindow
+		OnWindow:     onWindow,
 	}
 	return core.NewSession(inst, scfg)
 }
@@ -309,16 +319,17 @@ func renderProfile(sess *core.Session, k profileKey) ([]byte, error) {
 // (core.Checkpoint.Park): its machine hands its dense cache arrays to the
 // cache package's recycler, and the next fork takes arrays back. Forks are
 // byte-identical to cold runs (the core warm-start contract), so the body
-// cache and the replica ring never observe the difference. Streamed
-// (windowed) sessions always run cold: a fork replays only the measured
-// phase, but a live window stream owns the whole run.
+// cache and the replica ring never observe the difference. A streamed
+// request for a windowed key runs cold: a fork replays only the measured
+// phase, but a live window stream owns the whole run. An unwindowed key
+// has no windows to stream, so it forks whether streamed or not.
 func (s *Server) runProfile(k profileKey, onWindow func(*core.WindowSnapshot)) (body []byte, err error) {
 	if err := s.acquire(); err != nil {
 		return nil, err
 	}
 	defer s.release()
 
-	if onWindow == nil {
+	if onWindow == nil || k.windowMs() == 0 {
 		err = s.ckpts.Do(k.warmAddress(), func() (*core.Checkpoint, error) {
 			sess, err := s.buildSession(k, nil)
 			if err != nil {

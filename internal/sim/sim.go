@@ -313,6 +313,7 @@ type Machine struct {
 	ctxs     []Ctx
 
 	wheel eventWheel
+	win   measuredWindow
 
 	accessHooks []AccessHook
 	armers      []HookArm // parallel to accessHooks
@@ -330,7 +331,19 @@ type Machine struct {
 	snapshotters []Snapshotter
 }
 
-// New builds a machine.
+// Unbounded is the open end of a measured window or a stop horizon.
+const Unbounded = ^uint64(0)
+
+// measuredWindow is a run's measured interval [from, to), the only time its
+// workload counts throughput, and the horizon past which its load
+// generators stop issuing work.
+type measuredWindow struct {
+	from, to, horizon uint64
+}
+
+// New builds a machine. It starts with an empty measured window and an
+// unbounded horizon: until SetMeasureWindow, generators never stop and
+// nothing counts as measured.
 func New(cfg Config) *Machine {
 	topo := cfg.Topology
 	if topo == (cache.Topology{}) {
@@ -347,6 +360,7 @@ func New(cfg Config) *Machine {
 		Hier:     cache.NewTopo(cfg.Cache, topo),
 		topo:     topo,
 		lineSize: cfg.Cache.LineSize,
+		win:      measuredWindow{horizon: Unbounded},
 		Overhead: make(map[string]uint64),
 	}
 	m.cores = make([]*Core, n)
@@ -472,6 +486,15 @@ func (m *Machine) SetWindowTicks(length uint64, fn func(boundary uint64)) {
 	m.wheel.setWindowTicks(length, fn)
 }
 
+// SetMeasureWindow sets the measured window [from, to) and the load
+// generators' stop horizon. Snapshot and Restore carry all three.
+func (m *Machine) SetMeasureWindow(from, to, horizon uint64) {
+	m.win = measuredWindow{from: from, to: to, horizon: horizon}
+}
+
+// Horizon is the cycle at or past which load generators stop issuing work.
+func (m *Machine) Horizon() uint64 { return m.win.horizon }
+
 // Schedule queues fn to run on core at absolute time t (or as soon as the
 // core is free, if later).
 func (m *Machine) Schedule(core int, t uint64, fn TaskFunc) {
@@ -552,6 +575,12 @@ func (c *Ctx) Fn() sym.PC { return c.Core.Fn() }
 
 // Now returns the core's cycle clock.
 func (c *Ctx) Now() uint64 { return c.Core.now }
+
+// Measured reports whether the core's clock is inside the machine's
+// measured window, the interval a workload counts its throughput over.
+func (c *Ctx) Measured() bool {
+	return c.Core.now >= c.M.win.from && c.Core.now < c.M.win.to
+}
 
 // Read performs a load of size bytes at addr.
 func (c *Ctx) Read(addr uint64, size uint32) { c.access(addr, size, false) }

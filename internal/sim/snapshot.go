@@ -131,6 +131,7 @@ type wheelState struct {
 // workload objects) and immutable once taken.
 type Snapshot struct {
 	wheel    wheelState
+	win      measuredWindow
 	cores    []coreState
 	overhead map[string]uint64
 	ranges   []WatchRange
@@ -148,9 +149,9 @@ type Snapshot struct {
 }
 
 // Snapshot captures the machine: the event wheel (bypass slot and window-tick
-// state included), every core's clock/stack/RNG position, hook arming, the
-// profiling-overhead tally, the full cache hierarchy, and every registered
-// Snapshotter's state. It must be taken at a task boundary (between Run
+// state included), the measured window and stop horizon, every core's
+// clock/stack/RNG position, hook arming, the profiling-overhead tally, the
+// full cache hierarchy, and every registered Snapshotter's state. It must be taken at a task boundary (between Run
 // calls, or from a window-boundary callback), never from inside a running
 // task.
 func (m *Machine) Snapshot() *Snapshot {
@@ -165,6 +166,7 @@ func (m *Machine) Snapshot() *Snapshot {
 			winNext: m.wheel.winNext,
 			winFn:   m.wheel.winFn,
 		},
+		win:      m.win,
 		cores:    make([]coreState, len(m.cores)),
 		overhead: make(map[string]uint64, len(m.Overhead)),
 		ranges:   append([]WatchRange(nil), m.ranges...),
@@ -209,6 +211,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.wheel.winLen = s.wheel.winLen
 	m.wheel.winNext = s.wheel.winNext
 	m.wheel.winFn = s.wheel.winFn
+	m.win = s.win
 	for i, cs := range s.cores {
 		c := m.cores[i]
 		c.now = cs.now

@@ -215,3 +215,32 @@ func TestSnapshotBytesSumsComponents(t *testing.T) {
 		t.Errorf("restore left the hierarchy at %d dense bytes and the component at %d", tm.m.Hier.DenseBytes(), f.dense)
 	}
 }
+
+// TestRestoreRewindsMeasureWindow: a restore puts back the measured window
+// and the stop horizon the snapshot captured, after a run that moved both,
+// and the window is half-open at each end: its first cycle is measured, the
+// cycle before it and its end are not.
+func TestRestoreRewindsMeasureWindow(t *testing.T) {
+	m := testMachine(1)
+	m.SetMeasureWindow(1_000, 2_000, 3_000)
+	snap := m.Snapshot()
+	m.Schedule(0, 0, func(c *Ctx) { c.M.SetMeasureWindow(5_000, Unbounded, 0) })
+	m.Run(10)
+	if m.Horizon() != 0 {
+		t.Fatalf("the run left horizon %d, want 0", m.Horizon())
+	}
+
+	m.Restore(snap)
+	if h := m.Horizon(); h != 3_000 {
+		t.Errorf("restored horizon = %d, want 3000", h)
+	}
+	got := map[uint64]bool{}
+	for _, at := range []uint64{999, 1_000, 1_999, 2_000} {
+		m.Schedule(0, at, func(c *Ctx) { got[c.Now()] = c.Measured() })
+	}
+	m.RunAll()
+	want := map[uint64]bool{999: false, 1_000: true, 1_999: true, 2_000: false}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("measured by cycle = %v, want %v", got, want)
+	}
+}
