@@ -36,7 +36,7 @@ func profile(colored, quick bool, label string) {
 	win := w.Windows(quick)
 	inst := workload.MustBuild("conflict", map[string]string{"colored": strconv.FormatBool(colored)})
 	s, err := core.NewSession(inst, core.SessionConfig{
-		Profiler: core.Config{SampleRate: 200_000, WatchLen: 8},
+		Profiler: core.Config{SampleRate: 200_000},
 		Warmup:   win.Warmup,
 		Measure:  win.Measure,
 	})

@@ -35,7 +35,7 @@ func profile(padded, quick bool) (core.RunResult, *core.Profiler) {
 	win := w.Windows(quick)
 	inst := workload.MustBuild("falseshare", map[string]string{"padded": strconv.FormatBool(padded)})
 	s, err := core.NewSession(inst, core.SessionConfig{
-		Profiler:    core.Config{SampleRate: 100_000, WatchLen: 8},
+		Profiler:    core.Config{SampleRate: 100_000},
 		TypeName:    "pkt_stat",
 		Sets:        1,
 		MaxLifetime: (win.Warmup + win.Measure) / 2, // the counters live forever; truncate so traces exist

@@ -38,10 +38,8 @@ func main() {
 	}
 
 	fmt.Println("--- step 1: profile the broken configuration ---")
-	pcfg := core.DefaultConfig()
-	pcfg.WatchLen = 8
 	s, err := core.NewSession(workload.MustBuild("memcached", nil), core.SessionConfig{
-		Profiler:   pcfg,
+		Profiler:   core.DefaultConfig(),
 		TypeName:   "skbuff",
 		Sets:       2,
 		WatchRange: 128, // the header region is enough to see the transmit path

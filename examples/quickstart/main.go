@@ -139,7 +139,7 @@ func main() {
 	// (Each watched object costs ~220k cycles of setup broadcast, §6.4 —
 	// one set keeps that overhead small next to the run window.)
 	s, err := core.NewSession(newPingPong(rounds, measure), core.SessionConfig{
-		Profiler: core.Config{SampleRate: 50_000, WatchLen: 8},
+		Profiler: core.Config{SampleRate: 50_000},
 		TypeName: "message",
 		Sets:     1,
 		Warmup:   0,

@@ -14,7 +14,6 @@ package apachesim
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"dprof/internal/kernel"
 	"dprof/internal/mem"
@@ -143,7 +142,12 @@ func New(cfg Config) *Bench {
 		core := core
 		l.Epoll.Wakeup = func(c *sim.Ctx) { b.wakeApp(c, core) }
 	}
-	m.AddSnapshotter(b)
+	// Connections never outlive the listener task that serves them, so the
+	// kernel's accept-queue capture covers every live TCPConn.
+	sim.RewindSlices(m, &b.rr)
+	sim.RewindSlices(m, &b.appQueued)
+	sim.RewindSlices(m, &b.completed)
+	sim.RewindValues(m, &b.queueDelay, &b.accepted)
 	return b
 }
 
@@ -273,55 +277,4 @@ func (b *Bench) stats(measure uint64) Stats {
 	}
 	st.Throughput = float64(st.Completed) / (float64(measure) / float64(sim.Freq))
 	return st
-}
-
-// benchState is the workload-level mutable state a warm-start checkpoint
-// captures on top of the machine/kernel layers. Connections never outlive
-// the listener task that serves them, so the kernel's accept-queue capture
-// covers every live TCPConn.
-type benchState struct {
-	rr         []int
-	appQueued  []bool
-	completed  []uint64
-	queueDelay uint64
-	accepted   uint64
-}
-
-// Bytes implements sim.State.
-func (st *benchState) Bytes() uint64 {
-	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.rr) + sim.SliceBytes(st.appQueued) + sim.SliceBytes(st.completed)
-}
-
-// LiveBytes implements sim.Snapshotter: the bench, its per-core tables and
-// its tasks. The listeners are the kernel's.
-func (b *Bench) LiveBytes() uint64 {
-	n := uint64(unsafe.Sizeof(*b)) + sim.SliceBytes(b.listeners) + sim.SliceBytes(b.listTask) +
-		sim.SliceBytes(b.workers) + sim.SliceBytes(b.rr) + sim.SliceBytes(b.appQueued) + sim.SliceBytes(b.completed)
-	tasks := len(b.listTask)
-	for _, ws := range b.workers {
-		n += sim.SliceBytes(ws)
-		tasks += len(ws)
-	}
-	return n + uint64(tasks)*uint64(unsafe.Sizeof(kernel.Task{}))
-}
-
-// SnapshotState implements sim.Snapshotter.
-func (b *Bench) SnapshotState() sim.State {
-	return &benchState{
-		rr:         append([]int(nil), b.rr...),
-		appQueued:  append([]bool(nil), b.appQueued...),
-		completed:  append([]uint64(nil), b.completed...),
-		queueDelay: b.queueDelay,
-		accepted:   b.accepted,
-	}
-}
-
-// RestoreState implements sim.Snapshotter.
-func (b *Bench) RestoreState(state sim.State) {
-	st := state.(*benchState)
-	copy(b.rr, st.rr)
-	copy(b.appQueued, st.appQueued)
-	copy(b.completed, st.completed)
-	b.queueDelay = st.queueDelay
-	b.accepted = st.accepted
 }

@@ -14,7 +14,6 @@ package memcachedsim
 
 import (
 	"fmt"
-	"unsafe"
 
 	"dprof/internal/kernel"
 	"dprof/internal/mem"
@@ -109,7 +108,8 @@ func New(cfg Config) *Bench {
 		core := core
 		sk.Epoll.Wakeup = func(c *sim.Ctx) { b.wakeApp(c, core) }
 	}
-	m.AddSnapshotter(b)
+	sim.RewindSlices(m, &b.appQueued)
+	sim.RewindSlices(m, &b.completed)
 	return b
 }
 
@@ -210,38 +210,4 @@ func (b *Bench) stats(measure uint64) Stats {
 	st.Drops = b.K.Dev.Drops()
 	st.Throughput = float64(st.Completed) / (float64(measure) / float64(sim.Freq))
 	return st
-}
-
-// benchState is the workload-level mutable state a warm-start checkpoint
-// captures on top of the machine/kernel layers.
-type benchState struct {
-	appQueued []bool
-	completed []uint64
-}
-
-// Bytes implements sim.State.
-func (st *benchState) Bytes() uint64 {
-	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.appQueued) + sim.SliceBytes(st.completed)
-}
-
-// LiveBytes implements sim.Snapshotter: the bench and its per-core tables.
-// The sockets are the kernel's.
-func (b *Bench) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*b)) + sim.SliceBytes(b.socks) + sim.SliceBytes(b.appQueued) +
-		sim.SliceBytes(b.hashAddrs) + sim.SliceBytes(b.completed)
-}
-
-// SnapshotState implements sim.Snapshotter.
-func (b *Bench) SnapshotState() sim.State {
-	return &benchState{
-		appQueued: append([]bool(nil), b.appQueued...),
-		completed: append([]uint64(nil), b.completed...),
-	}
-}
-
-// RestoreState implements sim.Snapshotter.
-func (b *Bench) RestoreState(state sim.State) {
-	st := state.(*benchState)
-	copy(b.appQueued, st.appQueued)
-	copy(b.completed, st.completed)
 }

@@ -2,7 +2,6 @@ package scenarios
 
 import (
 	"fmt"
-	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/cache"
@@ -65,33 +64,8 @@ func NewAlienPing(cfg AlienPingConfig) *AlienPing {
 		rounds: make([]uint64, b.M.NumCores()),
 	}
 	a.PingType = b.A.RegisterType("ping_obj", cfg.ObjBytes, "producer-allocated buffer freed on a remote core")
-	b.M.AddSnapshotter(a)
+	sim.RewindSlices(b.M, &a.rounds)
 	return a
-}
-
-type alienPingState struct {
-	rounds []uint64
-}
-
-// Bytes implements sim.State.
-func (st *alienPingState) Bytes() uint64 {
-	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.rounds)
-}
-
-// LiveBytes implements sim.Snapshotter.
-func (a *AlienPing) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*a)) + sim.SliceBytes(a.rounds)
-}
-
-// SnapshotState implements sim.Snapshotter.
-func (a *AlienPing) SnapshotState() sim.State {
-	return &alienPingState{rounds: append([]uint64(nil), a.rounds...)}
-}
-
-// RestoreState implements sim.Snapshotter.
-func (a *AlienPing) RestoreState(state sim.State) {
-	st := state.(*alienPingState)
-	copy(a.rounds, st.rounds)
 }
 
 // produce allocates and fills one batch on the producing core, then hands

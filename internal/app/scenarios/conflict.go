@@ -2,7 +2,6 @@ package scenarios
 
 import (
 	"fmt"
-	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/core"
@@ -52,31 +51,8 @@ func NewConflict(cfg ConflictConfig) *Conflict {
 	}
 	cf := &Conflict{bench: b, Cfg: cfg, Stride: stride}
 	cf.BufType, cf.addrs = b.A.StaticStrided("hot_buf", 64, cfg.Buffers, stride, "DMA descriptor ring")
-	b.M.AddSnapshotter(cf)
+	sim.RewindValues(b.M, &cf.sweeps)
 	return cf
-}
-
-type conflictState struct {
-	sweeps uint64
-}
-
-// Bytes implements sim.State.
-func (st *conflictState) Bytes() uint64 { return uint64(unsafe.Sizeof(*st)) }
-
-// LiveBytes implements sim.Snapshotter.
-func (cf *Conflict) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*cf)) + sim.SliceBytes(cf.addrs)
-}
-
-// SnapshotState implements sim.Snapshotter.
-func (cf *Conflict) SnapshotState() sim.State {
-	return &conflictState{sweeps: cf.sweeps}
-}
-
-// RestoreState implements sim.Snapshotter.
-func (cf *Conflict) RestoreState(state sim.State) {
-	st := state.(*conflictState)
-	cf.sweeps = st.sweeps
 }
 
 // sweep reads every ring buffer once, then reschedules itself until the

@@ -2,7 +2,6 @@ package scenarios
 
 import (
 	"fmt"
-	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/core"
@@ -51,38 +50,8 @@ func NewFalseShare(cfg FalseShareConfig) *FalseShare {
 		ops:   make([]uint64, b.M.NumCores()),
 	}
 	f.StatType = b.A.RegisterTypeAligned("pkt_stat", 16, "per-core packet counters", cfg.Align)
-	b.M.AddSnapshotter(f)
+	sim.RewindSlices(b.M, &f.addrs, &f.ops)
 	return f
-}
-
-type falseShareState struct {
-	addrs []uint64
-	ops   []uint64
-}
-
-// Bytes implements sim.State.
-func (st *falseShareState) Bytes() uint64 {
-	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.addrs) + sim.SliceBytes(st.ops)
-}
-
-// LiveBytes implements sim.Snapshotter.
-func (f *FalseShare) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*f)) + sim.SliceBytes(f.addrs) + sim.SliceBytes(f.ops)
-}
-
-// SnapshotState implements sim.Snapshotter.
-func (f *FalseShare) SnapshotState() sim.State {
-	return &falseShareState{
-		addrs: append([]uint64(nil), f.addrs...),
-		ops:   append([]uint64(nil), f.ops...),
-	}
-}
-
-// RestoreState implements sim.Snapshotter.
-func (f *FalseShare) RestoreState(state sim.State) {
-	st := state.(*falseShareState)
-	copy(f.addrs, st.addrs)
-	copy(f.ops, st.ops)
 }
 
 // Start allocates the counters contiguously (one pool slab, one counter per

@@ -2,7 +2,6 @@ package scenarios
 
 import (
 	"fmt"
-	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/cache"
@@ -99,33 +98,8 @@ func NewNumaRemote(cfg NumaRemoteConfig) *NumaRemote {
 		panic("scenarios: numaremote placement leaves no consumer cores")
 	}
 	n.BufType = b.A.RegisterType("numa_buf", cfg.ObjBytes, "buffer allocated on one NUMA node and consumed from another")
-	b.M.AddSnapshotter(n)
+	sim.RewindSlices(b.M, &n.consumed)
 	return n
-}
-
-type numaRemoteState struct {
-	consumed []uint64
-}
-
-// Bytes implements sim.State.
-func (st *numaRemoteState) Bytes() uint64 {
-	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.consumed)
-}
-
-// LiveBytes implements sim.Snapshotter.
-func (n *NumaRemote) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*n)) + sim.SliceBytes(n.consumers) + sim.SliceBytes(n.consumed)
-}
-
-// SnapshotState implements sim.Snapshotter.
-func (n *NumaRemote) SnapshotState() sim.State {
-	return &numaRemoteState{consumed: append([]uint64(nil), n.consumed...)}
-}
-
-// RestoreState implements sim.Snapshotter.
-func (n *NumaRemote) RestoreState(state sim.State) {
-	st := state.(*numaRemoteState)
-	copy(n.consumed, st.consumed)
 }
 
 // produce allocates and fills one batch on the producer core, then hands it

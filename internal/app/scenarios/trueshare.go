@@ -2,7 +2,6 @@ package scenarios
 
 import (
 	"fmt"
-	"unsafe"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/core"
@@ -50,7 +49,7 @@ type TrueShare struct {
 
 	JobType      *mem.Type
 	counterAddrs []uint64
-	locks        []*lockstat.Lock
+	locks        []lockstat.Lock
 	completed    []uint64
 }
 
@@ -73,50 +72,13 @@ func NewTrueShare(cfg TrueShareConfig) *TrueShare {
 	_, t.counterAddrs = b.A.StaticArray("job_counter", 64, cfg.Buckets, "shared per-bucket completion counters")
 	class := b.L.Class("job lock")
 	for _, a := range t.counterAddrs {
-		t.locks = append(t.locks, lockstat.NewLock(class, a))
+		t.locks = append(t.locks, *lockstat.NewLock(class, a))
 	}
-	b.M.AddSnapshotter(t)
+	// The bucket locks are workload-owned, so their state rewinds here (the
+	// registry's checkpoint covers only class counters).
+	sim.RewindSlices(b.M, &t.completed)
+	sim.RewindSlices(b.M, &t.locks)
 	return t
-}
-
-type trueShareState struct {
-	completed []uint64
-	// The bucket locks are workload-owned, so their per-instance state is
-	// captured here (the registry checkpoint only covers class counters).
-	locks []lockstat.LockState
-}
-
-// Bytes implements sim.State.
-func (st *trueShareState) Bytes() uint64 {
-	return uint64(unsafe.Sizeof(*st)) + sim.SliceBytes(st.completed) + sim.SliceBytes(st.locks)
-}
-
-// LiveBytes implements sim.Snapshotter.
-func (t *TrueShare) LiveBytes() uint64 {
-	return uint64(unsafe.Sizeof(*t)) + sim.SliceBytes(t.counterAddrs) +
-		sim.SliceBytes(t.locks) + sim.SliceBytes(t.completed) +
-		uint64(len(t.locks))*uint64(unsafe.Sizeof(lockstat.Lock{}))
-}
-
-// SnapshotState implements sim.Snapshotter.
-func (t *TrueShare) SnapshotState() sim.State {
-	st := &trueShareState{
-		completed: append([]uint64(nil), t.completed...),
-		locks:     make([]lockstat.LockState, len(t.locks)),
-	}
-	for i, l := range t.locks {
-		st.locks[i] = l.State()
-	}
-	return st
-}
-
-// RestoreState implements sim.Snapshotter.
-func (t *TrueShare) RestoreState(state sim.State) {
-	st := state.(*trueShareState)
-	copy(t.completed, st.completed)
-	for i, l := range t.locks {
-		l.SetState(st.locks[i])
-	}
 }
 
 func (t *TrueShare) bucket(core int) int { return core % t.Cfg.Buckets }

@@ -54,7 +54,7 @@ func renderAllViews(t *testing.T, name string) string {
 	// workload runs twice here.
 	win := w.Windows(true)
 	cfg := core.SessionConfig{
-		Profiler:    core.Config{SampleRate: 20_000, WatchLen: 8},
+		Profiler:    core.Config{SampleRate: 20_000},
 		Views:       core.KnownViews,
 		Sets:        1,
 		MaxLifetime: (win.Warmup + win.Measure) / 2,

@@ -14,9 +14,8 @@ import (
 // confirm the pairs carry elements from both offsets and feed path traces.
 func TestPairwiseOnMemcached(t *testing.T) {
 	b := memcachedsim.New(memcachedsim.DefaultConfig())
-	cfg := core.DefaultConfig()
-	cfg.WatchLen = 8
-	p := core.Attach(b.M, b.K.Alloc, cfg)
+	p := core.Attach(b.M, b.K.Alloc, core.DefaultConfig())
+	p.Collector.WatchLen = 8
 	p.StartSampling()
 	core.Prime(b, sim.Unbounded)
 	b.M.Run(5_000_000) // sampling warm-up so hot offsets exist
@@ -66,9 +65,8 @@ func TestPairwiseOnMemcached(t *testing.T) {
 func TestApacheTcpSockHistories(t *testing.T) {
 	cfg := apachesim.DefaultConfig()
 	b := apachesim.New(cfg)
-	pcfg := core.DefaultConfig()
-	pcfg.WatchLen = 8
-	p := core.Attach(b.M, b.K.Alloc, pcfg)
+	p := core.Attach(b.M, b.K.Alloc, core.DefaultConfig())
+	p.Collector.WatchLen = 8
 	p.StartSampling()
 	p.Collector.MaxLifetime = 2_000_000
 	p.Collector.AddSingleTargetsRange(b.K.TCPSockType, 0, 64, 2)

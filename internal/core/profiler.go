@@ -17,13 +17,11 @@ type Config struct {
 	// cache-residency views come out empty while the data profile's usage
 	// figures stay exact).
 	MaxAddrRecords int
-	// WatchLen is the debug-register window in bytes (1..8).
-	WatchLen uint32
 }
 
 // DefaultConfig returns a moderate-overhead profiling configuration.
 func DefaultConfig() Config {
-	return Config{SampleRate: 8000, MaxAddrRecords: 500_000, WatchLen: 4}
+	return Config{SampleRate: 8000, MaxAddrRecords: 500_000}
 }
 
 // Profiler is one DProf session attached to a machine and its allocator.
@@ -157,9 +155,6 @@ func Attach(m *sim.Machine, alloc *mem.Allocator, cfg Config) *Profiler {
 	if cfg.SampleRate <= 0 {
 		cfg.SampleRate = DefaultConfig().SampleRate
 	}
-	if cfg.WatchLen == 0 || cfg.WatchLen > hw.MaxWatchBytes {
-		cfg.WatchLen = 4
-	}
 	p := &Profiler{
 		M:          m,
 		Alloc:      alloc,
@@ -174,7 +169,6 @@ func Attach(m *sim.Machine, alloc *mem.Allocator, cfg Config) *Profiler {
 	}
 	p.AddrSet.MaxObjects = cfg.MaxAddrRecords
 	p.Collector = newCollector(p)
-	p.Collector.WatchLen = cfg.WatchLen
 	p.pending = make([][]pendingSample, m.NumCores())
 
 	for _, s := range alloc.Statics() {
@@ -265,12 +259,12 @@ func (p *Profiler) CollectHistories(sets int, types ...*mem.Type) {
 func (p *Profiler) CollectPairwise(t *mem.Type, offsets []uint32, sets, maxOffsets int) {
 	if offsets == nil {
 		p.Sync()
-		offsets = p.Samples.HotOffsets(p.Desc(t), p.cfg.WatchLen, maxOffsets)
+		offsets = p.Samples.HotOffsets(p.Desc(t), p.Collector.WatchLen, maxOffsets)
 	}
 	if len(offsets) < 2 {
 		// Not enough sampled offsets to order pairwise; fall back to the
 		// first two watchable offsets.
-		offsets = []uint32{0, p.cfg.WatchLen}
+		offsets = []uint32{0, p.Collector.WatchLen}
 	}
 	p.Collector.AddPairTargets(t, offsets, sets)
 	if !p.Collector.Running() {

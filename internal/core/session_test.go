@@ -104,7 +104,7 @@ func TestSessionRequiresTargetForDataflow(t *testing.T) {
 
 func TestSessionReportRendersViewsAndBaseline(t *testing.T) {
 	s, err := core.NewSession(newToyWorkload(), core.SessionConfig{
-		Profiler: core.Config{SampleRate: 100_000, WatchLen: 8},
+		Profiler: core.Config{SampleRate: 100_000},
 		Views:    core.KnownViews,
 		TypeName: "msg",
 		Sets:     1,

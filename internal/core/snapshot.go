@@ -28,11 +28,11 @@ import (
 // map and rewrites the address set's FreeAt columns, its unshared record
 // blocks and its live index in full, so a parked profiler drops them.
 
+// sampleTableState copies the table whole, its map (nil in the copy) as
+// entries.
 type sampleTableState struct {
-	entries     []sampleEntry
-	total       uint64
-	totalMisses uint64
-	unresolved  uint64
+	table   SampleTable
+	entries []sampleEntry
 }
 
 type sampleEntry struct {
@@ -41,12 +41,8 @@ type sampleEntry struct {
 }
 
 func captureSampleTable(st *SampleTable) sampleTableState {
-	s := sampleTableState{
-		entries:     make([]sampleEntry, 0, len(st.byKey)),
-		total:       st.Total,
-		totalMisses: st.TotalMisses,
-		unresolved:  st.Unresolved,
-	}
+	s := sampleTableState{table: *st, entries: make([]sampleEntry, 0, len(st.byKey))}
+	s.table.byKey = nil
 	for k, v := range st.byKey {
 		s.entries = append(s.entries, sampleEntry{k, *v})
 	}
@@ -56,15 +52,13 @@ func captureSampleTable(st *SampleTable) sampleTableState {
 // restoreInto rebuilds the table's map at the snapshot's size, its stats
 // blocks in one array.
 func (s *sampleTableState) restoreInto(st *SampleTable) {
+	*st = s.table
 	st.byKey = make(map[SampleKey]*SampleStats, len(s.entries))
 	stats := make([]SampleStats, len(s.entries))
 	for i := range s.entries {
 		stats[i] = s.entries[i].v
 		st.byKey[s.entries[i].k] = &stats[i]
 	}
-	st.Total = s.total
-	st.TotalMisses = s.totalMisses
-	st.Unresolved = s.unresolved
 }
 
 // addrSetState is an address set at a checkpoint. Full chunks' fixed
@@ -161,55 +155,29 @@ func (st *addrSetState) restoreInto(as *AddressSet) {
 	as.dropped = st.dropped
 }
 
-type collectStatsState struct {
-	start, end    uint64
-	histories     int
-	sets          int
-	elements      uint64
-	truncated     int
-	overhead      map[string]uint64
-	overheadStart map[string]uint64
-}
-
+// collectorState copies the collector whole: its queue (copied below),
+// cursor, active collection, settings and flags. The byType, order and
+// stats headers in it are the live ones, rewound by the lengths and copies
+// beside it.
 type collectorState struct {
-	queue  []Target
-	next   int
-	active *activeCollection
+	col Collector
 	// activeElems/activeTrunc/activeLife rewind the active history, whose
 	// element slice the trap handler appends to in place.
 	activeElems []HistElem
 	activeTrunc bool
 	activeLife  uint64
-	gen         uint64
 	byTypeLens  map[*mem.Type]int
-	orderLen    int
-	stats       map[*mem.Type]collectStatsState
-	curType     *mem.Type
-	maxLifetime uint64
-	maxElems    int
-	watchLen    uint32
-	done        func()
-	running     bool
-	finalized   bool
+	// stats holds each entry whole, its overhead maps copied.
+	stats map[*mem.Type]CollectStats
 }
 
 func captureCollector(col *Collector) collectorState {
 	st := collectorState{
-		queue:       append([]Target(nil), col.queue...),
-		next:        col.next,
-		active:      col.active,
-		gen:         col.gen,
-		byTypeLens:  make(map[*mem.Type]int, len(col.byType)),
-		orderLen:    len(col.order),
-		stats:       make(map[*mem.Type]collectStatsState, len(col.stats)),
-		curType:     col.curType,
-		maxLifetime: col.MaxLifetime,
-		maxElems:    col.MaxElems,
-		watchLen:    col.WatchLen,
-		done:        col.Done,
-		running:     col.running,
-		finalized:   col.finalized,
+		col:        *col,
+		byTypeLens: make(map[*mem.Type]int, len(col.byType)),
+		stats:      make(map[*mem.Type]CollectStats, len(col.stats)),
 	}
+	st.col.queue = append([]Target(nil), col.queue...)
 	if act := col.active; act != nil {
 		st.activeElems = append([]HistElem(nil), act.hist.Elems...)
 		st.activeTrunc = act.hist.Truncated
@@ -219,30 +187,24 @@ func captureCollector(col *Collector) collectorState {
 		st.byTypeLens[t] = len(hs)
 	}
 	for t, cs := range col.stats {
-		st.stats[t] = collectStatsState{
-			start:         cs.Start,
-			end:           cs.End,
-			histories:     cs.Histories,
-			sets:          cs.Sets,
-			elements:      cs.Elements,
-			truncated:     cs.Truncated,
-			overhead:      snapshotOverhead(cs.Overhead),
-			overheadStart: snapshotOverhead(cs.overheadStart),
-		}
+		css := *cs
+		css.Overhead = snapshotOverhead(cs.Overhead)
+		css.overheadStart = snapshotOverhead(cs.overheadStart)
+		st.stats[t] = css
 	}
 	return st
 }
 
 func (st *collectorState) restoreInto(col *Collector) {
-	col.queue = append(col.queue[:0], st.queue...)
-	col.next = st.next
-	col.active = st.active
-	if act := st.active; act != nil {
+	queue := append(col.queue[:0], st.col.queue...)
+	order := col.order[:len(st.col.order)]
+	*col = st.col
+	col.queue, col.order = queue, order
+	if act := col.active; act != nil {
 		act.hist.Elems = append(act.hist.Elems[:0], st.activeElems...)
 		act.hist.Truncated = st.activeTrunc
 		act.hist.Lifetime = st.activeLife
 	}
-	col.gen = st.gen
 	for t := range col.byType {
 		if _, ok := st.byTypeLens[t]; !ok {
 			delete(col.byType, t)
@@ -255,7 +217,6 @@ func (st *collectorState) restoreInto(col *Collector) {
 		clear(hs[n:])
 		col.byType[t] = hs[:n]
 	}
-	col.order = col.order[:st.orderLen]
 	for t := range col.stats {
 		if _, ok := st.stats[t]; !ok {
 			delete(col.stats, t)
@@ -263,22 +224,10 @@ func (st *collectorState) restoreInto(col *Collector) {
 	}
 	for t, css := range st.stats {
 		cs := col.stats[t]
-		cs.Start = css.start
-		cs.End = css.end
-		cs.Histories = css.histories
-		cs.Sets = css.sets
-		cs.Elements = css.elements
-		cs.Truncated = css.truncated
-		cs.Overhead = snapshotOverhead(css.overhead)
+		*cs = css
+		cs.Overhead = snapshotOverhead(css.Overhead)
 		cs.overheadStart = snapshotOverhead(css.overheadStart)
 	}
-	col.curType = st.curType
-	col.MaxLifetime = st.maxLifetime
-	col.MaxElems = st.maxElems
-	col.WatchLen = st.watchLen
-	col.Done = st.done
-	col.running = st.running
-	col.finalized = st.finalized
 }
 
 type pipeState struct {
@@ -371,9 +320,9 @@ func (st *addrSetState) bytes() uint64 {
 
 // bytes is the state's resident size.
 func (st *collectorState) bytes() uint64 {
-	n := sim.SliceBytes(st.queue) + sim.SliceBytes(st.activeElems) + sim.MapBytes(st.byTypeLens) + sim.MapBytes(st.stats)
+	n := sim.SliceBytes(st.col.queue) + sim.SliceBytes(st.activeElems) + sim.MapBytes(st.byTypeLens) + sim.MapBytes(st.stats)
 	for _, cs := range st.stats {
-		n += sim.MapBytes(cs.overhead) + sim.MapBytes(cs.overheadStart)
+		n += sim.MapBytes(cs.Overhead) + sim.MapBytes(cs.overheadStart)
 	}
 	return n
 }

@@ -30,7 +30,7 @@ func diffExp(name, fixOption string, expected []string) Runner {
 		w := windowFor(name, rc.Quick)
 		side := func(fixed bool) (res core.RunResult, dp *core.DataProfile) {
 			rc.session(name, boolOpt(fixOption, fixed), core.SessionConfig{
-				Profiler: core.Config{SampleRate: 100_000, WatchLen: 8},
+				Profiler: core.Config{SampleRate: 100_000},
 				Warmup:   w.warmup,
 				Measure:  w.measure,
 			}, func(s *core.Session, r core.RunResult) {

@@ -195,9 +195,8 @@ func runAblationMerge(rc RunCfg) Result {
 		sets = 2
 	}
 	w := newWorkload("memcached", budget)
-	cfg := core.DefaultConfig()
-	cfg.WatchLen = 8
-	p := core.Attach(w.m, w.alloc, cfg)
+	p := core.Attach(w.m, w.alloc, core.DefaultConfig())
+	p.Collector.WatchLen = 8
 	p.StartSampling()
 	skb := w.alloc.TypeByName("skbuff")
 	p.Collector.MaxLifetime = 2_000_000

@@ -45,9 +45,9 @@ var historyAttached func(*core.Profiler)
 // history experiment renders those.
 func attachHistoryProfiler(w *liveWorkload) *core.Profiler {
 	cfg := core.DefaultConfig()
-	cfg.WatchLen = 8
 	cfg.MaxAddrRecords = core.NoAddrRecords
 	p := core.Attach(w.m, w.alloc, cfg)
+	p.Collector.WatchLen = 8
 	p.StartSampling()
 	if historyAttached != nil {
 		historyAttached(p)

@@ -60,7 +60,6 @@ func runFigure61(rc RunCfg) Result {
 		measure = 40_000_000
 	}
 	pcfg := core.DefaultConfig()
-	pcfg.WatchLen = 8
 	// Watching the skbuff header region is enough to see the transmit path;
 	// the paper similarly profiles the most-used members (§6.4).
 	var out Result

@@ -40,7 +40,7 @@ func runFalseshareExp(rc RunCfg) Result {
 	w := windowFor("falseshare", rc.Quick)
 	side := func(padded bool) (res core.RunResult, rows []core.MissClassRow) {
 		rc.session("falseshare", boolOpt("padded", padded), core.SessionConfig{
-			Profiler:    core.Config{SampleRate: 100_000, WatchLen: 8},
+			Profiler:    core.Config{SampleRate: 100_000},
 			TypeName:    "pkt_stat",
 			Sets:        1,
 			MaxLifetime: (w.warmup + w.measure) / 2, // counters live forever; truncate so traces exist
@@ -87,7 +87,7 @@ func runConflictExp(rc RunCfg) Result {
 	w := windowFor("conflict", rc.Quick)
 	side := func(colored bool) (res core.RunResult, ws *core.WorkingSetView, rows []core.MissClassRow) {
 		rc.session("conflict", boolOpt("colored", colored), core.SessionConfig{
-			Profiler: core.Config{SampleRate: 200_000, WatchLen: 8},
+			Profiler: core.Config{SampleRate: 200_000},
 			Warmup:   w.warmup,
 			Measure:  w.measure,
 		}, func(s *core.Session, r core.RunResult) {
@@ -205,7 +205,7 @@ func runNumaremoteExp(rc RunCfg) Result {
 	var rows []core.MissClassRow
 	var topo string
 	rc.session("numaremote", boolOpt("localalloc", false), core.SessionConfig{
-		Profiler: core.Config{SampleRate: 50_000, WatchLen: 8},
+		Profiler: core.Config{SampleRate: 50_000},
 		Warmup:   w.warmup,
 		Measure:  w.measure,
 	}, func(s *core.Session, r core.RunResult) {
@@ -256,7 +256,7 @@ func runAlienpingExp(rc RunCfg) Result {
 	var profiled core.RunResult
 	var dp *core.DataProfile
 	rc.session("alienping", boolOpt("localfree", false), core.SessionConfig{
-		Profiler: core.Config{SampleRate: 50_000, WatchLen: 8},
+		Profiler: core.Config{SampleRate: 50_000},
 		Warmup:   w.warmup,
 		Measure:  w.measure,
 	}, func(s *core.Session, r core.RunResult) {

@@ -87,7 +87,10 @@ func NewIBS(m *sim.Machine) *IBS {
 	// is what runs when an always-on hook makes the machine deliver every
 	// access.
 	m.AddArmedAccessHook(u.onAccess, sim.HookArm{NextTime: u.nextArm})
-	m.AddSnapshotter(u)
+	// A checkpoint carries the sampling deadlines, enablement and delivery
+	// counters a resumed measured phase depends on.
+	sim.RewindValues(m, u)
+	sim.RewindSlices(m, &u.next)
 	return u
 }
 
@@ -183,7 +186,7 @@ func NewDebugRegs(m *sim.Machine) *DebugRegs {
 	// only dispatches accesses overlapping one (the overlap predicate is the
 	// same one onAccess applies per register).
 	m.AddArmedAccessHook(d.onAccess, sim.HookArm{Ranges: d.activeRanges})
-	m.AddSnapshotter(d)
+	sim.RewindValues(m, d)
 	return d
 }
 

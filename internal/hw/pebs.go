@@ -42,7 +42,8 @@ func NewPEBS(m *sim.Machine) *PEBS {
 	// not re-arm (next stays in the past), so the machine keeps delivering
 	// every access until one qualifies — exactly the hardware's behavior.
 	m.AddArmedAccessHook(p.onAccess, sim.HookArm{NextTime: p.nextArm})
-	m.AddSnapshotter(p)
+	sim.RewindValues(m, p)
+	sim.RewindSlices(m, &p.next)
 	return p
 }
 

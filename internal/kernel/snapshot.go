@@ -13,9 +13,10 @@ import (
 // at a task boundary. All kernel state mutation happens inside simulated
 // tasks, so at a boundary the enumerable queues above (plus the in-flight
 // set, whose completion events hold live *SKB pointers in the wheel) reach
-// every object a resumed run can touch. Connections already handed to
-// application workers are the application's state and are captured by the
-// workload's own snapshotter via TCPConn.State/SKB.State.
+// every object a resumed run can touch: a workload holds an accepted
+// connection only inside the task that serves it. Lock words are copied as
+// whole lockstat.Lock values; packets and connections, of which there are
+// many, by their narrow SKBState/TCPConnState records.
 
 // SKBState is the mutable part of an SKB (identity fields Addr/Data/Type are
 // set once at allocation).
@@ -37,49 +38,48 @@ func (s *SKB) SetState(st SKBState) {
 	s.OnTxComplete = st.OnTxComplete
 }
 
-// TCPConnState is the mutable part of a TCPConn, for workload snapshotters
-// holding accepted connections across the warmup boundary.
+// TCPConnState is the mutable part of a TCPConn.
 type TCPConnState struct {
 	ReqSKB *SKB
 	Closed bool
-	Lock   lockstat.LockState
+	Lock   lockstat.Lock
 }
 
 // State captures the connection's mutable fields.
 func (conn *TCPConn) State() TCPConnState {
-	return TCPConnState{ReqSKB: conn.ReqSKB, Closed: conn.closed, Lock: conn.lock.State()}
+	return TCPConnState{ReqSKB: conn.ReqSKB, Closed: conn.closed, Lock: conn.lock}
 }
 
 // SetState rewinds the connection's mutable fields.
 func (conn *TCPConn) SetState(st TCPConnState) {
 	conn.ReqSKB = st.ReqSKB
 	conn.closed = st.Closed
-	conn.lock.SetState(st.Lock)
+	conn.lock = st.Lock
 }
 
 type txQueueState struct {
 	fifo     []*SKB
 	draining bool
-	lock     lockstat.LockState
+	lock     lockstat.Lock
 }
 
 type udpState struct {
 	rxq       []*SKB
 	txSinceWS uint32
-	lock      lockstat.LockState
+	lock      lockstat.Lock
 }
 
 type listenerState struct {
 	acceptQ []*TCPConn
 	refused uint64
-	lock    lockstat.LockState
+	lock    lockstat.Lock
 }
 
 type epollState struct {
 	ready  int
 	wakeup func(*sim.Ctx)
-	lock   lockstat.LockState
-	wqLock lockstat.LockState
+	lock   lockstat.Lock
+	wqLock lockstat.Lock
 }
 
 type kernelState struct {
@@ -98,7 +98,7 @@ type kernelState struct {
 	udp       map[int]udpState
 	listeners map[int]listenerState
 	epolls    []epollState
-	futex     []lockstat.LockState
+	futex     []lockstat.Lock
 
 	liveSKBs, liveConns int
 }
@@ -116,7 +116,7 @@ type connState struct {
 // Sizes of the Go objects behind a simulated packet and connection.
 const (
 	skbBytes  = uint64(unsafe.Sizeof(SKB{}))
-	connBytes = uint64(unsafe.Sizeof(TCPConn{}) + unsafe.Sizeof(lockstat.Lock{}))
+	connBytes = uint64(unsafe.Sizeof(TCPConn{}))
 	lockBytes = uint64(unsafe.Sizeof(lockstat.Lock{}))
 )
 
@@ -185,7 +185,7 @@ func (k *Kernel) SnapshotState() sim.State {
 		udp:       make(map[int]udpState, len(k.udpPorts)),
 		listeners: make(map[int]listenerState, len(k.tcpPorts)),
 		epolls:    make([]epollState, len(k.epolls)),
-		futex:     make([]lockstat.LockState, len(k.Futex.locks)),
+		futex:     make([]lockstat.Lock, len(k.Futex.locks)),
 		liveSKBs:  k.liveSKBs,
 		liveConns: k.liveConns,
 	}
@@ -200,7 +200,7 @@ func (k *Kernel) SnapshotState() sim.State {
 		st.tx[i] = txQueueState{
 			fifo:     append([]*SKB(nil), q.fifo...),
 			draining: q.draining,
-			lock:     q.Lock.State(),
+			lock:     *q.Lock,
 		}
 		for _, s := range q.fifo {
 			noteSKB(s)
@@ -220,7 +220,7 @@ func (k *Kernel) SnapshotState() sim.State {
 		st.udp[port] = udpState{
 			rxq:       append([]*SKB(nil), sk.rxq...),
 			txSinceWS: sk.txSinceWS,
-			lock:      sk.lock.State(),
+			lock:      *sk.lock,
 		}
 		for _, s := range sk.rxq {
 			noteSKB(s)
@@ -230,7 +230,7 @@ func (k *Kernel) SnapshotState() sim.State {
 		st.listeners[port] = listenerState{
 			acceptQ: append([]*TCPConn(nil), l.acceptQ...),
 			refused: l.refused,
-			lock:    l.lock.State(),
+			lock:    *l.lock,
 		}
 		// A connection sits in one listener's queue, once.
 		for _, conn := range l.acceptQ {
@@ -242,12 +242,12 @@ func (k *Kernel) SnapshotState() sim.State {
 		st.epolls[i] = epollState{
 			ready:  ep.ready,
 			wakeup: ep.Wakeup,
-			lock:   ep.Lock.State(),
-			wqLock: ep.WQ.Lock.State(),
+			lock:   *ep.Lock,
+			wqLock: *ep.WQ.Lock,
 		}
 	}
 	for i, l := range k.Futex.locks {
-		st.futex[i] = l.State()
+		st.futex[i] = *l
 	}
 	return st
 }
@@ -262,7 +262,7 @@ func (k *Kernel) RestoreState(state sim.State) {
 		qs := &st.tx[i]
 		q.fifo = append(q.fifo[:0], qs.fifo...)
 		q.draining = qs.draining
-		q.Lock.SetState(qs.lock)
+		*q.Lock = qs.lock
 	}
 	for i, r := range d.rx {
 		r.skbs = append(r.skbs[:0], st.rx[i]...)
@@ -293,7 +293,7 @@ func (k *Kernel) RestoreState(state sim.State) {
 		sk := k.udpPorts[port]
 		sk.rxq = append(sk.rxq[:0], us.rxq...)
 		sk.txSinceWS = us.txSinceWS
-		sk.lock.SetState(us.lock)
+		*sk.lock = us.lock
 	}
 	for port := range k.tcpPorts {
 		if _, ok := st.listeners[port]; !ok {
@@ -304,16 +304,16 @@ func (k *Kernel) RestoreState(state sim.State) {
 		l := k.tcpPorts[port]
 		l.acceptQ = append(l.acceptQ[:0], ls.acceptQ...)
 		l.refused = ls.refused
-		l.lock.SetState(ls.lock)
+		*l.lock = ls.lock
 	}
 	for i, ep := range k.epolls {
 		es := &st.epolls[i]
 		ep.ready = es.ready
 		ep.Wakeup = es.wakeup
-		ep.Lock.SetState(es.lock)
-		ep.WQ.Lock.SetState(es.wqLock)
+		*ep.Lock = es.lock
+		*ep.WQ.Lock = es.wqLock
 	}
 	for i, l := range k.Futex.locks {
-		l.SetState(st.futex[i])
+		*l = st.futex[i]
 	}
 }

@@ -21,7 +21,7 @@ const (
 type TCPConn struct {
 	k    *Kernel
 	Addr uint64
-	lock *lockstat.Lock
+	lock lockstat.Lock
 
 	ReqSKB  *SKB   // request payload, queued until the worker reads it
 	AllocAt uint64 // cycle the tcp_sock was allocated (queue-delay metric)
@@ -103,7 +103,7 @@ func (l *Listener) RxSyn(c *sim.Ctx, reqSKB *SKB) *TCPConn {
 		conn = &TCPConn{
 			k:       k,
 			Addr:    addr,
-			lock:    lockstat.NewLock(k.sockLockClass, addr+TCPOffLock),
+			lock:    *lockstat.NewLock(k.sockLockClass, addr+TCPOffLock),
 			ReqSKB:  reqSKB,
 			AllocAt: c.Now(),
 		}

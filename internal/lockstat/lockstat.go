@@ -121,13 +121,12 @@ type Lock struct {
 
 	releaseAt uint64
 	holdFrom  uint64
-	holder    int
 	held      bool
 }
 
 // NewLock creates a lock of the given class whose lock word lives at addr.
 func NewLock(class *Class, addr uint64) *Lock {
-	return &Lock{class: class, addr: addr, holder: -1}
+	return &Lock{class: class, addr: addr}
 }
 
 // spinReadGap is how many cycles a spinning core pauses between re-reads of
@@ -168,7 +167,6 @@ func (l *Lock) Acquire(c *sim.Ctx) {
 	l.class.Acquisitions++
 	l.class.bumpSite(pc)
 	l.held = true
-	l.holder = c.Core.ID
 	l.holdFrom = c.Now()
 	if l.releaseAt < c.Now() {
 		l.releaseAt = c.Now() // still held; will move forward on Release
@@ -182,7 +180,6 @@ func (l *Lock) Release(c *sim.Ctx) {
 	}
 	c.Write(l.addr, 8)
 	l.held = false
-	l.holder = -1
 	now := c.Now()
 	if now > l.holdFrom {
 		l.class.HoldCycles += now - l.holdFrom

@@ -6,34 +6,13 @@ import (
 	"dprof/internal/sim"
 )
 
-// Snapshot support for warm-start forks. A lock's per-instance state is
-// owner-side: the component that owns a Lock captures LockState alongside
-// its own state (there is deliberately no global instance registry — apache
-// creates a lock per live connection and a registry would pin every dead
-// one). Class statistics live in the Registry, whose checkpoint is a deep
-// copy restorable any number of times.
-
-// LockState is the mutable per-instance state of one Lock.
-type LockState struct {
-	ReleaseAt uint64
-	HoldFrom  uint64
-	Holder    int
-	Held      bool
-}
-
-// State returns the lock's mutable state (class and address are identity,
-// not state).
-func (l *Lock) State() LockState {
-	return LockState{ReleaseAt: l.releaseAt, HoldFrom: l.holdFrom, Holder: l.holder, Held: l.held}
-}
-
-// SetState rewinds the lock to a previously captured state.
-func (l *Lock) SetState(s LockState) {
-	l.releaseAt = s.ReleaseAt
-	l.holdFrom = s.HoldFrom
-	l.holder = s.Holder
-	l.held = s.Held
-}
+// Snapshot support for warm-start forks. A Lock's state is owner-side: the
+// component that owns a Lock copies the Lock value whole alongside its own
+// state (class and address never change, so writing them back is a no-op).
+// There is deliberately no global instance registry: apache creates a lock
+// per live connection and a registry would pin every dead one. Class
+// statistics live in the Registry, whose checkpoint is a deep copy
+// restorable any number of times.
 
 // RegistryState is a deep copy of every class's statistics, in registration
 // order. Classes are append-only, so restoring by prefix position is exact:

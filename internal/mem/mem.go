@@ -150,7 +150,7 @@ type arrayCache struct {
 type pool struct {
 	t      *Type
 	kcAddr uint64 // the kmem_cache structure's simulated address
-	lock   *lockstat.Lock
+	lock   lockstat.Lock
 
 	perCPU []*arrayCache
 	alien  []*arrayCache // indexed by home core, shared by all remote cores
@@ -313,7 +313,7 @@ func (a *Allocator) RegisterTypeAligned(name string, size uint64, desc string, a
 	t := a.registerRaw(name, size, desc, align, false)
 	p := &pool{t: t}
 	p.kcAddr = a.carveInternal(a.kcType)
-	p.lock = lockstat.NewLock(a.lockClass, p.kcAddr)
+	p.lock = *lockstat.NewLock(a.lockClass, p.kcAddr)
 	p.perCPU = make([]*arrayCache, a.cores)
 	p.alien = make([]*arrayCache, a.cores)
 	for i := 0; i < a.cores; i++ {

@@ -49,16 +49,12 @@ type allocState struct {
 	locks lockstat.RegistryState
 }
 
+// poolState copies the pool whole, its lock and counters included, with
+// its partial list copied and its array caches' contents beside it.
 type poolState struct {
-	perCPU  [][]uint64
-	alien   [][]uint64
-	partial []*slabInfo
-	slabs   int
-	live    uint64
-	peak    uint64
-	alloc   uint64
-	frees   uint64
-	lock    lockstat.LockState
+	pool   pool
+	perCPU [][]uint64
+	alien  [][]uint64
 }
 
 type slabState struct {
@@ -78,7 +74,7 @@ func (st *allocState) Bytes() uint64 {
 		sim.MapBytes(st.watch) + st.locks.Bytes()
 	for i := range st.pools {
 		ps := &st.pools[i]
-		n += sim.SliceBytes(ps.perCPU) + sim.SliceBytes(ps.alien) + sim.SliceBytes(ps.partial)
+		n += sim.SliceBytes(ps.perCPU) + sim.SliceBytes(ps.alien) + sim.SliceBytes(ps.pool.partial)
 		for _, objs := range ps.perCPU {
 			n += sim.SliceBytes(objs)
 		}
@@ -111,7 +107,7 @@ func (a *Allocator) LiveBytes() uint64 {
 		if p == nil {
 			continue
 		}
-		n += uint64(unsafe.Sizeof(*p)+unsafe.Sizeof(lockstat.Lock{})) + sim.SliceBytes(p.perCPU) +
+		n += uint64(unsafe.Sizeof(*p)) + sim.SliceBytes(p.perCPU) +
 			sim.SliceBytes(p.alien) + sim.SliceBytes(p.partial)
 		for _, ac := range p.perCPU {
 			n += uint64(unsafe.Sizeof(*ac)) + sim.SliceBytes(ac.objs)
@@ -186,6 +182,8 @@ func (a *Allocator) SnapshotState() sim.State {
 			continue
 		}
 		ps := &st.pools[i]
+		ps.pool = *p
+		ps.pool.partial = append([]*slabInfo(nil), p.partial...)
 		ps.perCPU = make([][]uint64, len(p.perCPU))
 		for j, ac := range p.perCPU {
 			ps.perCPU[j] = append([]uint64(nil), ac.objs...)
@@ -194,10 +192,6 @@ func (a *Allocator) SnapshotState() sim.State {
 		for j, ac := range p.alien {
 			ps.alien[j] = append([]uint64(nil), ac.objs...)
 		}
-		ps.partial = append([]*slabInfo(nil), p.partial...)
-		ps.slabs = p.slabs
-		ps.live, ps.peak, ps.alloc, ps.frees = p.live, p.peak, p.alloc, p.frees
-		ps.lock = p.lock.State()
 	}
 	for t, s := range a.carve {
 		st.carve[t] = s
@@ -252,10 +246,9 @@ func (a *Allocator) RestoreState(state sim.State) {
 		for j, ac := range p.alien {
 			ac.objs = append(ac.objs[:0], ps.alien[j]...)
 		}
-		p.partial = append(p.partial[:0], ps.partial...)
-		p.slabs = ps.slabs
-		p.live, p.peak, p.alloc, p.frees = ps.live, ps.peak, ps.alloc, ps.frees
-		p.lock.SetState(ps.lock)
+		partial := append(p.partial[:0], ps.pool.partial...)
+		*p = ps.pool
+		p.partial = partial
 	}
 	a.statics = a.statics[:st.nStatics]
 	a.internalObjs = a.internalObjs[:st.nInternal]

@@ -11,10 +11,11 @@ import (
 // collection is running (table 6.3 profiles across the whole run) restores
 // the per-function counters exactly.
 
+// profState copies the profiler whole, its map (nil in the copy) as
+// counter values.
 type profState struct {
-	fns     map[sym.PC]fnStats
-	total   fnStats
-	enabled bool
+	prof Profiler
+	fns  map[sym.PC]fnStats
 }
 
 // Bytes implements sim.State.
@@ -28,11 +29,8 @@ func (p *Profiler) LiveBytes() uint64 {
 
 // SnapshotState implements sim.Snapshotter.
 func (p *Profiler) SnapshotState() sim.State {
-	st := &profState{
-		fns:     make(map[sym.PC]fnStats, len(p.fns)),
-		total:   p.total,
-		enabled: p.enabled,
-	}
+	st := &profState{prof: *p, fns: make(map[sym.PC]fnStats, len(p.fns))}
+	st.prof.fns = nil
 	for pc, s := range p.fns {
 		st.fns[pc] = *s
 	}
@@ -42,11 +40,10 @@ func (p *Profiler) SnapshotState() sim.State {
 // RestoreState implements sim.Snapshotter.
 func (p *Profiler) RestoreState(state sim.State) {
 	st := state.(*profState)
+	*p = st.prof
 	p.fns = make(map[sym.PC]*fnStats, len(st.fns))
 	for pc, s := range st.fns {
 		cp := s
 		p.fns[pc] = &cp
 	}
-	p.total = st.total
-	p.enabled = st.enabled
 }

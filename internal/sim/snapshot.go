@@ -65,14 +65,17 @@ func (s *countedSource) rewind(seed int64, draws uint64) {
 	s.draws = draws
 }
 
-// Snapshotter is implemented by components attached to a machine (profiler,
-// allocator, kernel, lock registry, workloads) whose mutable state must
-// travel with Machine.Snapshot/Restore. SnapshotState returns an immutable
-// deep copy of the component's state; RestoreState rewinds the component to
-// a state previously returned by its own SnapshotState. LiveBytes is the
-// memory the live component keeps: its own arrays and the objects it owns
-// (packets, connections, slab bookkeeping), the part of a parked checkpoint
-// that the snapshot does not hold.
+// Snapshotter is implemented by components attached to a machine whose
+// state is deeper than values and slices: the profiler, the allocator, the
+// kernel, oprofile (the cache hierarchy is the machine's own). Components
+// whose mutable state is plain values and slices (the workloads, the PMU
+// units) register those with RewindValues and RewindSlices instead, which
+// are Snapshotters too. SnapshotState returns an immutable deep copy of the
+// component's state; RestoreState rewinds the component to a state
+// previously returned by its own SnapshotState. LiveBytes is the memory the
+// live component keeps: its own arrays and the objects it owns (packets,
+// connections, slab bookkeeping), the part of a parked checkpoint that the
+// snapshot does not hold.
 type Snapshotter interface {
 	SnapshotState() State
 	RestoreState(state State)
@@ -83,7 +86,8 @@ type Snapshotter interface {
 // every array and map it owns, and the objects it keeps alive for
 // RestoreState to write through or share (the address-set record blocks,
 // the packets whose fields it records), so that a checkpoint pool charges
-// what a parked entry pins.
+// what a parked entry pins. RewindValues and RewindSlices size theirs from
+// the registered types.
 type State interface {
 	Bytes() uint64
 }
@@ -114,23 +118,11 @@ type coreState struct {
 	draws   uint64
 }
 
-// wheelState is the event wheel's snapshot.
-type wheelState struct {
-	events  eventHeap
-	seq     uint64
-	now     uint64
-	next    event
-	hasNext bool
-	winLen  uint64
-	winNext uint64
-	winFn   func(boundary uint64)
-}
-
 // Snapshot is a deep copy of a machine's mutable state at a task boundary.
 // It is bound to the machine it was taken from (wheel events close over live
 // workload objects) and immutable once taken.
 type Snapshot struct {
-	wheel    wheelState
+	wheel    eventWheel // events holds a copy of the heap
 	win      measuredWindow
 	cores    []coreState
 	overhead map[string]uint64
@@ -156,16 +148,7 @@ type Snapshot struct {
 // task.
 func (m *Machine) Snapshot() *Snapshot {
 	s := &Snapshot{
-		wheel: wheelState{
-			events:  append(eventHeap(nil), m.wheel.events...),
-			seq:     m.wheel.seq,
-			now:     m.wheel.now,
-			next:    m.wheel.next,
-			hasNext: m.wheel.hasNext,
-			winLen:  m.wheel.winLen,
-			winNext: m.wheel.winNext,
-			winFn:   m.wheel.winFn,
-		},
+		wheel:    m.wheel,
 		win:      m.win,
 		cores:    make([]coreState, len(m.cores)),
 		overhead: make(map[string]uint64, len(m.Overhead)),
@@ -175,6 +158,7 @@ func (m *Machine) Snapshot() *Snapshot {
 		alwaysOn: m.alwaysOn,
 		hier:     m.Hier.Checkpoint(),
 	}
+	s.wheel.events = append(eventHeap(nil), m.wheel.events...)
 	for i, c := range m.cores {
 		s.cores[i] = coreState{
 			now:     c.now,
@@ -203,14 +187,9 @@ func (m *Machine) Snapshot() *Snapshot {
 // current arming state, which the Snapshotter restores only afterwards; the
 // captured values are by construction what a cold run had at this instant.
 func (m *Machine) Restore(s *Snapshot) {
-	m.wheel.events = append(m.wheel.events[:0], s.wheel.events...)
-	m.wheel.seq = s.wheel.seq
-	m.wheel.now = s.wheel.now
-	m.wheel.next = s.wheel.next
-	m.wheel.hasNext = s.wheel.hasNext
-	m.wheel.winLen = s.wheel.winLen
-	m.wheel.winNext = s.wheel.winNext
-	m.wheel.winFn = s.wheel.winFn
+	events := append(m.wheel.events[:0], s.wheel.events...)
+	m.wheel = s.wheel
+	m.wheel.events = events
 	m.win = s.win
 	for i, cs := range s.cores {
 		c := m.cores[i]
