@@ -142,8 +142,6 @@ func New(cfg Config) *Bench {
 		core := core
 		l.Epoll.Wakeup = func(c *sim.Ctx) { b.wakeApp(c, core) }
 	}
-	// Connections never outlive the listener task that serves them, so the
-	// kernel's accept-queue capture covers every live TCPConn.
 	sim.RewindSlices(m, &b.rr)
 	sim.RewindSlices(m, &b.appQueued)
 	sim.RewindSlices(m, &b.completed)
@@ -170,7 +168,7 @@ func (b *Bench) appLoop(c *sim.Ctx, core int) {
 	b.K.EpollWait(c, l.Epoll)
 	for i := 0; i < b.Cfg.AcceptBatch; i++ {
 		conn := l.Accept(c)
-		if conn == nil {
+		if conn.None() {
 			return
 		}
 		if c.Measured() {
@@ -187,7 +185,7 @@ func (b *Bench) appLoop(c *sim.Ctx, core int) {
 // serve hands the connection to the next worker thread: futex wake, context
 // switch, request read, file copy, response transmit, close, and the switch
 // back to the listener.
-func (b *Bench) serve(c *sim.Ctx, core int, conn *kernel.TCPConn) {
+func (b *Bench) serve(c *sim.Ctx, core int, conn kernel.TCPConn) {
 	k := b.K
 	w := b.workers[core][b.rr[core]%len(b.workers[core])]
 	b.rr[core]++

@@ -137,7 +137,7 @@ func (b *Bench) appLoop(c *sim.Ctx, core int) {
 	b.K.EpollWait(c, sk.Epoll)
 	for i := 0; i < appBatch; i++ {
 		skb := sk.Recvmsg(c, b.Cfg.RequestBytes)
-		if skb == nil {
+		if skb.None() {
 			return
 		}
 		b.process(c, core)

@@ -8,7 +8,7 @@ import (
 // WaitQueue is a kernel wait queue head with its own lock.
 type WaitQueue struct {
 	Addr uint64
-	Lock *lockstat.Lock
+	Lock lockstat.Lock
 }
 
 // EventPoll is one epoll instance (each application instance owns one, pinned
@@ -18,8 +18,8 @@ type WaitQueue struct {
 type EventPoll struct {
 	Core int
 	Addr uint64
-	Lock *lockstat.Lock
-	WQ   *WaitQueue
+	Lock lockstat.Lock
+	WQ   WaitQueue
 
 	ready int
 
@@ -36,14 +36,14 @@ func (k *Kernel) initEpoll() {
 	_, epAddrs := k.Alloc.StaticArray("eventpoll", 192, n, "event poll instance")
 	_, wqAddrs := k.Alloc.StaticArray("wait_queue_head", 64, n, "wait queue head")
 	for i := 0; i < n; i++ {
-		wq := &WaitQueue{Addr: wqAddrs[i], Lock: lockstat.NewLock(wqClass, wqAddrs[i])}
 		k.epolls = append(k.epolls, &EventPoll{
 			Core: i,
 			Addr: epAddrs[i],
-			Lock: lockstat.NewLock(epClass, epAddrs[i]),
-			WQ:   wq,
+			Lock: *lockstat.NewLock(epClass, epAddrs[i]),
+			WQ:   WaitQueue{Addr: wqAddrs[i], Lock: *lockstat.NewLock(wqClass, wqAddrs[i])},
 		})
 	}
+	sim.RewindValues(k.M, k.epolls...)
 }
 
 // Epoll returns core i's epoll instance.

@@ -16,7 +16,7 @@ const futexBuckets = 8
 type FutexTable struct {
 	k     *Kernel
 	addrs []uint64
-	locks []*lockstat.Lock
+	locks []lockstat.Lock
 }
 
 func newFutexTable(k *Kernel) *FutexTable {
@@ -24,8 +24,9 @@ func newFutexTable(k *Kernel) *FutexTable {
 	class := k.Locks.Class("futex lock")
 	f := &FutexTable{k: k, addrs: addrs}
 	for _, a := range addrs {
-		f.locks = append(f.locks, lockstat.NewLock(class, a))
+		f.locks = append(f.locks, *lockstat.NewLock(class, a))
 	}
+	sim.RewindSlices(k.M, &f.locks)
 	return f
 }
 

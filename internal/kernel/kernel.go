@@ -80,9 +80,14 @@ type Kernel struct {
 	udpPorts map[int]*UDPSock
 	tcpPorts map[int]*Listener
 
-	// liveSKBs and liveConns count the packets and connections allocated
-	// and not yet freed (or closed), whose Go objects the kernel keeps.
-	liveSKBs, liveConns int
+	// Packets and connections live in arenas of fixed slots, as the
+	// kernel's slab caches keep them; freeing a slot zeroes it and pushes
+	// its index on the free list. Packet slot 0 stays empty: the zero SKB
+	// names no packet.
+	skbs     []skbuff
+	skbFree  []int32
+	conns    []tcpConn
+	connFree []int32
 }
 
 // New builds a kernel on top of a fresh machine.
@@ -100,6 +105,7 @@ func New(m *sim.Machine, acfg mem.Config, kcfg Config) *Kernel {
 		Locks:    locks,
 		udpPorts: make(map[int]*UDPSock),
 		tcpPorts: make(map[int]*Listener),
+		skbs:     make([]skbuff, 1),
 	}
 	k.SkbType = alloc.RegisterType("skbuff", 256, "packet bookkeeping structure")
 	k.FcloneType = alloc.RegisterType("skbuff_fclone", 512, "TCP packet bookkeeping structure")
@@ -113,10 +119,18 @@ func New(m *sim.Machine, acfg mem.Config, kcfg Config) *Kernel {
 
 	k.sockLockClass = locks.Class("socket lock")
 
+	// A warm-start checkpoint copies the arenas whole, free slots and free
+	// lists included, so it rewinds every packet and connection wherever
+	// its handle is held: in a queue, in a wheel event (a packet on the
+	// wire, a completion), or in a workload's task. The device, epoll
+	// instances, futex table and sockets register their own queues and
+	// locks.
+	sim.RewindSlices(m, &k.skbs)
+	sim.RewindSlices(m, &k.conns)
+	sim.RewindSlices(m, &k.skbFree, &k.connFree)
 	k.Dev = newNetDevice(k)
 	k.initEpoll()
 	k.Futex = newFutexTable(k)
-	m.AddSnapshotter(k)
 	return k
 }
 

@@ -34,10 +34,10 @@ func TestAllocSKBAndFree(t *testing.T) {
 	m, k := testKernel(2, Config{})
 	m.Schedule(0, 0, func(c *sim.Ctx) {
 		skb := k.AllocSKB(c, false)
-		if tt, base, ok := k.Alloc.Resolve(skb.Addr); !ok || tt != k.SkbType || base != skb.Addr {
+		if tt, base, ok := k.Alloc.Resolve(k.skb(skb).addr); !ok || tt != k.SkbType || base != k.skb(skb).addr {
 			t.Error("skb does not resolve to skbuff")
 		}
-		if tt, _, ok := k.Alloc.Resolve(skb.Data); !ok || tt != k.PayloadType {
+		if tt, _, ok := k.Alloc.Resolve(k.skb(skb).data); !ok || tt != k.PayloadType {
 			t.Error("payload does not resolve to size-1024")
 		}
 		k.KfreeSKB(c, skb)
@@ -55,7 +55,7 @@ func TestFcloneUsesFclonePool(t *testing.T) {
 	m, k := testKernel(2, Config{})
 	m.Schedule(0, 0, func(c *sim.Ctx) {
 		skb := k.AllocSKB(c, true)
-		if tt, _, _ := k.Alloc.Resolve(skb.Addr); tt != k.FcloneType {
+		if tt, _, _ := k.Alloc.Resolve(k.skb(skb).addr); tt != k.FcloneType {
 			t.Error("fclone skb not from skbuff_fclone pool")
 		}
 		k.KfreeSKB(c, skb)
@@ -70,12 +70,12 @@ func TestDevQueueXmitLocalFix(t *testing.T) {
 	m, k := testKernel(4, cfg)
 	m.Schedule(2, 0, func(c *sim.Ctx) {
 		skb := k.AllocSKB(c, false)
-		skb.Len = 100
+		k.skb(skb).len = 100
 		if !k.Dev.DevQueueXmit(c, skb) {
 			t.Error("xmit failed")
 		}
-		if skb.Queue != 2 {
-			t.Errorf("local fix chose queue %d from core 2", skb.Queue)
+		if k.skb(skb).queue != 2 {
+			t.Errorf("local fix chose queue %d from core 2", k.skb(skb).queue)
 		}
 	})
 	m.RunAll()
@@ -91,8 +91,8 @@ func TestTxCompletionFreesAndCallsBack(t *testing.T) {
 	done := false
 	m.Schedule(0, 0, func(c *sim.Ctx) {
 		skb := k.AllocSKB(c, false)
-		skb.Len = 64
-		skb.OnTxComplete = func(cc *sim.Ctx) { done = true }
+		k.skb(skb).len = 64
+		k.skb(skb).onTxComplete = func(cc *sim.Ctx) { done = true }
 		k.Dev.DevQueueXmit(c, skb)
 	})
 	m.RunAll()
@@ -114,7 +114,7 @@ func TestQdiscDropAtLimit(t *testing.T) {
 	m.Schedule(0, 0, func(c *sim.Ctx) {
 		for i := 0; i < 4; i++ {
 			skb := k.AllocSKB(c, false)
-			skb.Len = 64
+			k.skb(skb).len = 64
 			if k.Dev.DevQueueXmit(c, skb) {
 				sent++
 			}
@@ -141,7 +141,7 @@ func TestRxDeliverPullsFromRing(t *testing.T) {
 			t.Fatalf("ring prefill live = %d, want 8", live)
 		}
 		skb := k.Dev.RxDeliver(c, 0, 100)
-		if skb == nil || skb.Len != 100 {
+		if skb.None() || k.skb(skb).len != 100 {
 			t.Fatal("RxDeliver returned bad skb")
 		}
 		// Ring replenished: one consumed, one allocated.
@@ -170,7 +170,7 @@ func TestUDPRoundTrip(t *testing.T) {
 			t.Fatalf("rx queue = %d", sk.RxQueueLen())
 		}
 		got := sk.Recvmsg(c, 64)
-		if got == nil {
+		if got.None() {
 			t.Fatal("recvmsg returned nil")
 		}
 		k.KfreeSKB(c, got)
@@ -205,7 +205,7 @@ func TestRecvmsgEmptyQueue(t *testing.T) {
 	m, k := testKernel(1, cfg)
 	m.Schedule(0, 0, func(c *sim.Ctx) {
 		sk := k.NewUDPSock(c, 9001, 0)
-		if sk.Recvmsg(c, 64) != nil {
+		if !sk.Recvmsg(c, 64).None() {
 			t.Error("recvmsg on empty queue returned an skb")
 		}
 	})
@@ -220,7 +220,7 @@ func TestTCPBacklogRefusal(t *testing.T) {
 		l := k.NewListener(c, 80, 0, 2)
 		for i := 0; i < 4; i++ {
 			skb := k.AllocSKB(c, false)
-			skb.Len = 60
+			k.skb(skb).len = 60
 			l.RxSyn(c, skb)
 		}
 		if l.QueueLen() != 2 {
@@ -250,7 +250,7 @@ func TestTCPAcceptServesFIFO(t *testing.T) {
 		if got := l.Accept(c); got != c2 {
 			t.Fatal("second accept wrong")
 		}
-		if l.Accept(c) != nil {
+		if !l.Accept(c).None() {
 			t.Fatal("accept on empty queue returned a conn")
 		}
 		c1.ReadRequest(c, 64)

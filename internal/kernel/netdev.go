@@ -31,9 +31,9 @@ type TxQueue struct {
 	ID        int
 	OwnerCore int
 	QdiscAddr uint64
-	Lock      *lockstat.Lock
+	Lock      lockstat.Lock
 
-	fifo     []*SKB
+	fifo     []SKB
 	limit    int
 	draining bool
 }
@@ -41,44 +41,35 @@ type TxQueue struct {
 // Len returns the number of queued packets.
 func (q *TxQueue) Len() int { return len(q.fifo) }
 
-// rxRing is the driver's per-queue receive ring of preallocated skbuffs.
-type rxRing struct {
-	skbs []*SKB
-}
-
 // NetDevice is the simulated multiqueue NIC plus its net_device structure.
 type NetDevice struct {
 	k    *Kernel
 	Addr uint64
 	Tx   []*TxQueue
-	rx   []*rxRing
+	rx   [][]SKB // the driver's per-queue receive rings of preallocated skbuffs
 
 	txPackets uint64
 	rxPackets uint64
 	drops     uint64
-
-	// inflight tracks packets between hardStartXmit and cleanTxIrq: their
-	// completion events sit in the wheel holding live *SKB pointers, so a
-	// warm-start snapshot must capture (and a restore rewind) their mutable
-	// fields even though no queue references them anymore.
-	inflight map[*SKB]struct{}
 }
 
 func newNetDevice(k *Kernel) *NetDevice {
 	_, devAddr := k.Alloc.Static("net_device", 128, "network device structure")
 	qdiscClass := k.Locks.Class("Qdisc lock")
 	_, qdiscAddrs := k.Alloc.StaticArray("Qdisc", 256, k.Cfg.TxQueues, "packet scheduler queue")
-	d := &NetDevice{k: k, Addr: devAddr, inflight: make(map[*SKB]struct{})}
+	d := &NetDevice{k: k, Addr: devAddr, rx: make([][]SKB, k.Cfg.TxQueues)}
+	sim.RewindValues(k.M, d)
 	for i := 0; i < k.Cfg.TxQueues; i++ {
 		q := &TxQueue{
 			ID:        i,
 			OwnerCore: i % k.M.NumCores(),
 			QdiscAddr: qdiscAddrs[i],
-			Lock:      lockstat.NewLock(qdiscClass, qdiscAddrs[i]+QdiscOffLock),
+			Lock:      *lockstat.NewLock(qdiscClass, qdiscAddrs[i]+QdiscOffLock),
 			limit:     k.Cfg.TxQueueLen,
 		}
 		d.Tx = append(d.Tx, q)
-		d.rx = append(d.rx, &rxRing{})
+		sim.RewindValues(k.M, q)
+		sim.RewindSlices(k.M, &q.fifo, &d.rx[i])
 	}
 	return d
 }
@@ -94,17 +85,15 @@ func (d *NetDevice) Drops() uint64 { return d.drops }
 // buffers are live allocations: they are a large part of the skbuff working
 // set in Table 6.1.
 func (d *NetDevice) FillRxRing(c *sim.Ctx, q int) {
-	ring := d.rx[q]
-	for len(ring.skbs) < d.k.Cfg.RxRingSize {
-		skb := d.k.AllocSKB(c, false)
-		ring.skbs = append(ring.skbs, skb)
+	for len(d.rx[q]) < d.k.Cfg.RxRingSize {
+		d.rx[q] = append(d.rx[q], d.k.AllocSKB(c, false))
 	}
 }
 
 // selectQueue picks the TX queue for a packet: the buggy default hashes the
 // packet (skb_tx_hash), spreading one core's transmits over all queues; the
 // fixed driver picks the caller's local queue.
-func (d *NetDevice) selectQueue(c *sim.Ctx, skb *SKB) int {
+func (d *NetDevice) selectQueue(c *sim.Ctx, skb SKB) int {
 	if d.k.Cfg.LocalTxQueue {
 		// The fix: a driver-provided ndo_select_queue that keeps the
 		// packet on the transmitting core's own queue.
@@ -114,7 +103,7 @@ func (d *NetDevice) selectQueue(c *sim.Ctx, skb *SKB) int {
 	}
 	defer c.Leave(c.EnterPC(pcSkbTxHash))
 	c.Read(d.Addr+DevOffTxQueues, 4)
-	c.Read(skb.Addr+SkbOffCB, 8)
+	c.Read(d.k.skb(skb).addr+SkbOffCB, 8)
 	c.Compute(30) // jhash over the flow key
 	return c.Rand().Intn(len(d.Tx))
 }
@@ -122,13 +111,14 @@ func (d *NetDevice) selectQueue(c *sim.Ctx, skb *SKB) int {
 // DevQueueXmit queues a packet for transmission: queue selection, the qdisc
 // enqueue under the Qdisc lock, and a kick of the drain on the queue's owner
 // core (§6.1's critical path).
-func (d *NetDevice) DevQueueXmit(c *sim.Ctx, skb *SKB) bool {
+func (d *NetDevice) DevQueueXmit(c *sim.Ctx, skb SKB) bool {
 	defer c.Leave(c.EnterPC(pcDevQueueXmit))
 	c.Read(d.Addr+DevOffState, 8) // qdisc state / device up check
 	q := d.Tx[d.selectQueue(c, skb)]
-	skb.Queue = q.ID
-	c.Write(skb.Addr+SkbOffQueue, 2)
-	c.Write(skb.Addr+SkbOffDev, 8)
+	p := d.k.skb(skb)
+	p.queue = q.ID
+	c.Write(p.addr+SkbOffQueue, 2)
+	c.Write(p.addr+SkbOffDev, 8)
 
 	q.Lock.Acquire(c)
 	if len(q.fifo) >= q.limit {
@@ -140,7 +130,7 @@ func (d *NetDevice) DevQueueXmit(c *sim.Ctx, skb *SKB) bool {
 	func() {
 		defer c.Leave(c.EnterPC(pcPfifoFastEnqueue))
 		c.Read(q.QdiscAddr+QdiscOffQlen, 8)
-		c.Write(skb.Addr+SkbOffNext, 8)
+		c.Write(p.addr+SkbOffNext, 8)
 		c.Write(q.QdiscAddr+QdiscOffTail, 16) // tail pointer + qlen, one line
 		q.fifo = append(q.fifo, skb)
 	}()
@@ -174,7 +164,7 @@ func (d *NetDevice) qdiscRun(c *sim.Ctx, q *TxQueue) {
 	defer c.Leave(c.EnterPC(pcQdiscRun))
 	for i := 0; i < drainBudget; i++ {
 		q.Lock.Acquire(c)
-		var skb *SKB
+		var skb SKB
 		func() {
 			defer c.Leave(c.EnterPC(pcPfifoFastDequeue))
 			c.Read(q.QdiscAddr+QdiscOffQlen, 8)
@@ -183,10 +173,10 @@ func (d *NetDevice) qdiscRun(c *sim.Ctx, q *TxQueue) {
 			}
 			skb = q.fifo[0]
 			q.fifo = q.fifo[1:]
-			c.Read(skb.Addr+SkbOffNext, 8)
+			c.Read(d.k.skb(skb).addr+SkbOffNext, 8)
 			c.Write(q.QdiscAddr+QdiscOffHead, 16) // head pointer + qlen, one line
 		}()
-		if skb == nil {
+		if skb.None() {
 			q.draining = false
 			q.Lock.Release(c)
 			return
@@ -201,23 +191,24 @@ func (d *NetDevice) qdiscRun(c *sim.Ctx, q *TxQueue) {
 // hardStartXmit is the driver transmit path: reads the packet (checksum),
 // maps it for DMA, posts the descriptor, and schedules the completion
 // interrupt.
-func (d *NetDevice) hardStartXmit(c *sim.Ctx, q *TxQueue, skb *SKB) {
+func (d *NetDevice) hardStartXmit(c *sim.Ctx, q *TxQueue, skb SKB) {
 	defer c.Leave(c.EnterPC(pcDevHardStartXmit))
-	c.Read(skb.Addr, 64)          // skb header: len, data, flags
+	p := d.k.skb(skb)
+	c.Read(p.addr, 64)            // skb header: len, data, flags
 	c.Read(d.Addr+DevOffState, 8) // netif_running / xmit-stopped checks
 	func() {
 		defer c.Leave(c.EnterPC(pcIxgbeXmitFrame))
-		c.Read(skb.Addr+SkbOffData, 8)
+		c.Read(p.addr+SkbOffData, 8)
 		// The driver touches the packet head: headers for the checksum
 		// pseudo-sum plus the region it copies into the immediate
 		// descriptor. On the buggy path this read is the largest
 		// cross-core transfer.
-		n := skb.Len
+		n := p.len
 		if n > txTouchBytes {
 			n = txTouchBytes
 		}
 		if n > 0 {
-			c.Read(skb.Data, n)
+			c.Read(p.data, n)
 		}
 		func() {
 			defer c.Leave(c.EnterPC(pcSkbDmaMap))
@@ -225,29 +216,26 @@ func (d *NetDevice) hardStartXmit(c *sim.Ctx, q *TxQueue, skb *SKB) {
 				defer c.Leave(c.EnterPC(pcPhysAddr))
 				c.Compute(15)
 			}()
-			c.Read(skb.Addr+SkbOffDMA, 16)
-			c.Write(skb.Addr+SkbOffDMA, 16)
+			c.Read(p.addr+SkbOffDMA, 16)
+			c.Write(p.addr+SkbOffDMA, 16)
 		}()
 		c.Compute(700)                        // descriptor setup, doorbell
 		c.Write(q.QdiscAddr+QdiscOffRing, 16) // TX descriptor
 		c.Write(d.Addr+DevOffStats, 16)       // dev stats: the net_device bounce
 	}()
 	d.txPackets++
-	d.inflight[skb] = struct{}{}
 	c.Spawn(q.OwnerCore, d.k.Cfg.WireDelay, func(cc *sim.Ctx) { d.cleanTxIrq(cc, q, skb) })
 }
 
 // cleanTxIrq is the TX-completion interrupt on the queue's owner core: it
 // frees the skb (the remote free that exercises the SLAB alien caches) and
 // fires the packet's completion callback.
-func (d *NetDevice) cleanTxIrq(c *sim.Ctx, q *TxQueue, skb *SKB) {
+func (d *NetDevice) cleanTxIrq(c *sim.Ctx, q *TxQueue, skb SKB) {
 	defer c.Leave(c.EnterPC(pcIxgbeCleanTxIrq))
-	delete(d.inflight, skb)
 	c.Read(q.QdiscAddr+QdiscOffRing, 16)
 	c.Write(q.QdiscAddr+QdiscOffRing, 8)
 	c.Compute(500) // IRQ entry/exit, descriptor recycling
-	done := skb.OnTxComplete
-	skb.OnTxComplete = nil
+	done := d.k.skb(skb).onTxComplete
 	d.k.DevKfreeSKBIrq(c, skb)
 	if done != nil {
 		done(c)
@@ -259,26 +247,28 @@ func (d *NetDevice) cleanTxIrq(c *sim.Ctx, q *TxQueue, skb *SKB) {
 // replenishes the ring, and hands the packet up the stack. payloadLen is the
 // number of payload bytes the "DMA" filled. The returned skb is owned by the
 // caller's upper-layer handler.
-func (d *NetDevice) RxDeliver(c *sim.Ctx, qid int, payloadLen uint32) *SKB {
-	ring := d.rx[qid]
-	var skb *SKB
+func (d *NetDevice) RxDeliver(c *sim.Ctx, qid int, payloadLen uint32) SKB {
+	ring := &d.rx[qid]
+	var skb SKB
+	var p *skbuff
 	func() {
 		defer c.Leave(c.EnterPC(pcEventHandler))
 		func() {
 			defer c.Leave(c.EnterPC(pcIxgbeCleanRxIrq))
 			q := d.Tx[qid]
 			c.Read(q.QdiscAddr+QdiscOffRxRing, 16) // RX descriptor
-			if len(ring.skbs) == 0 {
+			if len(*ring) == 0 {
 				// Ring underrun: allocate inline (slow path).
 				skb = d.k.AllocSKB(c, false)
 			} else {
-				skb = ring.skbs[0]
-				ring.skbs = ring.skbs[1:]
+				skb = (*ring)[0]
+				*ring = (*ring)[1:]
 				// Replenish the ring with a fresh skb.
-				ring.skbs = append(ring.skbs, d.k.AllocSKB(c, false))
+				*ring = append(*ring, d.k.AllocSKB(c, false))
 			}
-			skb.Len = payloadLen
-			c.Write(skb.Addr+SkbOffLen, 8)
+			p = d.k.skb(skb)
+			p.len = payloadLen
+			c.Write(p.addr+SkbOffLen, 8)
 			c.Write(q.QdiscAddr+QdiscOffRxRing, 8)
 			c.Compute(600) // IRQ entry/exit, descriptor processing
 			d.rxPackets++
@@ -291,13 +281,13 @@ func (d *NetDevice) RxDeliver(c *sim.Ctx, qid int, payloadLen uint32) *SKB {
 	}()
 	func() {
 		defer c.Leave(c.EnterPC(pcEthTypeTrans))
-		c.Read(skb.Data, 14) // ethernet header
-		c.Write(skb.Addr+SkbOffProto, 2)
+		c.Read(p.data, 14) // ethernet header
+		c.Write(p.addr+SkbOffProto, 2)
 	}()
 	func() {
 		defer c.Leave(c.EnterPC(pcIpRcv))
-		c.Read(skb.Data+14, 20) // IP header
-		c.Write(skb.Addr+SkbOffCB, 8)
+		c.Read(p.data+14, 20) // IP header
+		c.Write(p.addr+SkbOffCB, 8)
 		c.Compute(350) // header validation, routing decision
 	}()
 	return skb

@@ -16,18 +16,29 @@ const (
 	TCPOffStats = 1024
 )
 
-// TCPConn is an established (or establishing) connection: a tcp_sock object
-// plus the request data that arrived with it.
+// TCPConn is a handle on an established (or establishing) connection in
+// the kernel's connection arena. The zero TCPConn names no connection.
 type TCPConn struct {
-	k    *Kernel
-	Addr uint64
+	k *Kernel
+	i int32
+}
+
+// None reports whether conn names no connection.
+func (conn TCPConn) None() bool { return conn.k == nil }
+
+// tcpConn is one connection arena slot: a tcp_sock object plus the request
+// data that arrived with it. A free slot is zero.
+type tcpConn struct {
+	addr uint64
 	lock lockstat.Lock
 
-	ReqSKB  *SKB   // request payload, queued until the worker reads it
-	AllocAt uint64 // cycle the tcp_sock was allocated (queue-delay metric)
-
-	closed bool
+	reqSKB  SKB    // request payload, queued until the worker reads it
+	allocAt uint64 // cycle the tcp_sock was allocated (queue-delay metric)
 }
+
+// sock returns conn's arena slot. The pointer is valid until the next
+// RxSyn, which may grow the arena.
+func (conn TCPConn) sock() *tcpConn { return &conn.k.conns[conn.i] }
 
 // Listener is a listening TCP socket with its accept backlog.
 type Listener struct {
@@ -36,16 +47,18 @@ type Listener struct {
 	Core  int
 	Addr  uint64 // the listener's own tcp_sock
 	Epoll *EventPoll
-	lock  *lockstat.Lock
+	lock  lockstat.Lock
 
-	Backlog int // accept-queue limit; the §6.2 fix caps this low
-	acceptQ []*TCPConn
+	Backlog int     // accept-queue limit; the §6.2 fix caps this low
+	acceptQ []int32 // connection arena slots
 
 	refused uint64
 }
 
 // NewListener creates a listening socket on core's instance. backlog is the
-// accept-queue limit (Linux's somaxconn/backlog argument).
+// accept-queue limit (Linux's somaxconn/backlog argument). The listener
+// registers its state for checkpoints when it is created, so bind it while
+// the workload is built: a checkpoint taken earlier does not rewind it.
 func (k *Kernel) NewListener(c *sim.Ctx, port, core, backlog int) *Listener {
 	if _, dup := k.tcpPorts[port]; dup {
 		panic(fmt.Sprintf("kernel: TCP port %d already bound", port))
@@ -61,10 +74,12 @@ func (k *Kernel) NewListener(c *sim.Ctx, port, core, backlog int) *Listener {
 		Core:    core,
 		Addr:    addr,
 		Epoll:   k.epolls[core],
-		lock:    lockstat.NewLock(k.sockLockClass, addr+TCPOffLock),
+		lock:    *lockstat.NewLock(k.sockLockClass, addr+TCPOffLock),
 		Backlog: backlog,
 	}
 	k.tcpPorts[port] = l
+	sim.RewindValues(k.M, l)
+	sim.RewindSlices(k.M, &l.acceptQ)
 	return l
 }
 
@@ -77,19 +92,19 @@ func (l *Listener) Refused() uint64 { return l.refused }
 
 // RxSyn handles an arriving connection (SYN + request data) on the
 // listener's core: tcp_v4_rcv, socket creation, and the accept-queue
-// enqueue. reqSKB carries the client's request payload. It returns nil if
-// the backlog was full and the connection was refused.
-func (l *Listener) RxSyn(c *sim.Ctx, reqSKB *SKB) *TCPConn {
+// enqueue. reqSKB carries the client's request payload. It returns the
+// zero TCPConn if the backlog was full and the connection was refused.
+func (l *Listener) RxSyn(c *sim.Ctx, reqSKB SKB) TCPConn {
 	k := l.k
 	defer c.Leave(c.EnterPC(pcTcpV4Rcv))
-	c.Read(reqSKB.Data+34, 16) // TCP header
-	c.Read(l.Addr, 16)         // listener lookup hit
+	c.Read(k.skb(reqSKB).data+34, 16) // TCP header
+	c.Read(l.Addr, 16)                // listener lookup hit
 	if len(l.acceptQ) >= l.Backlog {
 		l.refused++
 		k.KfreeSKB(c, reqSKB)
-		return nil
+		return TCPConn{}
 	}
-	var conn *TCPConn
+	conn := TCPConn{k: k}
 	func() {
 		defer c.Leave(c.EnterPC(pcTcpV4SynRecvSock))
 		addr := k.Alloc.Alloc(c, k.TCPSockType)
@@ -100,21 +115,25 @@ func (l *Listener) RxSyn(c *sim.Ctx, reqSKB *SKB) *TCPConn {
 		c.Write(addr+TCPOffState, 64)
 		c.Write(addr+TCPOffRxQ, 64)
 		c.Compute(200) // handshake bookkeeping
-		conn = &TCPConn{
-			k:       k,
-			Addr:    addr,
+		if n := len(k.connFree); n > 0 {
+			conn.i, k.connFree = k.connFree[n-1], k.connFree[:n-1]
+		} else {
+			conn.i = int32(len(k.conns))
+			k.conns = append(k.conns, tcpConn{})
+		}
+		*conn.sock() = tcpConn{
+			addr:    addr,
 			lock:    *lockstat.NewLock(k.sockLockClass, addr+TCPOffLock),
-			ReqSKB:  reqSKB,
-			AllocAt: c.Now(),
+			reqSKB:  reqSKB,
+			allocAt: c.Now(),
 		}
 		c.Write(addr+TCPOffRxQ+8, 16) // queue the request data
-		c.Write(reqSKB.Addr+SkbOffNext, 8)
+		c.Write(k.skb(reqSKB).addr+SkbOffNext, 8)
 	}()
-	k.liveConns++
 	k.ModTimer(c) // SYN-ACK retransmit timer
 	l.lock.Acquire(c)
 	c.Write(l.Addr+TCPOffRxQ, 16) // accept-queue tail
-	l.acceptQ = append(l.acceptQ, conn)
+	l.acceptQ = append(l.acceptQ, conn.i)
 	l.lock.Release(c)
 	func() {
 		defer c.Leave(c.EnterPC(pcSockDefReadable))
@@ -126,77 +145,86 @@ func (l *Listener) RxSyn(c *sim.Ctx, reqSKB *SKB) *TCPConn {
 // Accept dequeues the oldest pending connection (inet_csk_accept), touching
 // the tcp_sock lines the way accept does — the reads whose latency Table 6.5
 // reports growing from ~50 to ~150 cycles at drop-off.
-func (l *Listener) Accept(c *sim.Ctx) *TCPConn {
+// It returns the zero TCPConn if no connection is pending.
+func (l *Listener) Accept(c *sim.Ctx) TCPConn {
 	defer c.Leave(c.EnterPC(pcInetCskAccept))
 	l.lock.Acquire(c)
 	if len(l.acceptQ) == 0 {
 		l.lock.Release(c)
-		return nil
+		return TCPConn{}
 	}
-	conn := l.acceptQ[0]
+	conn := TCPConn{k: l.k, i: l.acceptQ[0]}
 	l.acceptQ = l.acceptQ[1:]
 	c.Write(l.Addr+TCPOffRxQ, 16)
 	l.lock.Release(c)
 	// Establish: read the socket state written at SYN time, then update it.
-	c.Read(conn.Addr, 64)
-	c.Read(conn.Addr+TCPOffState, 64)
-	c.Read(conn.Addr+TCPOffRxQ, 64)
-	c.Write(conn.Addr+TCPOffState, 32)
+	addr := conn.sock().addr
+	c.Read(addr, 64)
+	c.Read(addr+TCPOffState, 64)
+	c.Read(addr+TCPOffRxQ, 64)
+	c.Write(addr+TCPOffState, 32)
 	return conn
 }
 
 // QueueDelay returns cycles between the connection's arrival and now.
-func (conn *TCPConn) QueueDelay(c *sim.Ctx) uint64 {
-	if c.Now() < conn.AllocAt {
+func (conn TCPConn) QueueDelay(c *sim.Ctx) uint64 {
+	at := conn.sock().allocAt
+	if c.Now() < at {
 		return 0
 	}
-	return c.Now() - conn.AllocAt
+	return c.Now() - at
 }
 
-func (conn *TCPConn) lockSock(c *sim.Ctx) {
+func (conn TCPConn) lockSock(c *sim.Ctx) {
 	defer c.Leave(c.EnterPC(pcLockSockNested))
-	conn.lock.Acquire(c)
+	conn.sock().lock.Acquire(c)
 }
 
 // ReadRequest consumes the request data queued on the connection, copying
 // readLen bytes to user space, and frees the request skb.
-func (conn *TCPConn) ReadRequest(c *sim.Ctx, readLen uint32) {
+func (conn TCPConn) ReadRequest(c *sim.Ctx, readLen uint32) {
+	k := conn.k
 	defer c.Leave(c.EnterPC(pcTcpRecvmsg))
 	conn.lockSock(c)
-	skb := conn.ReqSKB
-	conn.ReqSKB = nil
-	c.Read(conn.Addr+TCPOffRxQ, 16)
-	c.Write(conn.Addr+TCPOffRxQ, 8)
-	conn.lock.Release(c)
-	if skb == nil {
+	sock := conn.sock()
+	skb := sock.reqSKB
+	sock.reqSKB = SKB{}
+	c.Read(sock.addr+TCPOffRxQ, 16)
+	c.Write(sock.addr+TCPOffRxQ, 8)
+	sock.lock.Release(c)
+	if skb.None() {
 		return
 	}
-	c.Read(skb.Addr, 32)
-	conn.k.SkbCopyDatagramIovec(c, skb, readLen)
-	conn.k.KfreeSKB(c, skb)
+	c.Read(k.skb(skb).addr, 32)
+	k.SkbCopyDatagramIovec(c, skb, readLen)
+	k.KfreeSKB(c, skb)
 }
 
 // SendResponse builds an fclone skb carrying n payload bytes and transmits
 // it. onComplete runs on the TX-completion core.
-func (conn *TCPConn) SendResponse(c *sim.Ctx, n uint32, onComplete func(*sim.Ctx)) bool {
+func (conn TCPConn) SendResponse(c *sim.Ctx, n uint32, onComplete func(*sim.Ctx)) bool {
 	k := conn.k
 	defer c.Leave(c.EnterPC(pcTcpSendmsg))
 	conn.lockSock(c)
 	skb := k.AllocSKB(c, true)
 	k.SkbPut(c, skb, 54+n)
 	k.CopyToPayload(c, skb, 54, n)
-	c.Write(conn.Addr+TCPOffSndQ, 16)
+	// The completion runs after the connection closes: it keeps the
+	// tcp_sock's address, not the arena slot.
+	addr := conn.sock().addr
+	c.Write(addr+TCPOffSndQ, 16)
 	var ok bool
 	func() {
 		defer c.Leave(c.EnterPC(pcTcpTransmitSkb))
-		c.Write(skb.Data, 54) // ethernet+IP+TCP headers
-		c.Write(conn.Addr+TCPOffStats, 16)
-		skb.Len = 54 + n
-		skb.OnTxComplete = func(cc *sim.Ctx) {
+		p := k.skb(skb)
+		c.Write(p.data, 54) // ethernet+IP+TCP headers
+		c.Write(addr+TCPOffStats, 16)
+		p.len = 54 + n
+		p.onTxComplete = func(cc *sim.Ctx) {
 			func() {
 				defer cc.Leave(cc.EnterPC(pcSockDefWriteSpace))
-				cc.Read(conn.Addr+TCPOffSndQ, 8)
-				cc.Write(conn.Addr+TCPOffSndQ, 8)
+				cc.Read(addr+TCPOffSndQ, 8)
+				cc.Write(addr+TCPOffSndQ, 8)
 			}()
 			if onComplete != nil {
 				onComplete(cc)
@@ -204,33 +232,36 @@ func (conn *TCPConn) SendResponse(c *sim.Ctx, n uint32, onComplete func(*sim.Ctx
 		}
 		ok = k.Dev.DevQueueXmit(c, skb)
 	}()
-	conn.lock.Release(c)
+	conn.sock().lock.Release(c)
 	return ok
 }
 
 // Close tears the connection down. The tcp_sock is freed immediately, or
 // after Config.TimeWait cycles if a TIME_WAIT linger is configured (the
-// lingering sockets are part of Apache's steady-state working set).
-func (conn *TCPConn) Close(c *sim.Ctx) {
-	if conn.closed {
+// lingering sockets are part of Apache's steady-state working set). The
+// arena slot is zeroed and freed at once; the TIME_WAIT free keeps only the
+// tcp_sock's address.
+func (conn TCPConn) Close(c *sim.Ctx) {
+	k := conn.k
+	sock := conn.sock()
+	addr, req := sock.addr, sock.reqSKB
+	if addr == 0 {
 		panic("kernel: double close of TCP connection")
 	}
-	conn.closed = true
-	conn.k.liveConns--
+	*sock = tcpConn{}
+	k.connFree = append(k.connFree, conn.i)
 	defer c.Leave(c.EnterPC(pcTcpClose))
-	if conn.ReqSKB != nil {
-		conn.k.KfreeSKB(c, conn.ReqSKB)
-		conn.ReqSKB = nil
+	if !req.None() {
+		k.KfreeSKB(c, req)
 	}
-	c.Write(conn.Addr+TCPOffState, 16)
-	k := conn.k
+	c.Write(addr+TCPOffState, 16)
 	k.ModTimer(c) // FIN/TIME_WAIT timer
 	if k.Cfg.TimeWait > 0 {
 		c.Spawn(c.Core.ID, k.Cfg.TimeWait, func(cc *sim.Ctx) {
 			defer cc.Leave(cc.EnterPC(pcInetTwskDeschedule))
-			k.Alloc.Free(cc, conn.Addr)
+			k.Alloc.Free(cc, addr)
 		})
 		return
 	}
-	k.Alloc.Free(c, conn.Addr)
+	k.Alloc.Free(c, addr)
 }

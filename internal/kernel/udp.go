@@ -22,13 +22,16 @@ type UDPSock struct {
 	Port  int
 	Core  int
 	Epoll *EventPoll
-	lock  *lockstat.Lock
+	lock  lockstat.Lock
 
-	rxq       []*SKB
+	rxq       []SKB
 	txSinceWS uint32 // transmits since the last write-space wake
 }
 
 // NewUDPSock creates and binds a UDP socket on the given core's instance.
+// The socket registers its state for checkpoints when it is created, so
+// bind it while the workload is built: a checkpoint taken earlier does not
+// rewind it.
 func (k *Kernel) NewUDPSock(c *sim.Ctx, port, core int) *UDPSock {
 	if _, dup := k.udpPorts[port]; dup {
 		panic(fmt.Sprintf("kernel: UDP port %d already bound", port))
@@ -41,9 +44,11 @@ func (k *Kernel) NewUDPSock(c *sim.Ctx, port, core int) *UDPSock {
 		Port:  port,
 		Core:  core,
 		Epoll: k.epolls[core],
-		lock:  lockstat.NewLock(k.sockLockClass, addr+UDPOffLock),
+		lock:  *lockstat.NewLock(k.sockLockClass, addr+UDPOffLock),
 	}
 	k.udpPorts[port] = sk
+	sim.RewindValues(k.M, sk)
+	sim.RewindSlices(k.M, &sk.rxq)
 	return sk
 }
 
@@ -57,20 +62,21 @@ func (sk *UDPSock) lockSock(c *sim.Ctx) {
 
 // UDPRcv delivers an skb (already through ip_rcv) to the socket bound on
 // port: socket lookup, receive-queue append, and the readiness wake.
-func (k *Kernel) UDPRcv(c *sim.Ctx, skb *SKB, port int) {
+func (k *Kernel) UDPRcv(c *sim.Ctx, skb SKB, port int) {
 	sk := k.udpPorts[port]
 	if sk == nil {
 		k.KfreeSKB(c, skb)
 		return
 	}
 	defer c.Leave(c.EnterPC(pcUdpRcv))
-	c.Read(skb.Data+34, 8) // UDP header
-	c.Compute(400)         // checksum validation, socket lookup
+	p := k.skb(skb)
+	c.Read(p.data+34, 8) // UDP header
+	c.Compute(400)       // checksum validation, socket lookup
 	sk.lockSock(c)
 	c.Read(sk.Addr+UDPOffRmem, 8)
 	c.Write(sk.Addr+UDPOffRmem, 8)
 	c.Write(sk.Addr+UDPOffRxQ, 16)
-	c.Write(skb.Addr+SkbOffNext, 8)
+	c.Write(p.addr+SkbOffNext, 8)
 	sk.rxq = append(sk.rxq, skb)
 	sk.lock.Release(c)
 	func() {
@@ -80,19 +86,19 @@ func (k *Kernel) UDPRcv(c *sim.Ctx, skb *SKB, port int) {
 }
 
 // Recvmsg dequeues one datagram and copies readLen bytes of it to user
-// space. It returns nil if the queue is empty.
-func (sk *UDPSock) Recvmsg(c *sim.Ctx, readLen uint32) *SKB {
+// space. It returns the zero SKB if the queue is empty.
+func (sk *UDPSock) Recvmsg(c *sim.Ctx, readLen uint32) SKB {
 	defer c.Leave(c.EnterPC(pcUdpRecvmsg))
 	sk.lockSock(c)
 	if len(sk.rxq) == 0 {
 		sk.lock.Release(c)
-		return nil
+		return SKB{}
 	}
 	skb := sk.rxq[0]
 	sk.rxq = sk.rxq[1:]
 	c.Read(sk.Addr+UDPOffRxQ, 16)
 	c.Write(sk.Addr+UDPOffRxQ, 8)
-	c.Read(skb.Addr, 32)
+	c.Read(sk.k.skb(skb).addr, 32)
 	c.Write(sk.Addr+UDPOffRmem, 8)
 	sk.lock.Release(c)
 	c.Compute(700) // syscall entry/exit, msghdr setup
@@ -107,17 +113,18 @@ func (sk *UDPSock) Recvmsg(c *sim.Ctx, readLen uint32) *SKB {
 func (sk *UDPSock) Sendmsg(c *sim.Ctx, n uint32, onComplete func(*sim.Ctx)) bool {
 	defer c.Leave(c.EnterPC(pcUdpSendmsg))
 	c.Compute(1400) // syscall entry/exit, route lookup, header build
+	k := sk.k
 	sk.lockSock(c)
-	skb := sk.k.AllocSKB(c, false)
-	sk.k.SkbPut(c, skb, 42+n)
-	c.Write(skb.Data, 42) // ethernet+IP+UDP headers
-	sk.k.CopyToPayload(c, skb, 42, n)
-	skb.Len = 42 + n
+	skb := k.AllocSKB(c, false)
+	p := k.skb(skb)
+	k.SkbPut(c, skb, 42+n)
+	c.Write(p.data, 42) // ethernet+IP+UDP headers
+	k.CopyToPayload(c, skb, 42, n)
+	p.len = 42 + n
 	c.Write(sk.Addr+UDPOffWmem, 8)
 	sk.lock.Release(c)
 
-	k := sk.k
-	skb.OnTxComplete = func(cc *sim.Ctx) {
+	p.onTxComplete = func(cc *sim.Ctx) {
 		func() {
 			defer cc.Leave(cc.EnterPC(pcSockDefWriteSpace))
 			cc.Read(sk.Addr+UDPOffWmem, 8)

@@ -7,10 +7,11 @@ import (
 )
 
 // Snapshot support for warm-start forks. A Lock's state is owner-side: the
-// component that owns a Lock copies the Lock value whole alongside its own
-// state (class and address never change, so writing them back is a no-op).
-// There is deliberately no global instance registry: apache creates a lock
-// per live connection and a registry would pin every dead one. Class
+// component that owns a Lock keeps it by value and copies it whole
+// alongside its own state (class and address never change, so writing them
+// back is a no-op). There is deliberately no global instance registry: the
+// kernel gives every connection its own lock, in a connection arena slot
+// that is reused, and the owner's copy is all a checkpoint needs. Class
 // statistics live in the Registry, whose checkpoint is a deep copy
 // restorable any number of times.
 

@@ -106,7 +106,7 @@ type Config struct {
 	// drops everything the next fork rewrites in full, and the budget
 	// charges what a parked entry keeps (core.Checkpoint.Bytes): its
 	// snapshot and its live session. The 42 entries of perfbench's serve
-	// deck are charged 50.1 MB and keep 52.5 MB of live heap. Zero means
+	// deck are charged 47.9 MB and keep 50.5 MB of live heap. Zero means
 	// the 256 MiB default; a negative budget is an error.
 	CheckpointPoolBytes int64
 }

@@ -66,16 +66,17 @@ func (s *countedSource) rewind(seed int64, draws uint64) {
 }
 
 // Snapshotter is implemented by components attached to a machine whose
-// state is deeper than values and slices: the profiler, the allocator, the
-// kernel, oprofile (the cache hierarchy is the machine's own). Components
-// whose mutable state is plain values and slices (the workloads, the PMU
-// units) register those with RewindValues and RewindSlices instead, which
-// are Snapshotters too. SnapshotState returns an immutable deep copy of the
-// component's state; RestoreState rewinds the component to a state
-// previously returned by its own SnapshotState. LiveBytes is the memory the
-// live component keeps: its own arrays and the objects it owns (packets,
-// connections, slab bookkeeping), the part of a parked checkpoint that the
-// snapshot does not hold.
+// state is deeper than values and slices: the profiler, the allocator,
+// oprofile (the cache hierarchy is the machine's own). Components whose
+// mutable state is plain values and slices (the kernel with its packet and
+// connection arenas, the workloads, the PMU units) register those with
+// RewindValues and RewindSlices instead, which are Snapshotters too.
+// SnapshotState returns an immutable deep copy of the component's state;
+// RestoreState rewinds the component to a state previously returned by its
+// own SnapshotState. LiveBytes is the memory the live component keeps: its
+// own arrays and the objects it owns (slab bookkeeping, address-set
+// records), the part of a parked checkpoint that the snapshot does not
+// hold.
 type Snapshotter interface {
 	SnapshotState() State
 	RestoreState(state State)
@@ -84,9 +85,8 @@ type Snapshotter interface {
 
 // State is a Snapshotter's checkpoint blob. Bytes is its resident size:
 // every array and map it owns, and the objects it keeps alive for
-// RestoreState to write through or share (the address-set record blocks,
-// the packets whose fields it records), so that a checkpoint pool charges
-// what a parked entry pins. RewindValues and RewindSlices size theirs from
+// RestoreState to write through or share (the address-set record blocks),
+// so that a checkpoint pool charges what a parked entry pins. RewindValues and RewindSlices size theirs from
 // the registered types.
 type State interface {
 	Bytes() uint64
